@@ -1,10 +1,14 @@
 """Command-line pipeline: validate, metrics, dstat, pca, cluster, rank, simulate, report.
 
-Stage outputs are cached as JSON in the output directory so the cheap
-stages (pca, cluster, report) can be re-run without recomputing the
-D statistics, which dominate runtime. Every stochastic subcommand requires
-an explicit --seed; there is no wall-clock fallback, so a command line
-plus its inputs fully determines the output bytes.
+The four pipeline stages (metrics, pca, cluster, report) are one function
+each: it takes the upstream stages' cache documents, writes its own JSON
+cache to the output directory and returns it. ``rank`` chains them in
+memory; the pca, cluster and report subcommands read the upstream documents
+back from the output directory, so the cheap stages re-run without
+recomputing the D statistics. ``metrics.json`` is the single source for
+pca; ``features.csv`` is an export nothing reads back. Every stochastic
+subcommand requires an explicit --seed; there is no wall-clock fallback, so
+a command line plus its inputs fully determines the output bytes.
 
 Exit codes: 0 success, 1 domain error (parse/validation/statistics),
 2 I/O error.
@@ -16,8 +20,10 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
 import warnings as _warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +45,9 @@ from .comparative import (
 )
 from .metrics import (
     DStatConfig,
-    FeatureTable,
     MeaningClassMetrics,
     build_feature_table,
     compute_metrics,
-    feature_table_from_csv,
     feature_table_to_csv,
 )
 from .multivariate import (
@@ -57,6 +61,7 @@ from .multivariate import (
 from .ranking import (
     DEFAULT_STABILITY_THRESHOLD,
     DEFAULT_WORDLIST_SIZE,
+    WordlistSelection,
     ranking_to_csv,
     select_wordlist,
     suitability_rank,
@@ -68,81 +73,6 @@ from .tree import NewickError, Tree, TreeError, read_newick_file
 
 class CliError(Exception):
     """Domain error already formatted for the user."""
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _input_digests(tree_path: Path, cognates_path: Path) -> dict:
-    return {
-        "tree": {"path": str(tree_path), "sha256": _sha256(tree_path)},
-        "cognates": {"path": str(cognates_path), "sha256": _sha256(cognates_path)},
-    }
-
-
-def _load_inputs(tree_path: Path, cognates_path: Path) -> tuple[Tree, CognateMatrix, list[ValidationIssue]]:
-    tree = read_newick_file(tree_path)
-    matrix, issues = load_cognates(cognates_path)
-    return tree, matrix, issues
-
-
-# -- metrics serialization (stage cache) -------------------------------------
-
-
-def _dstat_to_dict(res: DStatResult) -> dict:
-    return {
-        "d_obs": res.d_obs,
-        "mean_d_random": res.mean_d_random,
-        "mean_d_bm": res.mean_d_bm,
-        "D": res.D,
-        "p_random": res.p_random,
-        "p_bm": res.p_bm,
-        "n_reps": res.n_reps,
-        "n_tips_used": res.n_tips_used,
-    }
-
-
-def _dstat_from_dict(d: dict) -> DStatResult:
-    return DStatResult(**d)
-
-
-def _metrics_to_dict(m: MeaningClassMetrics) -> dict:
-    return {
-        "concept": m.concept,
-        "n_loans": m.n_loans,
-        "mean_d": m.mean_d,
-        "n_singletons": m.n_singletons,
-        "missing_fraction": m.missing_fraction,
-        "mean_class_size": m.mean_class_size,
-        "max_class_size": m.max_class_size,
-        "n_classes": m.n_classes,
-        "class_results": {
-            cls: _dstat_to_dict(res) for cls, res in sorted(m.class_results.items())
-        },
-        "class_skips": dict(sorted(m.class_skips.items())),
-    }
-
-
-def _metrics_from_dict(d: dict) -> MeaningClassMetrics:
-    return MeaningClassMetrics(
-        concept=d["concept"],
-        n_loans=d["n_loans"],
-        mean_d=d["mean_d"],
-        n_singletons=d["n_singletons"],
-        missing_fraction=d["missing_fraction"],
-        mean_class_size=d["mean_class_size"],
-        max_class_size=d["max_class_size"],
-        n_classes=d["n_classes"],
-        class_results={
-            cls: _dstat_from_dict(res) for cls, res in d["class_results"].items()
-        },
-        class_skips=dict(d["class_skips"]),
-    )
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 # -- per-concept metrics, optionally in parallel ------------------------------
@@ -191,87 +121,167 @@ def _compute_all_metrics(
     return results, skipped
 
 
-# -- pca/cluster stage helpers -----------------------------------------------
+# -- stages and their cache documents ----------------------------------------
 
 
-def _pca_stage(table: FeatureTable) -> tuple[PcaResult, list[str]]:
+def _write_json(path: Path, doc: dict) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    path.write_text(text + "\n", "utf-8")
+
+
+def _read_json(out: Path, name: str, stage: str) -> dict:
+    path = out / name
+    if not path.exists():
+        raise CliError(f"{path} not found; run the {stage} stage first")
+    return json.loads(path.read_text("utf-8"))
+
+
+def _rebuild(cls, doc: dict, **overrides):
+    """Dataclass ``cls`` from its cache document, the inverse of ``asdict``.
+
+    JSON keeps only lists: ndarray fields get their array back and tuple
+    fields their tuple. ``overrides`` supplies fields the document stores
+    in another shape.
+    """
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        value = doc[f.name]
+        if hints[f.name] is np.ndarray:
+            value = np.array(value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[f.name] = value
+    return cls(**{**values, **overrides})
+
+
+def _metrics_from_doc(doc: dict) -> list[MeaningClassMetrics]:
+    metrics = []
+    for m in doc["concepts"]:
+        results = {cls: DStatResult(**res) for cls, res in m["class_results"].items()}
+        metrics.append(MeaningClassMetrics(**{**m, "class_results": results}))
+    return metrics
+
+
+def _metrics_stage(args: argparse.Namespace) -> dict:
+    out, tree_path, cognates_path = Path(args.out), Path(args.tree), Path(args.cognates)
+    tree = read_newick_file(tree_path)
+    matrix, load_issues = load_cognates(cognates_path)
+    config = DStatConfig(seed=args.seed, n_reps=args.reps)
+    metrics, skip_warnings = _compute_all_metrics(matrix, tree, config, args.workers)
+    table, provenance = build_feature_table(metrics)
+    doc = {
+        "schema_version": 1,
+        "config": {"seed": args.seed, "n_reps": args.reps},
+        "inputs": {
+            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for name, path in (("tree", tree_path), ("cognates", cognates_path))
+        },
+        "warnings": sorted(skip_warnings + [issue.message for issue in load_issues]),
+        "concepts": [asdict(m) for m in metrics],
+        "provenance": provenance,
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    # An export for other tools; nothing reads it back.
+    (out / "features.csv").write_text(feature_table_to_csv(table), "utf-8")
+    _write_json(out / "metrics.json", doc)
+    return doc
+
+
+def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
+    table, _provenance = build_feature_table(_metrics_from_doc(metrics_doc))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        standardized = standardize(table)
-        result = run_pca(standardized)
-    return result, sorted(str(w.message) for w in caught)
-
-
-def _pca_to_dict(result: PcaResult, stage_warnings: list[str]) -> dict:
-    return {
+        result = run_pca(standardize(table))
+    doc = {
         "schema_version": 1,
-        "variables": list(result.variables),
-        "row_labels": list(result.row_labels),
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "explained_variance": [float(v) for v in result.explained_variance],
-        "loadings": [[float(v) for v in row] for row in result.loadings],
-        "contributions": [[float(v) for v in row] for row in result.contributions],
-        "scores": [[float(v) for v in row] for row in result.scores],
-        "warnings": stage_warnings,
+        **asdict(result),
+        "warnings": sorted(str(w.message) for w in caught),
     }
+    _write_json(Path(args.out) / "pca.json", doc)
+    return doc
 
 
-def _pca_from_dict(d: dict) -> PcaResult:
-    return PcaResult(
-        eigenvalues=np.array(d["eigenvalues"], dtype=float),
-        loadings=np.array(d["loadings"], dtype=float),
-        scores=np.array(d["scores"], dtype=float),
-        contributions=np.array(d["contributions"], dtype=float),
-        explained_variance=np.array(d["explained_variance"], dtype=float),
-        variables=tuple(d["variables"]),
-        row_labels=tuple(d["row_labels"]),
-    )
-
-
-def _cluster_stage(
-    result: PcaResult, kmeans_k: int | None, seed: int, n_restarts: int
-) -> tuple[ClusterAssignment, dict]:
-    scores2 = result.scores[:, :2]
-    n = len(result.row_labels)
-    meta: dict = {"mode": "fixed" if kmeans_k is not None else "auto"}
-    low_structure: list[str] = []
+def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
+    scores2 = np.array(pca_doc["scores"])[:, :2]
+    kmeans_k = args.kmeans_k
+    meta: dict = {"mode": "fixed", "warnings": []}
     if kmeans_k is None:
-        k_hi = min(6, n - 1)
+        k_hi = min(6, len(scores2) - 1)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            kmeans_k = choose_k(scores2, range(2, k_hi + 1), seed, n_restarts)
-        low_structure = [str(w.message) for w in caught]
-        meta["range"] = [2, k_hi]
-    assignment = kmeans(scores2, kmeans_k, seed=seed, n_restarts=n_restarts)
-    meta["warnings"] = sorted(low_structure)
-    return assignment, meta
-
-
-def _clusters_to_dict(assignment: ClusterAssignment, meta: dict, row_labels: tuple[str, ...]) -> dict:
-    return {
+            kmeans_k = choose_k(scores2, range(2, k_hi + 1), args.seed, args.restarts)
+        meta = {
+            "mode": "auto",
+            "range": [2, k_hi],
+            "warnings": sorted(str(w.message) for w in caught),
+        }
+    assignment = kmeans(scores2, kmeans_k, seed=args.seed, n_restarts=args.restarts)
+    doc = {
         "schema_version": 1,
-        "k": assignment.k,
-        "seed": assignment.seed,
-        "n_restarts": assignment.n_restarts,
-        "wcss": assignment.wcss,
-        "labels": {
-            concept: int(assignment.labels[i]) for i, concept in enumerate(row_labels)
-        },
-        "centroids": [[float(v) for v in row] for row in assignment.centroids],
+        **asdict(assignment),
+        "labels": dict(zip(pca_doc["row_labels"], assignment.labels.tolist())),
         "selection": meta,
     }
+    _write_json(Path(args.out) / "clusters.json", doc)
+    return doc
 
 
-def _clusters_from_dict(d: dict, row_labels: tuple[str, ...]) -> ClusterAssignment:
-    labels = np.array([d["labels"][concept] for concept in row_labels], dtype=int)
-    return ClusterAssignment(
-        labels=labels,
-        centroids=np.array(d["centroids"], dtype=float),
-        wcss=float(d["wcss"]),
-        k=int(d["k"]),
-        seed=int(d["seed"]),
-        n_restarts=int(d["n_restarts"]),
+def _report_stage(
+    args: argparse.Namespace, metrics_doc: dict, pca_doc: dict, clusters_doc: dict
+) -> WordlistSelection:
+    out = Path(args.out)
+    oriented = orient_axes(_rebuild(PcaResult, pca_doc))
+    labels = clusters_doc["labels"]
+    if set(labels) != set(oriented.row_labels):
+        raise CliError(
+            f"{out / 'clusters.json'} does not cluster the concepts in pca.json; "
+            "re-run the cluster stage"
+        )
+    assignment = _rebuild(
+        ClusterAssignment,
+        clusters_doc,
+        labels=np.array([labels[concept] for concept in oriented.row_labels]),
     )
+    ranking = suitability_rank(oriented, assignment)
+    selection = select_wordlist(ranking, k=args.k, threshold=args.theta)
+    cluster_meta = clusters_doc["selection"]
+    run_block = {
+        "seed": metrics_doc["config"]["seed"],
+        "n_reps": metrics_doc["config"]["n_reps"],
+        "inputs": metrics_doc["inputs"],
+        "warnings": sorted(
+            metrics_doc["warnings"] + pca_doc["warnings"] + cluster_meta["warnings"]
+        ),
+        "wordlist_size": args.k,
+        "stability_threshold": args.theta,
+        "suitability_score": "PC1 - PC2 (oriented axes)",
+        "kmeans": {
+            "k": assignment.k,
+            "n_restarts": assignment.n_restarts,
+            "seed": assignment.seed,
+            "algorithm": "kmeans++ seeding, Lloyd iterations, best-of-restarts",
+            "space": "first two PC scores",
+            **cluster_meta,
+        },
+    }
+    artifacts = {
+        "report.json": emit_report(
+            _metrics_from_doc(metrics_doc),
+            oriented,
+            assignment,
+            ranking,
+            selection,
+            run_block,
+            metrics_doc["provenance"],
+        ),
+        "ranking.csv": ranking_to_csv(ranking),
+        "scatter.svg": emit_scatter(oriented, assignment, ranking),
+    }
+    for name, text in artifacts.items():
+        (out / name).write_text(text, "utf-8")
+        print(f"{Path(name).stem} -> {out / name}")
+    return selection
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -305,37 +315,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if errors == 0 else 1
 
 
-def _run_metrics_stage(args: argparse.Namespace, out: Path) -> tuple[
-    list[MeaningClassMetrics], FeatureTable, dict, list[str], dict
-]:
-    tree_path, cognates_path = Path(args.tree), Path(args.cognates)
-    tree, matrix, load_issues = _load_inputs(tree_path, cognates_path)
-    config = DStatConfig(seed=args.seed, n_reps=args.reps)
-    metrics, skip_warnings = _compute_all_metrics(matrix, tree, config, args.workers)
-    table, provenance = build_feature_table(metrics)
-    run_warnings = sorted(
-        skip_warnings + [issue.message for issue in load_issues]
-    )
-    payload = {
-        "schema_version": 1,
-        "config": {"seed": args.seed, "n_reps": args.reps},
-        "inputs": _input_digests(tree_path, cognates_path),
-        "warnings": run_warnings,
-        "concepts": [_metrics_to_dict(m) for m in metrics],
-        "provenance": provenance,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "features.csv").write_text(feature_table_to_csv(table), "utf-8")
-    _write_json(out / "metrics.json", payload)
-    return metrics, table, provenance, run_warnings, payload
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    metrics, table, _provenance, run_warnings, _payload = _run_metrics_stage(args, out)
-    for message in run_warnings:
+    doc = _metrics_stage(args)
+    for message in doc["warnings"]:
         print(f"warning: {message}", file=sys.stderr)
-    print(f"computed metrics for {len(metrics)} concepts -> {out / 'metrics.json'}")
+    out = Path(args.out)
+    print(f"computed metrics for {len(doc['concepts'])} concepts -> {out / 'metrics.json'}")
     print(f"feature table -> {out / 'features.csv'}")
     return 0
 
@@ -356,168 +341,50 @@ def _trait_over_tree_tips(
 
 
 def _cmd_dstat(args: argparse.Namespace) -> int:
-    tree, matrix, _ = _load_inputs(Path(args.tree), Path(args.cognates))
+    tree = read_newick_file(Path(args.tree))
+    matrix, _ = load_cognates(Path(args.cognates))
     presence, mask = _trait_over_tree_tips(
         matrix, args.concept, args.cognate_class, tree
     )
     result = d_statistic(tree, presence, mask, n_reps=args.reps, seed=args.seed)
     print(f"concept={args.concept} cognate_class={args.cognate_class}")
-    for name, value in _dstat_to_dict(result).items():
+    for name, value in asdict(result).items():
         print(f"{name}={value}")
     return 0
 
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    features_path = out / "features.csv"
-    if not features_path.exists():
-        raise CliError(
-            f"{features_path} not found; run the metrics stage first"
-        )
-    table = feature_table_from_csv(features_path.read_text("utf-8"))
-    result, stage_warnings = _pca_stage(table)
-    _write_json(out / "pca.json", _pca_to_dict(result, stage_warnings))
-    explained = ", ".join(f"{100 * v:.1f}%" for v in result.explained_variance[:2])
-    print(f"pca over {len(result.row_labels)} concepts (PC1, PC2 explain {explained})")
+    doc = _pca_stage(args, _read_json(out, "metrics.json", "metrics"))
+    explained = ", ".join(f"{100 * v:.1f}%" for v in doc["explained_variance"][:2])
+    print(f"pca over {len(doc['row_labels'])} concepts (PC1, PC2 explain {explained})")
     print(f"pca results -> {out / 'pca.json'}")
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    pca_path = out / "pca.json"
-    if not pca_path.exists():
-        raise CliError(f"{pca_path} not found; run the pca stage first")
-    result = _pca_from_dict(json.loads(pca_path.read_text("utf-8")))
-    assignment, meta = _cluster_stage(result, args.kmeans_k, args.seed, args.restarts)
-    _write_json(
-        out / "clusters.json", _clusters_to_dict(assignment, meta, result.row_labels)
-    )
-    print(f"k-means: k={assignment.k}, wcss={assignment.wcss:.4f}")
+    doc = _cluster_stage(args, _read_json(out, "pca.json", "pca"))
+    print(f"k-means: k={doc['k']}, wcss={doc['wcss']:.4f}")
     print(f"clusters -> {out / 'clusters.json'}")
     return 0
 
 
-def _assemble_and_write_report(
-    out: Path,
-    metrics: list[MeaningClassMetrics],
-    provenance: dict,
-    unoriented: PcaResult,
-    assignment: ClusterAssignment,
-    cluster_meta: dict,
-    run_block: dict,
-    wordlist_size: int,
-    threshold: float,
-) -> tuple[Path, Path, Path, list[str]]:
-    oriented = orient_axes(unoriented)
-    ranking = suitability_rank(oriented, assignment)
-    selection = select_wordlist(ranking, k=wordlist_size, threshold=threshold)
-    run_block = dict(run_block)
-    run_block.setdefault("wordlist_size", wordlist_size)
-    run_block.setdefault("stability_threshold", threshold)
-    run_block.setdefault("suitability_score", "PC1 - PC2 (oriented axes)")
-    run_block.setdefault(
-        "kmeans",
-        {
-            "k": assignment.k,
-            "n_restarts": assignment.n_restarts,
-            "seed": assignment.seed,
-            "algorithm": "kmeans++ seeding, Lloyd iterations, best-of-restarts",
-            "space": "first two PC scores",
-            **cluster_meta,
-        },
-    )
-    report_text = emit_report(
-        metrics, oriented, assignment, ranking, selection, run_block, provenance
-    )
-    scatter_text = emit_scatter(oriented, assignment, ranking)
-    ranking_text = ranking_to_csv(ranking)
-
-    report_path = out / "report.json"
-    ranking_path = out / "ranking.csv"
-    scatter_path = out / "scatter.svg"
-    report_path.write_text(report_text, "utf-8")
-    ranking_path.write_text(ranking_text, "utf-8")
-    scatter_path.write_text(scatter_text, "utf-8")
-    return report_path, ranking_path, scatter_path, list(selection.concepts)
-
-
 def _cmd_rank(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    metrics, table, provenance, run_warnings, payload = _run_metrics_stage(args, out)
-    unoriented, stage_warnings = _pca_stage(table)
-    _write_json(out / "pca.json", _pca_to_dict(unoriented, stage_warnings))
-    assignment, cluster_meta = _cluster_stage(
-        unoriented, args.kmeans_k, args.seed, args.restarts
-    )
-    _write_json(
-        out / "clusters.json",
-        _clusters_to_dict(assignment, cluster_meta, unoriented.row_labels),
-    )
-    run_block = {
-        "seed": args.seed,
-        "n_reps": args.reps,
-        "inputs": payload["inputs"],
-        "warnings": sorted(
-            run_warnings + stage_warnings + cluster_meta.get("warnings", [])
-        ),
-    }
-    report_path, ranking_path, scatter_path, top = _assemble_and_write_report(
-        out,
-        metrics,
-        provenance,
-        unoriented,
-        assignment,
-        cluster_meta,
-        run_block,
-        args.k,
-        args.theta,
-    )
-    print(f"report -> {report_path}")
-    print(f"ranking -> {ranking_path}")
-    print(f"scatter -> {scatter_path}")
-    print(f"top {len(top)} concepts:")
-    for concept in top:
+    metrics_doc = _metrics_stage(args)
+    pca_doc = _pca_stage(args, metrics_doc)
+    clusters_doc = _cluster_stage(args, pca_doc)
+    selection = _report_stage(args, metrics_doc, pca_doc, clusters_doc)
+    print(f"top {len(selection.concepts)} concepts:")
+    for concept in selection.concepts:
         print(f"  {concept}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    for name in ("metrics.json", "pca.json", "clusters.json"):
-        if not (out / name).exists():
-            raise CliError(f"{out / name} not found; run earlier stages first")
-    payload = json.loads((out / "metrics.json").read_text("utf-8"))
-    metrics = [_metrics_from_dict(d) for d in payload["concepts"]]
-    provenance = payload["provenance"]
-    pca_doc = json.loads((out / "pca.json").read_text("utf-8"))
-    unoriented = _pca_from_dict(pca_doc)
-    clusters_doc = json.loads((out / "clusters.json").read_text("utf-8"))
-    assignment = _clusters_from_dict(clusters_doc, unoriented.row_labels)
-    run_block = {
-        "seed": payload["config"]["seed"],
-        "n_reps": payload["config"]["n_reps"],
-        "inputs": payload["inputs"],
-        "warnings": sorted(
-            payload["warnings"]
-            + pca_doc.get("warnings", [])
-            + clusters_doc.get("selection", {}).get("warnings", [])
-        ),
-    }
-    report_path, ranking_path, scatter_path, _top = _assemble_and_write_report(
-        out,
-        metrics,
-        provenance,
-        unoriented,
-        assignment,
-        clusters_doc.get("selection", {}),
-        run_block,
-        args.k,
-        args.theta,
-    )
-    print(f"report -> {report_path}")
-    print(f"ranking -> {ranking_path}")
-    print(f"scatter -> {scatter_path}")
+    upstream = (("metrics.json", "metrics"), ("pca.json", "pca"), ("clusters.json", "cluster"))
+    _report_stage(args, *(_read_json(out, name, stage) for name, stage in upstream))
     return 0
 
 
@@ -681,10 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NewickError, TreeError, CognateFormatError, ValueError) as exc:
+    except (CliError, NewickError, TreeError, CognateFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

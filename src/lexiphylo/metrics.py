@@ -10,6 +10,8 @@ out of every variable rather than only some.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,27 +196,10 @@ def build_feature_table(
 
 
 def feature_table_to_csv(table: FeatureTable) -> str:
-    """Delimited-text export with a header row."""
-    lines = ["concept," + ",".join(table.columns)]
+    """Delimited-text export with a header row; IDs holding ``,`` or ``"`` are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("concept", *table.columns))
     for label, row in zip(table.row_labels, table.values):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def feature_table_from_csv(text: str) -> FeatureTable:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty feature table")
-    header = lines[0].split(",")
-    if header[0] != "concept":
-        raise ValueError("feature table must start with a 'concept' column")
-    columns = tuple(header[1:])
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"ragged feature-table row: {line!r}")
-        labels.append(fields[0])
-        rows.append([float(v) for v in fields[1:]])
-    return FeatureTable(tuple(labels), columns, np.array(rows, dtype=float), False)
+        writer.writerow((label, *(repr(float(v)) for v in row)))
+    return buf.getvalue()

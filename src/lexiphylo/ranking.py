@@ -16,6 +16,8 @@ splits, which ``select_wordlist`` reports as a stability-mix warning.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, replace
 
 from .multivariate import ClusterAssignment, PcaResult
@@ -150,10 +152,12 @@ def select_wordlist(
 
 
 def ranking_to_csv(ranking: SuitabilityRanking) -> str:
-    lines = ["concept,pc1,pc2,score,rank,quadrant,cluster"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("concept", "pc1", "pc2", "score", "rank", "quadrant", "cluster"))
     for row in ranking.rows:
-        lines.append(
-            f"{row.concept},{row.pc1!r},{row.pc2!r},{row.score!r},"
-            f"{row.rank},{row.quadrant},{row.cluster}"
+        writer.writerow(
+            (row.concept, repr(row.pc1), repr(row.pc2), repr(row.score),
+             row.rank, row.quadrant, row.cluster)
         )
-    return "\n".join(lines) + "\n"
+    return buf.getvalue()

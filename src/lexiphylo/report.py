@@ -10,6 +10,7 @@ to reproduce itself.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 from xml.sax.saxutils import escape
 
@@ -74,17 +75,7 @@ def emit_report(
     for m in sorted(metrics, key=lambda m: m.concept):
         prov = provenance.get(m.concept, {})
         classes = [
-            {
-                "cognate_class": cls,
-                "d_obs": res.d_obs,
-                "mean_d_random": res.mean_d_random,
-                "mean_d_bm": res.mean_d_bm,
-                "D": res.D,
-                "p_random": res.p_random,
-                "p_bm": res.p_bm,
-                "n_reps": res.n_reps,
-                "n_tips_used": res.n_tips_used,
-            }
+            {"cognate_class": cls, **asdict(res)}
             for cls, res in sorted(m.class_results.items())
         ]
         skipped = [

@@ -256,36 +256,41 @@ def _skip_ws(s: str, pos: int) -> int:
 
 
 def _parse_subtree(s: str, pos: int) -> tuple[_PNode, int]:
-    pos = _skip_ws(s, pos)
-    if pos < len(s) and s[pos] == "(":
-        open_offset = pos
-        pos += 1
-        children: list[_PNode] = []
-        while True:
-            child, pos = _parse_subtree(s, pos)
-            children.append(child)
+    # Iterative, so nesting depth is bounded by memory rather than by the
+    # interpreter's recursion limit: each open group is (offset, children).
+    open_groups: list[tuple[int, list[_PNode]]] = []
+    while True:
+        pos = _skip_ws(s, pos)
+        if pos < len(s) and s[pos] == "(":
+            open_groups.append((pos, []))
+            pos += 1
+            continue
+        if pos < len(s) and s[pos] == ")":
+            raise NewickError("unbalanced parentheses", pos)
+        label_offset = pos
+        label, pos = _read_label(s, pos)
+        if label is None:
+            raise NewickError("missing tip label", label_offset)
+        length, defaulted, pos = _read_length(s, pos)
+        node = _PNode(label, length, [], defaulted, label_offset)
+        # Attach the finished node to its group; a ")" finishes that group too.
+        while open_groups:
+            open_offset, children = open_groups[-1]
+            children.append(node)
             pos = _skip_ws(s, pos)
             if pos >= len(s):
                 raise NewickError("unbalanced parentheses", len(s))
             if s[pos] == ",":
                 pos += 1
-                continue
-            if s[pos] == ")":
-                pos += 1
                 break
-            raise NewickError(f"unexpected character {s[pos]!r}", pos)
-        label, pos = _read_label(s, pos)
-        length, defaulted, pos = _read_length(s, pos)
-        return _PNode(label, length, children, defaulted, open_offset), pos
-
-    if pos < len(s) and s[pos] == ")":
-        raise NewickError("unbalanced parentheses", pos)
-    label_offset = pos
-    label, pos = _read_label(s, pos)
-    if label is None:
-        raise NewickError("missing tip label", label_offset)
-    length, defaulted, pos = _read_length(s, pos)
-    return _PNode(label, length, [], defaulted, label_offset), pos
+            if s[pos] != ")":
+                raise NewickError(f"unexpected character {s[pos]!r}", pos)
+            open_groups.pop()
+            label, pos = _read_label(s, pos + 1)
+            length, defaulted, pos = _read_length(s, pos)
+            node = _PNode(label, length, children, defaulted, open_offset)
+        if not open_groups:
+            return node, pos
 
 
 def _read_label(s: str, pos: int) -> tuple[str | None, int]:

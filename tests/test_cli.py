@@ -1,11 +1,14 @@
+import csv
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from lexiphylo.cli import main
-from util import balanced_newick
+from lexiphylo.tree import parse_newick
+from util import balanced_newick, caterpillar_newick
 
 TREE = balanced_newick(4, prefix="L")  # 16 tips: L000..L015
 
@@ -68,6 +71,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert code == 1
         assert "unbalanced parentheses at offset" in err
+
+    def test_deep_caterpillar_tree(self, tmp_path, capsys):
+        n_tips = 10_000
+        tree_text = caterpillar_newick(n_tips)
+        assert parse_newick(tree_text).n_tips == n_tips
+        rows = ["language,concept,cognate_id,loan"]
+        rows += [f"T{i:03d},eye,K{i % 2},0" for i in range(n_tips)]
+        tree_path, cognates_path = write_inputs(tmp_path, tree_text=tree_text, rows=rows)
+        code = main(["validate", "--tree", str(tree_path), "--cognates", str(cognates_path)])
+        assert code == 0
+        assert "0 errors, 0 warnings" in capsys.readouterr().out
 
     def test_unreadable_file_exit_two(self, tmp_path, capsys):
         code = main(
@@ -217,11 +231,32 @@ class TestRankPipeline:
 
     def test_stage_subcommands_reuse_cache(self, ranked, capsys):
         _, _, _, out = ranked
-        before = (out / "report.json").read_bytes()
+        names = ("pca.json", "clusters.json", "report.json", "ranking.csv", "scatter.svg")
+        before = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (out / name).unlink()
         assert main(["pca", "--out", str(out)]) == 0
         assert main(["cluster", "--out", str(out), "--seed", "7"]) == 0
         assert main(["report", "--out", str(out), "--k", "3"]) == 0
-        assert (out / "report.json").read_bytes() == before
+        for name in names:
+            assert (out / name).read_bytes() == before[name], name
+
+    def test_stale_clusters_cache_is_a_located_error(self, ranked, tmp_path, capsys):
+        _, tree_path, cognates_path, out = ranked
+        stale = tmp_path / "stale"
+        shutil.copytree(out, stale)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(cognates_path.read_text().replace(",water,", ",fire,"), "utf-8")
+        assert main(
+            ["metrics", "--tree", str(tree_path), "--cognates", str(renamed),
+             "--seed", "7", "--reps", "30", "--out", str(stale)]
+        ) == 0
+        assert main(["pca", "--out", str(stale)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(stale), "--k", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "clusters.json" in err
+        assert "re-run the cluster stage" in err
 
     def test_k_out_of_range(self, ranked, tmp_path, capsys):
         _, tree_path, cognates_path, _ = ranked
@@ -231,6 +266,27 @@ class TestRankPipeline:
         )
         assert code == 1
         assert "k out of range" in capsys.readouterr().err
+
+
+def test_comma_in_tab_delimited_concept(tmp_path):
+    tree_path, cognates_path = write_inputs(tmp_path)
+    text = cognates_path.read_text().replace(",", "\t").replace("\thand\t", "\thand, left\t")
+    cognates_path.write_text(text, "utf-8")
+    out = tmp_path / "out"
+    assert main(
+        ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+         "--seed", "7", "--reps", "30", "--k", "3", "--out", str(out)]
+    ) == 0
+    ranked_report = (out / "report.json").read_bytes()
+    assert main(["pca", "--out", str(out)]) == 0
+    assert main(["cluster", "--out", str(out), "--seed", "7"]) == 0
+    assert main(["report", "--out", str(out), "--k", "3"]) == 0
+    assert (out / "report.json").read_bytes() == ranked_report
+    for name in ("ranking.csv", "features.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 7 for row in rows), name
+        assert "hand, left" in [row[0] for row in rows], name
 
 
 class TestConfigFile:

@@ -6,7 +6,9 @@ cache to the output directory and returns it. ``rank`` chains them in
 memory; the pca, cluster and report subcommands read the upstream documents
 back from the output directory, so the cheap stages re-run without
 recomputing the D statistics. ``metrics.json`` is the single source for
-pca; ``features.csv`` is an export nothing reads back. Every stochastic
+pca; ``features.csv`` is an export nothing reads back. ``pca.json`` and
+``clusters.json`` record the SHA-256 of the upstream cache they were built
+from, and the report stage refuses a stale link. Every stochastic
 subcommand requires an explicit --seed; there is no wall-clock fallback, so
 a command line plus its inputs fully determines the output bytes.
 
@@ -51,6 +53,7 @@ from .metrics import (
     feature_table_to_csv,
 )
 from .multivariate import (
+    DEFAULT_RESTARTS,
     ClusterAssignment,
     PcaResult,
     choose_k,
@@ -129,6 +132,10 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(text + "\n", "utf-8")
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _read_json(out: Path, name: str, stage: str) -> dict:
     path = out / name
     if not path.exists():
@@ -174,7 +181,7 @@ def _metrics_stage(args: argparse.Namespace) -> dict:
         "schema_version": 1,
         "config": {"seed": args.seed, "n_reps": args.reps},
         "inputs": {
-            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in (("tree", tree_path), ("cognates", cognates_path))
         },
         "warnings": sorted(skip_warnings + [issue.message for issue in load_issues]),
@@ -195,6 +202,7 @@ def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
         result = run_pca(standardize(table))
     doc = {
         "schema_version": 1,
+        "upstream_sha256": _sha256(Path(args.out) / "metrics.json"),
         **asdict(result),
         "warnings": sorted(str(w.message) for w in caught),
     }
@@ -219,6 +227,7 @@ def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
     assignment = kmeans(scores2, kmeans_k, seed=args.seed, n_restarts=args.restarts)
     doc = {
         "schema_version": 1,
+        "upstream_sha256": _sha256(Path(args.out) / "pca.json"),
         **asdict(assignment),
         "labels": dict(zip(pca_doc["row_labels"], assignment.labels.tolist())),
         "selection": meta,
@@ -231,13 +240,18 @@ def _report_stage(
     args: argparse.Namespace, metrics_doc: dict, pca_doc: dict, clusters_doc: dict
 ) -> WordlistSelection:
     out = Path(args.out)
+    # Each cache records the digest of the upstream file it was built from.
+    for name, doc, upstream, stage in (
+        ("pca.json", pca_doc, "metrics.json", "pca"),
+        ("clusters.json", clusters_doc, "pca.json", "cluster"),
+    ):
+        if doc.get("upstream_sha256") != _sha256(out / upstream):
+            raise CliError(
+                f"{out / name} was not built from the current {upstream}; "
+                f"re-run the {stage} stage"
+            )
     oriented = orient_axes(_rebuild(PcaResult, pca_doc))
     labels = clusters_doc["labels"]
-    if set(labels) != set(oriented.row_labels):
-        raise CliError(
-            f"{out / 'clusters.json'} does not cluster the concepts in pca.json; "
-            "re-run the cluster stage"
-        )
     assignment = _rebuild(
         ClusterAssignment,
         clusters_doc,
@@ -325,27 +339,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trait_over_tree_tips(
-    matrix: CognateMatrix, concept: str, cognate_class: str, tree: Tree
-) -> tuple[np.ndarray, np.ndarray]:
-    """Presence/mask over all tree tips; tips without any database rows are missing."""
-    known = [t for t in tree.tip_labels if t in matrix.languages]
-    presence_known, mask_known = binary_trait(matrix, concept, cognate_class, known)
-    by_label = dict(zip(known, zip(presence_known, mask_known)))
-    presence = np.zeros(tree.n_tips, dtype=np.int8)
-    mask = np.zeros(tree.n_tips, dtype=np.int8)
-    for i, label in enumerate(tree.tip_labels):
-        if label in by_label:
-            presence[i], mask[i] = by_label[label]
-    return presence, mask
-
-
 def _cmd_dstat(args: argparse.Namespace) -> int:
     tree = read_newick_file(Path(args.tree))
     matrix, _ = load_cognates(Path(args.cognates))
-    presence, mask = _trait_over_tree_tips(
-        matrix, args.concept, args.cognate_class, tree
-    )
+    presence, mask = binary_trait(matrix, args.concept, args.cognate_class, tree.tip_labels)
     result = d_statistic(tree, presence, mask, n_reps=args.reps, seed=args.seed)
     print(f"concept={args.concept} cognate_class={args.cognate_class}")
     for name, value in asdict(result).items():
@@ -450,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="compute the six per-concept variables (the slow stage)")
     add_inputs(p)
     add_common(p)
-    p.add_argument("--reps", type=_positive_int, default=None, help="null replicates (default 1000)")
+    p.add_argument("--reps", type=_positive_int, default=None,
+                   help=f"null replicates (default {DEFAULT_N_REPS})")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_metrics)
@@ -481,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--reps", type=_positive_int, default=None)
     p.add_argument("--k", type=_positive_int, default=None,
-                   help="wordlist size (default 30)")
+                   help=f"wordlist size (default {DEFAULT_WORDLIST_SIZE})")
     p.add_argument("--kmeans-k", type=_kmeans_k, default=None, dest="kmeans_k")
     p.add_argument("--restarts", type=_positive_int, default=None)
     p.add_argument("--theta", type=float, default=None,
-                   help="stability-mix warning threshold (default 0.8)")
+                   help=f"stability-mix warning threshold (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_rank)
@@ -513,7 +511,7 @@ _CONFIG_DEFAULTS = {
     "workers": 1,
     "k": DEFAULT_WORDLIST_SIZE,
     "theta": DEFAULT_STABILITY_THRESHOLD,
-    "restarts": 25,
+    "restarts": DEFAULT_RESTARTS,
     "root": 0.0,
     "kmeans_k": None,
     "seed": None,

@@ -1,19 +1,22 @@
 """Long-format cognate database: ingestion, validation, and per-concept views.
 
 The input is a single delimited table (comma or tab, autodetected from the
-header) with columns ``language, concept, cognate_id, loan``. A (language,
-concept) pair with no row is *missing*: absence of evidence, deliberately
-distinct from a cognate class being absent. One language may attest several
-classes for the same concept (synonyms/doublets). Cognate-class IDs are
-scoped to their concept.
+header; fields may be CSV-quoted) with columns ``language, concept,
+cognate_id, loan``. A (language, concept) pair with no row is *missing*:
+absence of evidence, deliberately distinct from a cognate class being
+absent. One language may attest several classes for the same concept
+(synonyms/doublets). Cognate-class IDs are scoped to their concept.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -44,35 +47,51 @@ class ValidationIssue:
 
 @dataclass(frozen=True)
 class CognateMatrix:
-    """Immutable language x concept -> set-of-cognate-classes mapping."""
+    """Immutable language x concept -> set-of-cognate-classes mapping.
+
+    ``entries`` is the single source; every per-concept view reads one
+    concept index derived from it (and ``loans``) on first use.
+    """
 
     languages: tuple[str, ...]
     concepts: tuple[str, ...]
     entries: dict[tuple[str, str], frozenset[str]]
     loans: frozenset[tuple[str, str, str]]
 
-    def has_entry(self, language: str, concept: str) -> bool:
-        return (language, concept) in self.entries
+    @cached_property
+    def _index(self) -> dict[str, tuple[dict[str, frozenset[str]], frozenset]]:
+        """concept -> (cognate class -> attesting languages, loan triples), built once."""
+        classes: dict[str, dict[str, set[str]]] = {con: {} for con in self.concepts}
+        for (lang, con), ids in self.entries.items():
+            for cls in ids:
+                classes[con].setdefault(cls, set()).add(lang)
+        loans: dict[str, set] = {con: set() for con in self.concepts}
+        for triple in self.loans:
+            loans[triple[1]].add(triple)
+        return {
+            con: (
+                {cls: frozenset(by_class[cls]) for cls in sorted(by_class)},
+                frozenset(loans[con]),
+            )
+            for con, by_class in classes.items()
+        }
+
+    def _lookup(self, concept: str) -> tuple[dict[str, frozenset[str]], frozenset]:
+        if concept not in self._index:
+            raise ValueError(f"unknown concept {concept!r}")
+        return self._index[concept]
 
     def languages_for(self, concept: str) -> frozenset[str]:
         """Languages with at least one entry for ``concept``."""
-        self._require_concept(concept)
-        return frozenset(lang for (lang, con) in self.entries if con == concept)
+        return frozenset().union(*self._lookup(concept)[0].values())
 
     def classes_for(self, concept: str) -> dict[str, frozenset[str]]:
         """Map each cognate class of ``concept`` to its attesting languages."""
-        self._require_concept(concept)
-        out: dict[str, set[str]] = {}
-        for (lang, con), classes in self.entries.items():
-            if con != concept:
-                continue
-            for cls in classes:
-                out.setdefault(cls, set()).add(lang)
-        return {cls: frozenset(langs) for cls, langs in sorted(out.items())}
+        return dict(self._lookup(concept)[0])
 
-    def _require_concept(self, concept: str) -> None:
-        if concept not in self.concepts:
-            raise ValueError(f"unknown concept {concept!r}")
+    def loans_for(self, concept: str) -> frozenset[tuple[str, str, str]]:
+        """Loan-flagged (language, concept, cognate class) triples of ``concept``."""
+        return self._lookup(concept)[1]
 
 
 @dataclass(frozen=True)
@@ -93,6 +112,17 @@ def _open_source(source: str | Path | IO[str]) -> IO[str]:
     return source
 
 
+def _split_rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number and whitespace-stripped CSV fields of each non-blank row."""
+    reader = csv.reader(lines, delimiter=delimiter, strict=True)
+    try:
+        for fields in reader:
+            if lines[reader.line_num - 1].strip():
+                yield reader.line_num, [f.strip() for f in fields]
+    except csv.Error as exc:
+        raise CognateFormatError(f"malformed row ({exc})", reader.line_num) from None
+
+
 def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[ValidationIssue]]:
     """Load and validate a delimited cognate table.
 
@@ -100,22 +130,20 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
     a str. Returns the matrix plus a list of warnings (errors raise
     CognateFormatError with the offending line number).
     """
-    fh = _open_source(source)
-    try:
+    with _open_source(source) as fh:
         lines = fh.read().splitlines()
-    finally:
-        fh.close()
     if not lines or not lines[0].strip():
         raise CognateFormatError("empty input (no header)", 1)
 
-    header_line = lines[0]
-    delimiter = "\t" if "\t" in header_line else ","
-    header = [h.strip() for h in header_line.split(delimiter)]
+    delimiter = "\t" if "\t" in lines[0] else ","
+    rows = _split_rows(lines, delimiter)
+    _, header = next(rows)
     col_index = {name: i for i, name in enumerate(header)}
     for required in REQUIRED_COLUMNS:
         if required not in col_index:
             raise CognateFormatError(f"missing required column {required!r}", 1)
 
+    required_fields = itemgetter(*(col_index[name] for name in REQUIRED_COLUMNS))
     warnings: list[ValidationIssue] = []
     has_loan = LOAN_COLUMN in col_index
     if not has_loan:
@@ -123,59 +151,37 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
             ValidationIssue("warning", 1, "loan column absent; all loan flags set to 0")
         )
 
-    languages: list[str] = []
-    concepts: list[str] = []
-    seen_languages: set[str] = set()
-    seen_concepts: set[str] = set()
+    # Insertion-ordered dicts keep languages and concepts in first-seen order.
+    languages: dict[str, None] = {}
+    concepts: dict[str, None] = {}
     entries: dict[tuple[str, str], set[str]] = {}
     loans: set[tuple[str, str, str]] = set()
-    seen_rows: set[tuple[str, str, str]] = set()
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = [f.strip() for f in raw.split(delimiter)]
-        if len(fields) < len(header):
+    for lineno, fields in rows:
+        if len(fields) != len(header):
             raise CognateFormatError(
                 f"expected {len(header)} fields, got {len(fields)}", lineno
             )
-        language = fields[col_index["language"]]
-        concept = fields[col_index["concept"]]
-        cognate_id = fields[col_index["cognate_id"]]
-        if not language:
-            raise CognateFormatError("empty language", lineno)
-        if not concept:
-            raise CognateFormatError("empty concept", lineno)
-        if not cognate_id:
-            raise CognateFormatError("empty cognate_id", lineno)
+        row = required_fields(fields)
+        if not all(row):
+            raise CognateFormatError(f"empty {REQUIRED_COLUMNS[row.index('')]}", lineno)
+        language, concept, cognate_id = row
 
-        row = (language, concept, cognate_id)
-        if row in seen_rows:
+        classes = entries.setdefault((language, concept), set())
+        if cognate_id in classes:
             raise CognateFormatError(
                 f"duplicate row ({language}, {concept}, {cognate_id})", lineno
             )
-        seen_rows.add(row)
+        loan_flag = fields[col_index[LOAN_COLUMN]] if has_loan else ""
+        if loan_flag not in ("", "0", "1"):
+            raise CognateFormatError(
+                f"loan flag must be 0, 1, or empty, got {loan_flag!r}", lineno
+            )
 
-        loan_flag = 0
-        if has_loan:
-            loan_raw = fields[col_index[LOAN_COLUMN]]
-            if loan_raw in ("", "0"):
-                loan_flag = 0
-            elif loan_raw == "1":
-                loan_flag = 1
-            else:
-                raise CognateFormatError(
-                    f"loan flag must be 0, 1, or empty, got {loan_raw!r}", lineno
-                )
-
-        if language not in seen_languages:
-            seen_languages.add(language)
-            languages.append(language)
-        if concept not in seen_concepts:
-            seen_concepts.add(concept)
-            concepts.append(concept)
-        entries.setdefault((language, concept), set()).add(cognate_id)
-        if loan_flag:
+        classes.add(cognate_id)
+        languages[language] = None
+        concepts[concept] = None
+        if loan_flag == "1":
             loans.add(row)
 
     if not entries:
@@ -191,16 +197,17 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
 
 
 def write_cognates(matrix: CognateMatrix) -> str:
-    """Serialize back to CSV; rows sorted so output is deterministic."""
-    rows = []
-    for (language, concept), classes in matrix.entries.items():
-        for cls in classes:
-            loan = 1 if (language, concept, cls) in matrix.loans else 0
-            rows.append((language, concept, cls, loan))
-    rows.sort()
-    lines = ["language,concept,cognate_id,loan"]
-    lines.extend(f"{lang},{con},{cls},{loan}" for lang, con, cls, loan in rows)
-    return "\n".join(lines) + "\n"
+    """Serialize back to quoted CSV; rows sorted so output is deterministic."""
+    rows = sorted(
+        (language, concept, cls, int((language, concept, cls) in matrix.loans))
+        for (language, concept), classes in matrix.entries.items()
+        for cls in classes
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("language", "concept", "cognate_id", LOAN_COLUMN))
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def binary_trait(
@@ -212,27 +219,20 @@ def binary_trait(
     """Presence/absence of one cognate class over ``taxa``, plus attested mask.
 
     ``presence[i]`` is 1 iff taxon i attests the class under ``concept``;
-    ``mask[i]`` is 0 iff (taxon i, concept) is missing. Missing taxa are to
-    be excluded downstream, never read as absence.
+    ``mask[i]`` is 0 iff (taxon i, concept) is missing, which includes a
+    taxon with no rows at all. Missing taxa are to be excluded downstream,
+    never read as absence.
     """
-    matrix._require_concept(concept)
     classes = matrix.classes_for(concept)
     if cognate_class not in classes:
         raise ValueError(
             f"unknown cognate class {cognate_class!r} for concept {concept!r}"
         )
-    taxa = list(taxa)
-    unknown = [t for t in taxa if t not in matrix.languages]
-    if unknown:
-        raise ValueError(f"taxon {unknown[0]!r} not in matrix languages")
     attesting = classes[cognate_class]
-    presence = np.zeros(len(taxa), dtype=np.int8)
-    mask = np.zeros(len(taxa), dtype=np.int8)
-    for i, taxon in enumerate(taxa):
-        if matrix.has_entry(taxon, concept):
-            mask[i] = 1
-            if taxon in attesting:
-                presence[i] = 1
+    attested = matrix.languages_for(concept)
+    taxa = list(taxa)
+    presence = np.array([taxon in attesting for taxon in taxa], dtype=np.int8)
+    mask = np.array([taxon in attested for taxon in taxa], dtype=np.int8)
     return presence, mask
 
 
@@ -242,13 +242,11 @@ def concept_summary(matrix: CognateMatrix, concept: str) -> ConceptSummary:
     if not classes:
         raise ValueError(f"no data for concept {concept!r}")
     sizes = {cls: len(langs) for cls, langs in classes.items()}
-    attested = matrix.languages_for(concept)
-    n_loans = sum(1 for (lang, con, cls) in matrix.loans if con == concept)
     return ConceptSummary(
         concept=concept,
         n_classes=len(classes),
         class_sizes=sizes,
         n_singletons=sum(1 for s in sizes.values() if s == 1),
-        n_attested_languages=len(attested),
-        n_loan_triples=n_loans,
+        n_attested_languages=len(matrix.languages_for(concept)),
+        n_loan_triples=len(matrix.loans_for(concept)),
     )

@@ -36,6 +36,7 @@ from ._rng import stream
 from .tree import Tree, prune_to_taxa
 
 DEFAULT_N_REPS = 1000
+MIN_TIPS_FOR_D = 4
 _NULL_GAP_TOL = 1e-12
 
 
@@ -282,8 +283,8 @@ def d_statistic(
 
     used_labels = [lab for lab, keep in zip(tree.tip_labels, mask) if keep]
     n_used = len(used_labels)
-    if n_used < 4:
-        raise ValueError(f"fewer than 4 usable tips (got {n_used})")
+    if n_used < MIN_TIPS_FOR_D:
+        raise ValueError(f"fewer than {MIN_TIPS_FOR_D} usable tips (got {n_used})")
     pruned = prune_to_taxa(tree, set(used_labels))
 
     by_label = {lab: v for lab, v, keep in zip(tree.tip_labels, presence, mask) if keep}

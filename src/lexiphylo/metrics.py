@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derived_seed
-from .cognates import CognateMatrix
-from .comparative import DEFAULT_N_REPS, DStatResult, d_statistic
+from .cognates import CognateMatrix, binary_trait
+from .comparative import DEFAULT_N_REPS, MIN_TIPS_FOR_D, DStatResult, d_statistic
 from .tree import Tree
 
 FEATURE_COLUMNS = (
@@ -29,8 +29,6 @@ FEATURE_COLUMNS = (
     "mean_class_size",
     "max_class_size",
 )
-
-MIN_TIPS_FOR_D = 4
 
 
 @dataclass(frozen=True)
@@ -92,16 +90,11 @@ def compute_metrics(
     }
     classes = {cls: langs for cls, langs in classes.items() if langs}
     sizes = {cls: len(langs) for cls, langs in classes.items()}
-    n_loans = sum(
-        1
-        for (lang, con, cls) in matrix.loans
-        if con == concept and lang in tree_languages and cls in classes
-    )
+    # A loan triple is also an entry, so a tree language's loan lies in ``classes``.
+    n_loans = sum(1 for (lang, _, _) in matrix.loans_for(concept) if lang in tree_languages)
 
     class_results: dict[str, DStatResult] = {}
     class_skips: dict[str, str] = {}
-    taxa = list(tree.tip_labels)
-    mask = np.array([1 if lang in attested else 0 for lang in taxa], dtype=np.int8)
     for cls in sorted(classes):
         if len(attested) < MIN_TIPS_FOR_D:
             class_skips[cls] = f"fewer than {MIN_TIPS_FOR_D} usable tips"
@@ -109,9 +102,7 @@ def compute_metrics(
         if sizes[cls] == len(attested):
             class_skips[cls] = "constant trait (attested by every usable language)"
             continue
-        presence = np.array(
-            [1 if lang in classes[cls] else 0 for lang in taxa], dtype=np.int8
-        )
+        presence, mask = binary_trait(matrix, concept, cls, tree.tip_labels)
         try:
             class_results[cls] = d_statistic(
                 tree,

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexiphylo.cli import main
 from lexiphylo.tree import parse_newick
@@ -258,6 +260,24 @@ class TestRankPipeline:
         assert "clusters.json" in err
         assert "re-run the cluster stage" in err
 
+    def test_stale_pca_cache_is_a_located_error(self, ranked, tmp_path, capsys):
+        _, tree_path, cognates_path, out = ranked
+        stale = tmp_path / "stale"
+        shutil.copytree(out, stale)
+        assert main(
+            ["metrics", "--tree", str(tree_path), "--cognates", str(cognates_path),
+             "--seed", "8", "--reps", "30", "--out", str(stale)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(stale), "--k", "3"]) == 1
+        err = capsys.readouterr().err
+        assert str(stale / "pca.json") in err
+        assert "re-run the pca stage" in err
+        assert main(["pca", "--out", str(stale)]) == 0
+        assert main(["cluster", "--out", str(stale), "--seed", "8"]) == 0
+        assert main(["report", "--out", str(stale), "--k", "3"]) == 0
+        assert json.loads((stale / "report.json").read_text())["run"]["seed"] == 8
+
     def test_k_out_of_range(self, ranked, tmp_path, capsys):
         _, tree_path, cognates_path, _ = ranked
         code = main(
@@ -287,6 +307,42 @@ def test_comma_in_tab_delimited_concept(tmp_path):
             rows = list(csv.reader(fh))
         assert all(len(row) == 7 for row in rows), name
         assert "hand, left" in [row[0] for row in rows], name
+
+
+@pytest.fixture(scope="module")
+def row_order_base(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("row_order")
+    tree_path, cognates_path = write_inputs(tmp_path)
+    header, *rows = cognates_path.read_text("utf-8").splitlines()
+    return tree_path, cognates_path, header, rows, _rank_artifacts(tree_path, cognates_path)
+
+
+def _rank_artifacts(tree_path, cognates_path):
+    """rank's artifacts with the cognate table's digest, which run.inputs records."""
+    out = cognates_path.parent / "out"
+    assert main(
+        ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+         "--seed", "7", "--reps", "30", "--k", "3", "--out", str(out)]
+    ) == 0
+    digest = hashlib.sha256(cognates_path.read_bytes()).hexdigest()
+    return digest, {
+        name: (out / name).read_bytes()
+        for name in ("report.json", "ranking.csv", "scatter.svg")
+    }
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_cognate_row_order_does_not_change_artifacts(row_order_base, data):
+    tree_path, cognates_path, header, rows, (base_digest, base) = row_order_base
+    permuted = data.draw(st.permutations(rows))
+    cognates_path.write_text("\n".join([header, *permuted]) + "\n", "utf-8")
+    digest, artifacts = _rank_artifacts(tree_path, cognates_path)
+    # Only run.inputs may differ: it records the permuted file's digest.
+    artifacts["report.json"] = artifacts["report.json"].replace(
+        digest.encode(), base_digest.encode()
+    )
+    assert artifacts == base
 
 
 class TestConfigFile:

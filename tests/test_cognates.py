@@ -56,9 +56,16 @@ class TestLoad:
             load_cognates(text)
 
     def test_ragged_row(self):
-        text = "language,concept,cognate_id,loan\nL1,eye\n"
-        with pytest.raises(CognateFormatError, match="expected 4 fields"):
-            load_cognates(text)
+        for row, got in (("L1,eye", 2), ("L1,eye,K1,0,junk", 5)):
+            text = f"language,concept,cognate_id,loan\n{row}\n"
+            with pytest.raises(CognateFormatError, match=f"expected 4 fields, got {got} at line 2"):
+                load_cognates(text)
+
+    def test_bad_quoting_is_located(self):
+        for row in ('L1,"eye"x,K1,0', 'L1,"eye,K1,0'):
+            text = f"language,concept,cognate_id,loan\nL2,eye,K1,0\n{row}\n"
+            with pytest.raises(CognateFormatError, match="malformed row .* at line 3"):
+                load_cognates(text)
 
     def test_tab_delimiter_autodetected(self):
         text = "language\tconcept\tcognate_id\tloan\nL1\teye\tK1\t0\n"
@@ -75,6 +82,14 @@ class TestLoad:
 
     def test_roundtrip_preserves_entry_set(self):
         matrix, _ = load_cognates(BASIC)
+        again, _ = load_cognates(write_cognates(matrix))
+        assert again.entries == matrix.entries
+        assert again.loans == matrix.loans
+
+    def test_quoted_fields_roundtrip(self):
+        text = BASIC.replace(",", "\t").replace("\teye\t", '\teye, "left"\t')
+        matrix, _ = load_cognates(text)
+        assert matrix.concepts == ('eye, "left"',)
         again, _ = load_cognates(write_cognates(matrix))
         assert again.entries == matrix.entries
         assert again.loans == matrix.loans
@@ -98,6 +113,12 @@ class TestBinaryTrait:
         matrix, _ = load_cognates(BASIC)
         presence, _ = binary_trait(matrix, "eye", "K2", ["L1", "L2"])
         assert presence.tolist() == [0, 1]
+
+    def test_taxon_without_rows_is_missing(self):
+        matrix, _ = load_cognates(BASIC)
+        presence, mask = binary_trait(matrix, "eye", "K2", ["L2", "Martian", "L1"])
+        assert presence.tolist() == [1, 0, 0]
+        assert mask.tolist() == [1, 0, 1]
 
     def test_unknown_concept_and_class(self):
         matrix, _ = load_cognates(BASIC)

@@ -12,13 +12,14 @@ from, and the report stage refuses a stale link. Every stochastic
 subcommand requires an explicit --seed; there is no wall-clock fallback, so
 a command line plus its inputs fully determines the output bytes.
 
-Exit codes: 0 success, 1 domain error (parse/validation/statistics),
-2 I/O error.
+Exit codes: 0 success, 1 domain error (parse/validation/statistics, or a
+failed numerical invariant in the pca or cluster stage), 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -195,6 +196,20 @@ def _metrics_stage(args: argparse.Namespace) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _stage_invariants(stage: str):
+    """Turn a failed numerical invariant of ``stage`` into a located error.
+
+    k-means asserts that a restart produced a result, and the Jacobi
+    eigensolver raises RuntimeError when it does not converge.
+    """
+    try:
+        yield
+    except (AssertionError, RuntimeError) as exc:
+        raise CliError(f"{stage} stage failed an internal check: {exc!r}") from exc
+
+
+@_stage_invariants("pca")
 def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
     table, _provenance = build_feature_table(_metrics_from_doc(metrics_doc))
     with _warnings.catch_warnings(record=True) as caught:
@@ -210,6 +225,7 @@ def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
     return doc
 
 
+@_stage_invariants("cluster")
 def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
     scores2 = np.array(pca_doc["scores"])[:, :2]
     kmeans_k = args.kmeans_k

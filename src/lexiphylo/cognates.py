@@ -59,8 +59,8 @@ class CognateMatrix:
     loans: frozenset[tuple[str, str, str]]
 
     @cached_property
-    def _index(self) -> dict[str, tuple[dict[str, frozenset[str]], frozenset]]:
-        """concept -> (cognate class -> attesting languages, loan triples), built once."""
+    def _index(self) -> dict[str, tuple[dict[str, frozenset[str]], frozenset[str], frozenset]]:
+        """concept -> (class -> attesting languages, attested languages, loans), built once."""
         classes: dict[str, dict[str, set[str]]] = {con: {} for con in self.concepts}
         for (lang, con), ids in self.entries.items():
             for cls in ids:
@@ -71,19 +71,22 @@ class CognateMatrix:
         return {
             con: (
                 {cls: frozenset(by_class[cls]) for cls in sorted(by_class)},
+                frozenset().union(*by_class.values()),
                 frozenset(loans[con]),
             )
             for con, by_class in classes.items()
         }
 
-    def _lookup(self, concept: str) -> tuple[dict[str, frozenset[str]], frozenset]:
+    def _lookup(
+        self, concept: str
+    ) -> tuple[dict[str, frozenset[str]], frozenset[str], frozenset]:
         if concept not in self._index:
             raise ValueError(f"unknown concept {concept!r}")
         return self._index[concept]
 
     def languages_for(self, concept: str) -> frozenset[str]:
         """Languages with at least one entry for ``concept``."""
-        return frozenset().union(*self._lookup(concept)[0].values())
+        return self._lookup(concept)[1]
 
     def classes_for(self, concept: str) -> dict[str, frozenset[str]]:
         """Map each cognate class of ``concept`` to its attesting languages."""
@@ -91,7 +94,7 @@ class CognateMatrix:
 
     def loans_for(self, concept: str) -> frozenset[tuple[str, str, str]]:
         """Loan-flagged (language, concept, cognate class) triples of ``concept``."""
-        return self._lookup(concept)[1]
+        return self._lookup(concept)[2]
 
 
 @dataclass(frozen=True)
@@ -223,13 +226,12 @@ def binary_trait(
     taxon with no rows at all. Missing taxa are to be excluded downstream,
     never read as absence.
     """
-    classes = matrix.classes_for(concept)
+    classes, attested, _ = matrix._lookup(concept)
     if cognate_class not in classes:
         raise ValueError(
             f"unknown cognate class {cognate_class!r} for concept {concept!r}"
         )
     attesting = classes[cognate_class]
-    attested = matrix.languages_for(concept)
     taxa = list(taxa)
     presence = np.array([taxon in attesting for taxon in taxa], dtype=np.int8)
     mask = np.array([taxon in attested for taxon in taxa], dtype=np.int8)

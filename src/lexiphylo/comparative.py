@@ -17,7 +17,15 @@ Determinism contract: all randomness comes from Philox streams. Replicate
 ``r`` of a D computation uses stream ``(seed, r)`` and draws, in order, the
 shuffle permutation, the BM innovations (one per node, the root draw
 unused), and the threshold tie-break keys. Results are therefore identical
-across serial and parallel execution.
+across serial and parallel execution. One generator per D computation is
+re-keyed from replicate to replicate (``_rng.rekey``), which draws the same
+numbers as constructing stream ``(seed, r)`` afresh.
+
+The kernel is batched over replicates and sweeps the tree level by level,
+but every value sees the IEEE operations of the naive per-node recursion:
+children are accumulated in stored order and the edge sum runs in node
+order. The pruned tree and its sweep schedules depend only on which tips
+are attested, so every class of a concept shares them.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -29,10 +37,12 @@ genuinely means zero variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import rekey, stream
 from .tree import Tree, prune_to_taxa
 
 DEFAULT_N_REPS = 1000
@@ -71,62 +81,108 @@ def _epsilon(tree: Tree) -> float:
     return 1e-8 * tree.height if tree.height > 0 else 1e-8
 
 
-def _inverse_length_weights(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node weight 1/length (epsilon-substituted) and per-parent weight sums.
+class _Sweeps:
+    """Inverse-length weights and the bottom-up schedule of one tree.
 
-    Weight sums accumulate over children in stored order so that a naive
-    recursive recomputation reproduces the arithmetic bit for bit.
+    ``up`` follows ``tree.height_levels``: per level, its nodes, their
+    weight totals, and per child slot ``k`` the k-th children, their
+    weights and the positions of the level's nodes that have a k-th child.
+    Weight totals accumulate over children in stored order, so a naive
+    recursion reproduces them bit for bit.
     """
-    eps = _epsilon(tree)
-    w = np.zeros(tree.n_nodes)
-    for i in range(tree.n_nodes - 1):
-        length = float(tree.lengths[i])
-        w[i] = 1.0 / (length if length != 0.0 else eps)
-    totals = np.zeros(tree.n_nodes)
-    for i in tree.postorder():
-        total = 0.0
-        for c in tree.children[i]:
-            total += w[c]
-        totals[i] = total
-    return w, totals
+
+    def __init__(self, tree: Tree) -> None:
+        self.tree = tree
+        lengths = tree.lengths[:-1]
+        w = np.zeros(tree.n_nodes)
+        w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
+        self.up = []
+        for nodes in tree.height_levels:
+            kid_lists = [tree.children[i] for i in nodes]
+            totals = np.zeros((len(nodes), 1))
+            for j, kids in enumerate(kid_lists):
+                total = 0.0
+                for c in kids:
+                    total += w[c]
+                totals[j] = total
+            slots = []
+            for k in range(max(map(len, kid_lists))):
+                has = [j for j, kids in enumerate(kid_lists) if len(kids) > k]
+                kth = np.array([kid_lists[j][k] for j in has])
+                where = slice(None) if len(has) == len(nodes) else np.array(has)
+                slots.append((kth, w[kth, None], where))
+            self.up.append((nodes, totals, slots))
 
 
-def _nodal_estimates_batch(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _pruned_sweeps(tree: Tree, used_labels: tuple[str, ...]) -> _Sweeps:
+    """The tree pruned to ``used_labels``, with its sweeps; reused by a concept's classes."""
+    return _Sweeps(prune_to_taxa(tree, set(used_labels)))
+
+
+def _nodal_estimates_batch(
+    sweeps: _Sweeps, tip_values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Weighted-mean nodal estimates for a batch of tip-value vectors.
 
     ``tip_values`` has shape (batch, n_tips) in ``tree.tip_indices`` order;
-    the result has shape (batch, n_nodes) with tips carrying their inputs.
-    Children are accumulated in stored order, sequentially, to keep the
-    arithmetic identical to a naive recursion.
+    the result has shape (n_nodes, batch) with tips carrying their inputs,
+    written to ``out`` if given. Each node accumulates
+    ``w[child] * est[child]`` over its children in stored order,
+    sequentially, as a naive recursion does.
     """
-    w, totals = _inverse_length_weights(tree)
-    batch = tip_values.shape[0]
-    est = np.empty((batch, tree.n_nodes))
-    est[:, tree.tip_indices] = tip_values
-    for i in tree.postorder():
-        kids = tree.children[i]
-        if not kids:
-            continue
-        acc = w[kids[0]] * est[:, kids[0]]
-        for c in kids[1:]:
-            acc += w[c] * est[:, c]
-        est[:, i] = acc / totals[i]
+    tree = sweeps.tree
+    est = np.empty((tree.n_nodes, tip_values.shape[0])) if out is None else out
+    est[tree.tip_indices] = tip_values.T
+    for nodes, totals, ((kids, w, _), *rest) in sweeps.up:
+        acc = w * est[kids]
+        for kids, w, where in rest:
+            acc[where] += w * est[kids]
+        acc /= totals
+        est[nodes] = acc
     return est
 
 
-def _d_sum_batch(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
+def _d_sum_batch(
+    sweeps: _Sweeps, tip_values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Change score for each row of 0/1 ``tip_values``: sum of |edge differences|.
 
     Tips are first centered to +-0.5. That leaves every |child - parent|
     difference unchanged in exact arithmetic, and makes trait complementation
     a pure sign flip - exact in IEEE floating point - so
     d_sum(v) == d_sum(1 - v) holds bitwise, not just approximately.
+    The edge differences replace the estimates deepest level first, so
+    each parent is read before it is overwritten; ``out`` is an optional
+    (n_nodes, batch) work array. Edges are summed sequentially in node order.
     """
-    est = _nodal_estimates_batch(tree, tip_values - 0.5)
-    total = np.zeros(tip_values.shape[0])
-    for i in range(tree.n_nodes - 1):
-        total += np.abs(est[:, i] - est[:, tree.parents[i]])
-    return total
+    est = _nodal_estimates_batch(sweeps, tip_values - 0.5, out)
+    for nodes, parents in reversed(sweeps.tree.depth_levels):
+        est[nodes] = np.abs(est[nodes] - est[parents])
+    return _sum_rows(est[:-1])
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Column sums of a C-contiguous 2-D array, adding the rows in order.
+
+    Reducing over axis 0 adds whole rows one after another, but a single
+    column is the fast axis, which numpy sums pairwise; an accumulate is
+    sequential in every shape.
+    """
+    if x.shape[1] == 1:
+        return np.add.accumulate(x, axis=0)[-1]
+    return np.add.reduce(x, axis=0)
+
+
+def _bm_sweep(tree: Tree, values: np.ndarray, sd: np.ndarray, root_value: float) -> None:
+    """Turn an (n_nodes, batch) array of innovations into BM node values, in place.
+
+    Node ``i`` takes its parent's value plus ``sd[i]`` times innovation
+    ``i``; the root takes ``root_value`` and its innovation is unused.
+    """
+    values[tree.root] = root_value
+    for nodes, parents in tree.depth_levels:
+        values[nodes] = values[parents] + sd[nodes, None] * values[nodes]
 
 
 def simulate_bm(tree: Tree, params: BmParams) -> np.ndarray:
@@ -138,13 +194,9 @@ def simulate_bm(tree: Tree, params: BmParams) -> np.ndarray:
     from stream ``(seed, 0)``, so output is a pure function of the seed and
     the node numbering.
     """
-    z = stream(params.seed, 0).standard_normal(tree.n_nodes)
-    sd = np.sqrt(params.sigma2 * tree.lengths)
-    values = np.empty(tree.n_nodes)
-    values[tree.root] = params.root_value
-    for i in range(tree.n_nodes - 2, -1, -1):
-        values[i] = values[tree.parents[i]] + sd[i] * z[i]
-    return values
+    values = stream(params.seed, 0).standard_normal((tree.n_nodes, 1))
+    _bm_sweep(tree, values, np.sqrt(params.sigma2 * tree.lengths), params.root_value)
+    return values[:, 0]
 
 
 def nodal_estimates(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
@@ -160,7 +212,7 @@ def nodal_estimates(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {tree.n_tips} tip values, got {tip_values.shape}")
     if not np.all(np.isfinite(tip_values)):
         raise ValueError("tip values must be finite")
-    return _nodal_estimates_batch(tree, tip_values[None, :])[0]
+    return _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :])[:, 0]
 
 
 def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
@@ -170,7 +222,7 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
         raise ValueError("tip values must be coded 0/1")
     if tip_values.min() == tip_values.max():
         raise ValueError("constant trait: d_sum undefined")
-    return float(_d_sum_batch(tree, tip_values[None, :])[0])
+    return float(_d_sum_batch(_Sweeps(tree), tip_values[None, :])[0])
 
 
 def _resolve_polytomies(tree: Tree, seed: int) -> Tree:
@@ -244,14 +296,25 @@ def threshold_at_prevalence(values: np.ndarray, m: int, seed: int) -> np.ndarray
     if not 1 <= m < n:
         raise ValueError(f"m out of range: need 1 <= m < {n}, got {m}")
     tie_keys = stream(seed, 0).random(n)
-    return _threshold(values, m, tie_keys)
+    return _threshold_rows(values[None, :], m, lambda _: tie_keys)[0].astype(np.int8)
 
 
-def _threshold(values: np.ndarray, m: int, tie_keys: np.ndarray) -> np.ndarray:
-    # lexsort: primary descending value, secondary the uniform tie key.
-    order = np.lexsort((tie_keys, -values))
-    out = np.zeros(len(values), dtype=np.int8)
-    out[order[:m]] = 1
+def _threshold_rows(
+    values: np.ndarray, m: int, tie_keys: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Per row, True for the m largest values; ties at the cut go to the smaller key.
+
+    The cut is the row's m-th largest value. A row with exactly m values at
+    or above it needs no tie-break; any other row ``r`` is ordered by
+    descending value, then by ``tie_keys(r)``, which is only called for
+    such rows.
+    """
+    n = values.shape[1]
+    out = values >= np.partition(values, n - m, axis=1)[:, n - m, None]
+    for r in np.flatnonzero(np.count_nonzero(out, axis=1) != m).tolist():
+        order = np.lexsort((tie_keys(r), -values[r]))
+        out[r] = False
+        out[r, order[:m]] = True
     return out
 
 
@@ -281,44 +344,47 @@ def d_statistic(
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
 
-    used_labels = [lab for lab, keep in zip(tree.tip_labels, mask) if keep]
+    used_labels = tuple(lab for lab, keep in zip(tree.tip_labels, mask) if keep)
     n_used = len(used_labels)
     if n_used < MIN_TIPS_FOR_D:
         raise ValueError(f"fewer than {MIN_TIPS_FOR_D} usable tips (got {n_used})")
-    pruned = prune_to_taxa(tree, set(used_labels))
+    sweeps = _pruned_sweeps(tree, used_labels)
+    pruned = sweeps.tree
 
     by_label = {lab: v for lab, v, keep in zip(tree.tip_labels, presence, mask) if keep}
-    trait = np.array([by_label[lab] for lab in pruned.tip_labels], dtype=np.int8)
+    trait = np.array([by_label[lab] for lab in pruned.tip_labels], dtype=float)
     m = int(trait.sum())
     if m == 0 or m == n_used:
         raise ValueError("no variation in trait")
 
-    d_obs = float(_d_sum_batch(pruned, trait[None, :].astype(float))[0])
+    d_obs = float(_d_sum_batch(sweeps, trait[None, :])[0])
 
-    n_nodes = pruned.n_nodes
-    sd = np.sqrt(pruned.lengths)  # BM null: sigma2 = 1, root 0 (scale-free)
-    shuffled = np.empty((n_reps, n_used))
-    innovations = np.empty((n_reps, n_nodes))
-    ties = np.empty((n_reps, n_used))
-    trait_f = trait.astype(float)
+    shuffled = np.tile(trait, (n_reps, 1))
+    innovations = np.empty((n_reps, pruned.n_nodes))
+    g = stream(seed, 0)
     for r in range(n_reps):
-        g = stream(seed, r)
-        shuffled[r] = trait_f[g.permutation(n_used)]
-        innovations[r] = g.standard_normal(n_nodes)
-        ties[r] = g.random(n_used)
+        if r:
+            rekey(g, seed, r)
+        g.shuffle(shuffled[r])  # the same draws as trait[g.permutation(n_used)]
+        g.standard_normal(out=innovations[r])
 
-    # One top-down sweep, vectorized over replicates.
-    values = np.empty((n_reps, n_nodes))
-    values[:, pruned.root] = 0.0
-    for i in range(n_nodes - 2, -1, -1):
-        values[:, i] = values[:, pruned.parents[i]] + sd[i] * innovations[:, i]
-    bm_tip_values = values[:, pruned.tip_indices]
-    bm_traits = np.empty((n_reps, n_used))
-    for r in range(n_reps):
-        bm_traits[r] = _threshold(bm_tip_values[r], m, ties[r])
+    def tie_keys(r: int) -> np.ndarray:
+        # The keys come last in replicate r's stream, so they are drawn only
+        # for the rare rows that tie at the cut (zero-length branches).
+        rekey(g, seed, r)
+        g.permutation(n_used)
+        g.standard_normal(pruned.n_nodes)
+        return g.random(n_used)
 
-    d_random = _d_sum_batch(pruned, shuffled)
-    d_bm = _d_sum_batch(pruned, bm_traits)
+    # BM null: sigma2 = 1, root 0 (scale-free), swept node-major.
+    values = innovations.T.copy()
+    del innovations
+    _bm_sweep(pruned, values, np.sqrt(pruned.lengths), 0.0)
+    bm_traits = _threshold_rows(values[pruned.tip_indices].T, m, tie_keys)
+    # Each null is scored on its own, reusing the spent BM values as work array.
+    d_random = _d_sum_batch(sweeps, shuffled, values)
+    del shuffled
+    d_bm = _d_sum_batch(sweeps, bm_traits, values)
     mean_random = float(d_random.mean())
     mean_bm = float(d_bm.mean())
     if abs(mean_random - mean_bm) < _NULL_GAP_TOL:

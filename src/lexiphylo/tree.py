@@ -1,9 +1,10 @@
 """Rooted phylogenetic trees with branch lengths, Newick-backed.
 
 Nodes are stored in postorder: every child index is smaller than its
-parent's, and the root is always the last node. That numbering is what the
-comparative routines rely on for single-pass bottom-up (index order) and
-top-down (reversed index order) sweeps.
+parent's, and the root is always the last node, so index order is a
+bottom-up and reversed index order a top-down traversal. ``height_levels``
+and ``depth_levels`` group the nodes for sweeps that process a whole level
+at a time.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -120,6 +121,36 @@ class Tree:
         for i in range(self.n_nodes - 2, -1, -1):
             dist[i] = dist[self.parents[i]] + self.lengths[i]
         return dist
+
+    @cached_property
+    def height_levels(self) -> tuple[np.ndarray, ...]:
+        """Internal nodes grouped by height (edges down to the deepest tip), lowest first.
+
+        A bottom-up sweep can finish one group at a time: every child of a
+        node lies in an earlier group or is a tip.
+        """
+        height = [0] * self.n_nodes
+        levels: dict[int, list[int]] = {}
+        for i, kids in enumerate(self.children):
+            if kids:
+                height[i] = 1 + max(height[c] for c in kids)
+                levels.setdefault(height[i], []).append(i)
+        return tuple(np.array(levels[h], dtype=np.intp) for h in sorted(levels))
+
+    @cached_property
+    def depth_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Non-root nodes grouped by depth (edges up to the root), shallowest first,
+        each group paired with its nodes' parents.
+
+        A top-down sweep can finish one group at a time: every parent lies in
+        an earlier group or is the root.
+        """
+        depth = np.zeros(self.n_nodes, dtype=np.intp)
+        for i in range(self.n_nodes - 2, -1, -1):
+            depth[i] = depth[self.parents[i]] + 1
+        order = np.argsort(depth[:-1], kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
+        return tuple((nodes, self.parents[nodes]) for nodes in groups if len(nodes))
 
     @cached_property
     def height(self) -> float:

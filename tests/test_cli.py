@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexiphylo import cli
 from lexiphylo.cli import main
 from lexiphylo.tree import parse_newick
 from util import balanced_newick, caterpillar_newick
@@ -277,6 +278,33 @@ class TestRankPipeline:
         assert main(["cluster", "--out", str(stale), "--seed", "8"]) == 0
         assert main(["report", "--out", str(stale), "--k", "3"]) == 0
         assert json.loads((stale / "report.json").read_text())["run"]["seed"] == 8
+
+    @pytest.mark.parametrize(
+        "name, exc, stage",
+        [
+            ("kmeans", AssertionError(), "cluster"),
+            ("choose_k", AssertionError(), "cluster"),
+            ("run_pca", RuntimeError("Jacobi iteration failed to converge"), "pca"),
+        ],
+    )
+    def test_invariant_failure_is_an_error_line(
+        self, ranked, tmp_path, monkeypatch, capsys, name, exc, stage
+    ):
+        _, _, _, out = ranked
+        work = tmp_path / "work"
+        shutil.copytree(out, work)
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, broken)
+        capsys.readouterr()
+        argv = {"pca": ["pca"], "cluster": ["cluster", "--seed", "7"]}[stage]
+        assert main([*argv, "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage} stage failed an internal check: ")
+        assert type(exc).__name__ in err
+        assert "Traceback" not in err
 
     def test_k_out_of_range(self, ranked, tmp_path, capsys):
         _, tree_path, cognates_path, _ = ranked

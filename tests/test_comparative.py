@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexiphylo.comparative import (
+    MIN_TIPS_FOR_D,
     BmParams,
     d_statistic,
     d_sum,
@@ -16,10 +17,15 @@ from lexiphylo._rng import stream
 from util import (
     SMALL_TREE_NEWICKS,
     balanced_newick,
+    oracle_d_statistic,
     oracle_d_sum,
     oracle_nodal_estimates,
     sample_binary_traits,
 )
+
+# Zero-length sibling tips (A/B, C/D, E/F/G) get equal BM values, so the
+# threshold often ties at the cut and needs its tie-break keys.
+TIE_TREE = "(((A:0,B:0):1,(C:0,D:0):1):1,((E:0,F:0,G:0):1,(H:1,I:0.5):1):1,J:2);"
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +248,43 @@ class TestDStatistic:
         mask[0] = 0
         with pytest.raises(ValueError, match="presence must be 0"):
             d_statistic(balanced64, presence, mask, 100, seed=1)
+
+
+def _presence_mask_cases(tree):
+    """Every prevalence m, over all tips and over two partial masks."""
+    n = tree.n_tips
+    rng = np.random.default_rng(n)
+    masks = [np.ones(n, dtype=int)]
+    for drop in (1, 2):
+        if n - drop >= MIN_TIPS_FOR_D:
+            mask = np.ones(n, dtype=int)
+            mask[rng.choice(n, drop, replace=False)] = 0
+            masks.append(mask)
+    for mask in masks:
+        used = np.flatnonzero(mask)
+        for m in range(1, len(used)):
+            presence = np.zeros(n, dtype=int)
+            presence[rng.choice(used, m, replace=False)] = 1
+            yield presence, mask
+
+
+@pytest.mark.parametrize(
+    "newick",
+    [nwk for nwk in SMALL_TREE_NEWICKS if parse_newick(nwk).n_tips >= MIN_TIPS_FOR_D]
+    + [TIE_TREE],
+)
+def test_d_statistic_matches_replicate_oracle_bitwise(newick):
+    tree = parse_newick(newick)
+    for case, (presence, mask) in enumerate(_presence_mask_cases(tree)):
+        for n_reps in (1, 2, 25):
+            seed = 1000 * case + n_reps
+            try:
+                expected = oracle_d_statistic(tree, presence, mask, n_reps, seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    d_statistic(tree, presence, mask, n_reps, seed=seed)
+                continue
+            assert d_statistic(tree, presence, mask, n_reps, seed=seed) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -71,7 +71,7 @@ from .ranking import (
     suitability_rank,
     orient_axes,
 )
-from .report import emit_report, emit_scatter
+from .report import emit_report, emit_scatter, to_json
 from .tree import NewickError, Tree, TreeError, read_newick_file
 
 
@@ -128,11 +128,6 @@ def _compute_all_metrics(
 # -- stages and their cache documents ----------------------------------------
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
-    path.write_text(text + "\n", "utf-8")
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -177,7 +172,7 @@ def _metrics_stage(args: argparse.Namespace) -> dict:
     matrix, load_issues = load_cognates(cognates_path)
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
     metrics, skip_warnings = _compute_all_metrics(matrix, tree, config, args.workers)
-    table, provenance = build_feature_table(metrics)
+    table = build_feature_table(metrics)
     doc = {
         "schema_version": 1,
         "config": {"seed": args.seed, "n_reps": args.reps},
@@ -187,12 +182,11 @@ def _metrics_stage(args: argparse.Namespace) -> dict:
         },
         "warnings": sorted(skip_warnings + [issue.message for issue in load_issues]),
         "concepts": [asdict(m) for m in metrics],
-        "provenance": provenance,
     }
     out.mkdir(parents=True, exist_ok=True)
     # An export for other tools; nothing reads it back.
     (out / "features.csv").write_text(feature_table_to_csv(table), "utf-8")
-    _write_json(out / "metrics.json", doc)
+    (out / "metrics.json").write_text(to_json(doc), "utf-8")
     return doc
 
 
@@ -211,7 +205,7 @@ def _stage_invariants(stage: str):
 
 @_stage_invariants("pca")
 def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
-    table, _provenance = build_feature_table(_metrics_from_doc(metrics_doc))
+    table = build_feature_table(_metrics_from_doc(metrics_doc))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         result = run_pca(standardize(table))
@@ -221,7 +215,7 @@ def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
         **asdict(result),
         "warnings": sorted(str(w.message) for w in caught),
     }
-    _write_json(Path(args.out) / "pca.json", doc)
+    (Path(args.out) / "pca.json").write_text(to_json(doc), "utf-8")
     return doc
 
 
@@ -248,7 +242,7 @@ def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
         "labels": dict(zip(pca_doc["row_labels"], assignment.labels.tolist())),
         "selection": meta,
     }
-    _write_json(Path(args.out) / "clusters.json", doc)
+    (Path(args.out) / "clusters.json").write_text(to_json(doc), "utf-8")
     return doc
 
 
@@ -303,7 +297,6 @@ def _report_stage(
             ranking,
             selection,
             run_block,
-            metrics_doc["provenance"],
         ),
         "ranking.csv": ranking_to_csv(ranking),
         "scatter.svg": emit_scatter(oriented, assignment, ranking),
@@ -359,7 +352,9 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
     tree = read_newick_file(Path(args.tree))
     matrix, _ = load_cognates(Path(args.cognates))
     presence, mask = binary_trait(matrix, args.concept, args.cognate_class, tree.tip_labels)
-    result = d_statistic(tree, presence, mask, n_reps=args.reps, seed=args.seed)
+    # The same per-class seed as the metrics stage, so this reproduces the report's entry.
+    seed = DStatConfig(args.seed, args.reps).class_seed(args.concept, args.cognate_class)
+    result = d_statistic(tree, presence, mask, n_reps=args.reps, seed=seed)
     print(f"concept={args.concept} cognate_class={args.cognate_class}")
     for name, value in asdict(result).items():
         print(f"{name}={value}")
@@ -452,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="JSON", default=None,
                        help="flat JSON file supplying defaults for any flag")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=int,
                            help="required; stochastic runs have no wall-clock default")
 
     p = sub.add_parser("validate", help="check tree + cognate inputs and cross-references")
@@ -463,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="compute the six per-concept variables (the slow stage)")
     add_inputs(p)
     add_common(p)
-    p.add_argument("--reps", type=_positive_int, default=None,
+    p.add_argument("--reps", type=_positive_int, default=DEFAULT_N_REPS,
                    help=f"null replicates (default {DEFAULT_N_REPS})")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("dstat", help="D statistic for one cognate class")
@@ -474,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--concept", required=True)
     p.add_argument("--cognate-class", required=True, dest="cognate_class")
-    p.add_argument("--reps", type=_positive_int, default=None)
+    p.add_argument("--reps", type=_positive_int, default=DEFAULT_N_REPS)
     p.set_defaults(func=_cmd_dstat)
 
     p = sub.add_parser("pca", help="standardize cached features and run PCA")
@@ -485,82 +480,82 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="k-means over cached PC1/PC2 scores")
     add_common(p)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--kmeans-k", type=_kmeans_k, default=None, dest="kmeans_k",
+    p.add_argument("--kmeans-k", type=_kmeans_k, dest="kmeans_k",
                    help="cluster count, or 'auto' for silhouette selection (default auto)")
-    p.add_argument("--restarts", type=_positive_int, default=None)
+    p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("rank", help="full pipeline: metrics, pca, cluster, rank, report")
     add_inputs(p)
     add_common(p)
-    p.add_argument("--reps", type=_positive_int, default=None)
-    p.add_argument("--k", type=_positive_int, default=None,
+    p.add_argument("--reps", type=_positive_int, default=DEFAULT_N_REPS)
+    p.add_argument("--k", type=_positive_int, default=DEFAULT_WORDLIST_SIZE,
                    help=f"wordlist size (default {DEFAULT_WORDLIST_SIZE})")
-    p.add_argument("--kmeans-k", type=_kmeans_k, default=None, dest="kmeans_k")
-    p.add_argument("--restarts", type=_positive_int, default=None)
-    p.add_argument("--theta", type=float, default=None,
+    p.add_argument("--kmeans-k", type=_kmeans_k, dest="kmeans_k")
+    p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
+    p.add_argument("--theta", type=float, default=DEFAULT_STABILITY_THRESHOLD,
                    help=f"stability-mix warning threshold (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("report", help="re-emit report artifacts from cached stages")
     add_common(p, seed=False)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--k", type=_positive_int, default=DEFAULT_WORDLIST_SIZE)
+    p.add_argument("--theta", type=float, default=DEFAULT_STABILITY_THRESHOLD)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("simulate", help="Brownian-motion tip values for a tree")
     p.add_argument("--tree", required=True, metavar="NEWICK")
     add_common(p)
     p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--root", type=float, default=None, help="root value (default 0)")
+    p.add_argument("--root", type=float, default=0.0, help="root value (default 0)")
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
-_CONFIG_DEFAULTS = {
-    "reps": DEFAULT_N_REPS,
-    "workers": 1,
-    "k": DEFAULT_WORDLIST_SIZE,
-    "theta": DEFAULT_STABILITY_THRESHOLD,
-    "restarts": DEFAULT_RESTARTS,
-    "root": 0.0,
-    "kmeans_k": None,
-    "seed": None,
-}
-
 _STOCHASTIC_COMMANDS = {"metrics", "dstat", "cluster", "rank", "simulate"}
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from --config, then from built-in defaults."""
-    config: dict = {}
-    if getattr(args, "config", None):
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``; a --config file's values become the subcommand's defaults.
+
+    Each value is parsed from its text by the flag's own ``type``, so a
+    config value is accepted exactly when the same text on the command line
+    would be. Flags given on the command line win, JSON null keeps the
+    built-in default, and keys naming no flag of the subcommand are ignored.
+    """
+    args = parser.parse_args(argv)
+    if args.config:
         raw = json.loads(Path(args.config).read_text("utf-8"))
         if not isinstance(raw, dict):
             raise CliError("--config must contain a flat JSON object")
         config = {str(k).replace("-", "_"): v for k, v in raw.items()}
-    for name, value in config.items():
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, value)
-    for name, default in _CONFIG_DEFAULTS.items():
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, default)
-    if args.command in _STOCHASTIC_COMMANDS and getattr(args, "seed", None) is None:
+        subparsers = next(a for a in parser._actions if a.dest == "command")
+        sub = subparsers.choices[args.command]
+        for action in sub._actions:
+            value = config.get(action.dest)
+            if value is None or action.nargs is not None:
+                continue
+            try:
+                sub.set_defaults(**{action.dest: (action.type or str)(str(value))})
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise CliError(f"--config key {action.dest!r}: bad value {value!r}: {exc}") from exc
+        args = parser.parse_args(argv)
+    if args.command in _STOCHASTIC_COMMANDS and args.seed is None:
         raise CliError(
             f"a --seed is required for '{args.command}' (no wall-clock default)"
         )
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except (CliError, NewickError, TreeError, CognateFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

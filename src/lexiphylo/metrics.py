@@ -134,16 +134,14 @@ def compute_metrics(
     )
 
 
-def build_feature_table(
-    metrics: list[MeaningClassMetrics],
-) -> tuple[FeatureTable, dict[str, dict]]:
+def build_feature_table(metrics: list[MeaningClassMetrics]) -> FeatureTable:
     """Assemble the concept x 6 table, imputing undefined mean_D cells.
 
     Rows are sorted by concept ID. Concepts whose every class was skipped
-    get the cross-concept mean of the defined mean_D values, so the PCA row
-    set stays equal to the concept set. Returns the table plus a provenance
-    sidecar recording, per concept, whether mean_D was computed or imputed
-    and which classes were skipped and why.
+    (``mean_d`` is None) get the cross-concept mean of the defined mean_D
+    values, so the PCA row set stays equal to the concept set. Whether a
+    cell was imputed, and which classes were skipped and why, is read from
+    the MeaningClassMetrics records themselves.
     """
     if len(metrics) < 3:
         raise ValueError(f"need >= 3 concepts for a feature table, got {len(metrics)}")
@@ -157,33 +155,23 @@ def build_feature_table(
         raise ValueError("no concept has a defined mean_D; nothing to impute from")
     imputation = float(np.mean(defined))
 
-    rows = []
-    provenance: dict[str, dict] = {}
-    for m in ordered:
-        mean_d = m.mean_d if m.mean_d is not None else imputation
-        rows.append(
-            [
-                float(m.n_loans),
-                mean_d,
-                float(m.n_singletons),
-                m.missing_fraction,
-                m.mean_class_size,
-                float(m.max_class_size),
-            ]
-        )
-        provenance[m.concept] = {
-            "mean_D": "imputed" if m.mean_d is None else "computed",
-            "n_classes_analyzed": len(m.class_results),
-            "skipped_classes": dict(sorted(m.class_skips.items())),
-        }
-
-    table = FeatureTable(
+    rows = [
+        [
+            float(m.n_loans),
+            m.mean_d if m.mean_d is not None else imputation,
+            float(m.n_singletons),
+            m.missing_fraction,
+            m.mean_class_size,
+            float(m.max_class_size),
+        ]
+        for m in ordered
+    ]
+    return FeatureTable(
         row_labels=tuple(m.concept for m in ordered),
         columns=FEATURE_COLUMNS,
         values=np.array(rows, dtype=float),
         standardized=False,
     )
-    return table, provenance
 
 
 def feature_table_to_csv(table: FeatureTable) -> str:

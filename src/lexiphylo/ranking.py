@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, fields, replace
 
 from .multivariate import ClusterAssignment, PcaResult
 
@@ -129,6 +130,8 @@ def select_wordlist(
     sit in the southeast quadrant - the most stable classes, whose
     over-selection tends to underestimate splits.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"stability threshold must be finite, got {threshold}")
     n = len(ranking)
     if not 1 <= k <= n:
         raise ValueError(f"k out of range: need 1 <= k <= {n}, got {k}")
@@ -154,10 +157,6 @@ def select_wordlist(
 def ranking_to_csv(ranking: SuitabilityRanking) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("concept", "pc1", "pc2", "score", "rank", "quadrant", "cluster"))
-    for row in ranking.rows:
-        writer.writerow(
-            (row.concept, repr(row.pc1), repr(row.pc2), repr(row.score),
-             row.rank, row.quadrant, row.cluster)
-        )
+    writer.writerow(f.name for f in fields(RankedConcept))
+    writer.writerows(astuple(row) for row in ranking.rows)
     return buf.getvalue()

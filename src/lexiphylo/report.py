@@ -53,6 +53,15 @@ def _check_row_sets(
         raise ValueError("cluster labels do not match the PCA rows")
 
 
+def to_json(document: dict) -> str:
+    """The one JSON format of the report and the stage caches.
+
+    Sorted keys and a fixed indent make the text byte-deterministic; numpy
+    arrays are written as (nested) lists.
+    """
+    return json.dumps(document, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+
+
 def emit_report(
     metrics: list[MeaningClassMetrics],
     pca: PcaResult,
@@ -60,20 +69,18 @@ def emit_report(
     ranking: SuitabilityRanking,
     selection: WordlistSelection,
     metadata: dict,
-    provenance: dict[str, dict] | None = None,
 ) -> str:
     """Assemble the single self-describing report document as JSON text.
 
     ``metadata`` is the caller's run block (seeds, n_reps, thresholds,
-    input digests); it is embedded verbatim under ``"run"``. ``provenance``
-    is the feature-table sidecar from build_feature_table.
+    input digests); it is embedded verbatim under ``"run"``. Each concept's
+    ``mean_D_status`` is ``"imputed"`` when its record has no mean D (every
+    class was skipped) and ``"computed"`` otherwise.
     """
     _check_row_sets(metrics, pca, clusters, ranking)
-    provenance = provenance or {}
 
     concept_blocks = []
     for m in sorted(metrics, key=lambda m: m.concept):
-        prov = provenance.get(m.concept, {})
         classes = [
             {"cognate_class": cls, **asdict(res)}
             for cls, res in sorted(m.class_results.items())
@@ -87,9 +94,7 @@ def emit_report(
                 "concept": m.concept,
                 "n_loans": m.n_loans,
                 "mean_D": m.mean_d,
-                "mean_D_status": prov.get(
-                    "mean_D", "computed" if m.mean_d is not None else "imputed"
-                ),
+                "mean_D_status": "imputed" if m.mean_d is None else "computed",
                 "n_singletons": m.n_singletons,
                 "missing_fraction": m.missing_fraction,
                 "mean_class_size": m.mean_class_size,
@@ -106,55 +111,30 @@ def emit_report(
         "run": metadata,
         "concepts": concept_blocks,
         "pca": {
-            "variables": list(pca.variables),
-            "eigenvalues": [float(v) for v in pca.eigenvalues],
-            "explained_variance": [float(v) for v in pca.explained_variance],
-            "loadings": _matrix(pca.loadings),
-            "contributions": _matrix(pca.contributions),
+            "variables": pca.variables,
+            "eigenvalues": pca.eigenvalues,
+            "explained_variance": pca.explained_variance,
+            "loadings": pca.loadings,
+            "contributions": pca.contributions,
             "scores": [
-                {"concept": concept, "values": [float(v) for v in pca.scores[i]]}
+                {"concept": concept, "values": pca.scores[i]}
                 for i, concept in enumerate(pca.row_labels)
             ],
         },
         "clusters": {
-            "k": clusters.k,
-            "seed": clusters.seed,
-            "n_restarts": clusters.n_restarts,
-            "wcss": clusters.wcss,
-            "centroids": _matrix(clusters.centroids),
+            **asdict(clusters),
             "labels": [
                 {"concept": concept, "cluster": int(clusters.labels[i])}
                 for i, concept in enumerate(pca.row_labels)
             ],
         },
-        "ranking": [
-            {
-                "concept": row.concept,
-                "pc1": row.pc1,
-                "pc2": row.pc2,
-                "score": row.score,
-                "rank": row.rank,
-                "quadrant": row.quadrant,
-                "cluster": row.cluster,
-            }
-            for row in ranking.rows
-        ],
-        "selection": {
-            "k": selection.k,
-            "concepts": list(selection.concepts),
-            "se_fraction": selection.se_fraction,
-            "threshold": selection.threshold,
-            "warnings": list(selection.warnings),
-        },
+        "ranking": [asdict(row) for row in ranking.rows],
+        "selection": asdict(selection),
         "warnings": sorted(
             set(metadata.get("warnings", [])) | set(selection.warnings)
         ),
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(a)]
+    return to_json(document)
 
 
 # -- scatter plot ------------------------------------------------------------

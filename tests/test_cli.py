@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexiphylo import cli
 from lexiphylo.cli import main
+from lexiphylo.report import to_json
 from lexiphylo.tree import parse_newick
 from util import balanced_newick, caterpillar_newick
 
@@ -306,6 +307,58 @@ class TestRankPipeline:
         assert type(exc).__name__ in err
         assert "Traceback" not in err
 
+    def test_dstat_reproduces_report_class_entry(self, ranked, capsys):
+        _, tree_path, cognates_path, out = ranked
+        report = json.loads((out / "report.json").read_text())
+        concept = next(c for c in report["concepts"] if c["classes"])
+        entry = concept["classes"][0]
+        capsys.readouterr()
+        assert main(
+            ["dstat", "--tree", str(tree_path), "--cognates", str(cognates_path),
+             "--concept", concept["concept"], "--cognate-class", entry["cognate_class"],
+             "--seed", "7", "--reps", "100"]
+        ) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        printed = dict(line.split("=", 1) for line in lines)
+        assert printed == {k: str(v) for k, v in entry.items() if k != "cognate_class"}
+
+    def test_cache_with_provenance_key_restages(self, ranked, tmp_path):
+        # metrics.json from an older version carries a provenance key nothing reads.
+        _, _, _, out = ranked
+        old = tmp_path / "old"
+        shutil.copytree(out, old)
+        doc = json.loads((old / "metrics.json").read_text())
+        doc["provenance"] = {
+            m["concept"]: {
+                "mean_D": "imputed" if m["mean_d"] is None else "computed",
+                "n_classes_analyzed": len(m["class_results"]),
+                "skipped_classes": m["class_skips"],
+            }
+            for m in doc["concepts"]
+        }
+        (old / "metrics.json").write_text(to_json(doc), "utf-8")
+        artifacts = ("report.json", "ranking.csv", "scatter.svg")
+        for name in ("pca.json", "clusters.json", *artifacts):
+            (old / name).unlink()
+        assert main(["pca", "--out", str(old)]) == 0
+        assert main(["cluster", "--out", str(old), "--seed", "7"]) == 0
+        assert main(["report", "--out", str(old), "--k", "3"]) == 0
+        for name in artifacts:
+            assert (old / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_writes_no_artifact(self, ranked, tmp_path, capsys, theta):
+        _, tree_path, cognates_path, _ = ranked
+        out = tmp_path / "x"
+        code = main(
+            ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+             "--seed", "7", "--reps", "10", "--k", "3", "--theta", theta, "--out", str(out)]
+        )
+        assert code == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        for name in ("report.json", "ranking.csv", "scatter.svg"):
+            assert not (out / name).exists(), name
+
     def test_k_out_of_range(self, ranked, tmp_path, capsys):
         _, tree_path, cognates_path, _ = ranked
         code = main(
@@ -386,6 +439,45 @@ class TestConfigFile:
         )
         assert code == 0
         assert "n_reps=100" in capsys.readouterr().out
+
+
+    def test_config_strings_parse_like_flags(self, tmp_path):
+        tree_path, cognates_path = write_inputs(tmp_path)
+        inputs = ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path)]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"seed": 7, "reps": "10", "k": "3", "workers": "2", "kmeans_k": "3", "theta": None}
+        ), "utf-8")
+        assert main([*inputs, "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        assert main(
+            [*inputs, "--seed", "7", "--reps", "10", "--k", "3", "--workers", "2",
+             "--kmeans-k", "3", "--out", str(tmp_path / "b")]
+        ) == 0
+        for name in ("report.json", "ranking.csv", "scatter.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("reps", 2.5), ("reps", True), ("reps", 0), ("seed", 7.5), ("k", "five"),
+            ("theta", "x"), ("workers", 0), ("kmeans_k", "x"), ("restarts", [3]),
+        ],
+    )
+    def test_bad_config_value_is_an_error_line(self, tmp_path, capsys, key, value):
+        tree_path, cognates_path = write_inputs(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 7, "reps": 10, key: value}), "utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+             "--config", str(config), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert repr(key) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -112,33 +112,28 @@ def _metrics_set(tree, config):
 
 class TestFeatureTable:
     def test_shape_order_and_columns(self, tree, config):
-        table, _ = build_feature_table(_metrics_set(tree, config))
+        table = build_feature_table(_metrics_set(tree, config))
         assert table.columns == FEATURE_COLUMNS
         assert table.values.shape == (3, 6)
         assert table.row_labels == ("eye", "hand", "leaf")
 
     def test_imputation_is_mean_of_defined(self, tree, config):
         metrics = _metrics_set(tree, config)
-        table, provenance = build_feature_table(metrics)
+        table = build_feature_table(metrics)
         defined = [m.mean_d for m in metrics if m.mean_d is not None]
         hand_row = table.row_labels.index("hand")
         mean_col = table.columns.index("mean_D")
         assert table.values[hand_row, mean_col] == pytest.approx(np.mean(defined))
-        assert provenance["hand"]["mean_D"] == "imputed"
-        assert provenance["eye"]["mean_D"] == "computed"
-        # Imputed + computed cells partition the concept set.
-        statuses = [provenance[c]["mean_D"] for c in table.row_labels]
-        assert statuses.count("imputed") + statuses.count("computed") == len(metrics)
 
     def test_permutation_invariance(self, tree, config):
         metrics = _metrics_set(tree, config)
-        table_a, _ = build_feature_table(metrics)
-        table_b, _ = build_feature_table(list(reversed(metrics)))
+        table_a = build_feature_table(metrics)
+        table_b = build_feature_table(list(reversed(metrics)))
         assert table_a.row_labels == table_b.row_labels
         assert np.array_equal(table_a.values, table_b.values)
 
     def test_all_cells_finite(self, tree, config):
-        table, _ = build_feature_table(_metrics_set(tree, config))
+        table = build_feature_table(_metrics_set(tree, config))
         assert np.all(np.isfinite(table.values))
 
     def test_too_few_concepts(self, tree, config):
@@ -146,7 +141,7 @@ class TestFeatureTable:
             build_feature_table(_metrics_set(tree, config)[:2])
 
     def test_csv_roundtrip(self, tree, config):
-        table, _ = build_feature_table(_metrics_set(tree, config))
+        table = build_feature_table(_metrics_set(tree, config))
         header, *rows = csv.reader(io.StringIO(feature_table_to_csv(table)))
         assert tuple(header) == ("concept", *table.columns)
         assert tuple(row[0] for row in rows) == table.row_labels

@@ -33,7 +33,7 @@ def pipeline():
     metrics = [
         compute_metrics(matrix, tree, c, config) for c in sorted(matrix.concepts)
     ]
-    table, provenance = build_feature_table(metrics)
+    table = build_feature_table(metrics)
     oriented = orient_axes(pca(standardize(table)))
     clusters = kmeans(oriented.scores[:, :2], 2, seed=21)
     ranking = suitability_rank(oriented, clusters)
@@ -46,25 +46,25 @@ def pipeline():
             "cognates": {"path": "cognates.csv", "sha256": "1" * 64},
         },
     }
-    return metrics, provenance, oriented, clusters, ranking, selection, metadata
+    return metrics, oriented, clusters, ranking, selection, metadata
 
 
 class TestEmitReport:
     def test_byte_deterministic(self, pipeline):
-        metrics, prov, oriented, clusters, ranking, selection, meta = pipeline
-        first = emit_report(metrics, oriented, clusters, ranking, selection, meta, prov)
-        second = emit_report(metrics, oriented, clusters, ranking, selection, meta, prov)
+        metrics, oriented, clusters, ranking, selection, meta = pipeline
+        first = emit_report(metrics, oriented, clusters, ranking, selection, meta)
+        second = emit_report(metrics, oriented, clusters, ranking, selection, meta)
         assert first == second
 
     def test_validates_against_published_schema(self, pipeline):
-        metrics, prov, oriented, clusters, ranking, selection, meta = pipeline
-        text = emit_report(metrics, oriented, clusters, ranking, selection, meta, prov)
+        metrics, oriented, clusters, ranking, selection, meta = pipeline
+        text = emit_report(metrics, oriented, clusters, ranking, selection, meta)
         jsonschema.validate(json.loads(text), report_schema())
 
     def test_contains_class_detail_and_run_metadata(self, pipeline):
-        metrics, prov, oriented, clusters, ranking, selection, meta = pipeline
+        metrics, oriented, clusters, ranking, selection, meta = pipeline
         doc = json.loads(
-            emit_report(metrics, oriented, clusters, ranking, selection, meta, prov)
+            emit_report(metrics, oriented, clusters, ranking, selection, meta)
         )
         assert doc["run"]["seed"] == 21
         assert doc["run"]["n_reps"] == 150
@@ -74,8 +74,23 @@ class TestEmitReport:
             assert {"d_obs", "D", "p_random", "p_bm"} <= set(concept["classes"][0])
         assert len(doc["ranking"]) == len(doc["concepts"])
 
+    def test_mean_d_status_read_from_record(self, pipeline):
+        from dataclasses import replace
+
+        metrics, oriented, clusters, ranking, selection, meta = pipeline
+        # A record whose every class was skipped has no mean D: its cell is imputed.
+        skipped = replace(metrics[1], mean_d=None, class_results={})
+        records = [metrics[0], skipped, *metrics[2:]]
+        assert all(m.mean_d is not None for m in records if m is not skipped)
+        doc = json.loads(
+            emit_report(records, oriented, clusters, ranking, selection, meta)
+        )
+        status = {c["concept"]: c["mean_D_status"] for c in doc["concepts"]}
+        assert status.pop(skipped.concept) == "imputed"
+        assert set(status.values()) == {"computed"}
+
     def test_row_set_mismatch_names_concept(self, pipeline):
-        metrics, prov, oriented, clusters, ranking, selection, meta = pipeline
+        metrics, oriented, clusters, ranking, selection, meta = pipeline
         with pytest.raises(ValueError, match="'dog'"):
             emit_report(
                 [m for m in metrics if m.concept != "dog"],
@@ -84,19 +99,18 @@ class TestEmitReport:
                 ranking,
                 selection,
                 meta,
-                prov,
             )
 
 
 class TestEmitScatter:
     def test_well_formed_svg(self, pipeline):
-        _, _, oriented, clusters, ranking, _, _ = pipeline
+        _, oriented, clusters, ranking, _, _ = pipeline
         svg = emit_scatter(oriented, clusters, ranking)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
 
     def test_element_counts(self, pipeline):
-        _, _, oriented, clusters, ranking, _, _ = pipeline
+        _, oriented, clusters, ranking, _, _ = pipeline
         svg = emit_scatter(oriented, clusters, ranking)
         n_points = svg.count('class="concept-point"')
         assert n_points == len(oriented.row_labels)
@@ -110,20 +124,20 @@ class TestEmitScatter:
         assert svg.count("<polygon") == sizeable
 
     def test_axis_captions_report_explained_variance(self, pipeline):
-        _, _, oriented, clusters, ranking, _, _ = pipeline
+        _, oriented, clusters, ranking, _, _ = pipeline
         svg = emit_scatter(oriented, clusters, ranking)
         pc1 = 100 * float(oriented.explained_variance[0])
         assert f"PC1 ({pc1:.1f}% explained)" in svg
         assert "PC2 (" in svg
 
     def test_byte_deterministic(self, pipeline):
-        _, _, oriented, clusters, ranking, _, _ = pipeline
+        _, oriented, clusters, ranking, _, _ = pipeline
         assert emit_scatter(oriented, clusters, ranking) == emit_scatter(
             oriented, clusters, ranking
         )
 
     def test_too_few_points(self, pipeline):
-        _, _, oriented, clusters, ranking, _, _ = pipeline
+        _, oriented, clusters, ranking, _, _ = pipeline
         from dataclasses import replace
 
         tiny = replace(
@@ -139,7 +153,7 @@ class TestEmitScatter:
 
         from lexiphylo.ranking import SuitabilityRanking
 
-        _, _, oriented, clusters, ranking, _, _ = pipeline
+        _, oriented, clusters, ranking, _, _ = pipeline
         renamed = replace(
             oriented, row_labels=tuple(f"{c}&<x>" for c in oriented.row_labels)
         )

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import typing
 import warnings as _warnings
@@ -93,17 +94,11 @@ def _pool_task(concept: str) -> MeaningClassMetrics:
     return compute_metrics(matrix, tree, concept, config)
 
 
-def _compute_all_metrics(
-    matrix: CognateMatrix,
-    tree: Tree,
-    config: DStatConfig,
-    workers: int,
-) -> tuple[list[MeaningClassMetrics], list[str]]:
-    """Metrics for every analyzable concept, in concept-sorted order.
+def _usable_concepts(matrix: CognateMatrix, tree: Tree) -> tuple[list[str], list[str]]:
+    """Concepts attested among the tree languages, sorted, and skip warnings for the rest.
 
-    Concepts with no attestation among tree languages are skipped with a
-    warning rather than aborting the run. The result is independent of the
-    worker count: per-class seeds are hash-derived and assembly is sorted.
+    A concept with no such attestation is skipped with a warning rather
+    than aborting the run.
     """
     tree_languages = set(tree.tip_labels)
     usable: list[str] = []
@@ -115,6 +110,21 @@ def _compute_all_metrics(
             skipped.append(
                 f"concept {concept!r} skipped: no attestations among tree languages"
             )
+    return usable, skipped
+
+
+def _compute_all_metrics(
+    matrix: CognateMatrix,
+    tree: Tree,
+    usable: list[str],
+    config: DStatConfig,
+    workers: int,
+) -> list[MeaningClassMetrics]:
+    """Metrics for the ``usable`` concepts, in their order.
+
+    The result is independent of the worker count: per-class seeds are
+    hash-derived and assembly keeps the input order.
+    """
     if workers <= 1:
         results = [compute_metrics(matrix, tree, c, config) for c in usable]
     else:
@@ -122,7 +132,7 @@ def _compute_all_metrics(
             max_workers=workers, initializer=_pool_init, initargs=(tree, matrix, config)
         ) as pool:
             results = list(pool.map(_pool_task, usable, chunksize=4))
-    return results, skipped
+    return results
 
 
 # -- stages and their cache documents ----------------------------------------
@@ -158,20 +168,39 @@ def _rebuild(cls, doc: dict, **overrides):
     return cls(**{**values, **overrides})
 
 
-def _metrics_from_doc(doc: dict) -> list[MeaningClassMetrics]:
+def _metrics_from_doc(doc: dict, with_classes: bool = True) -> list[MeaningClassMetrics]:
+    """The concept records of a metrics document.
+
+    Without ``with_classes`` the records carry no per-class D results:
+    the feature table needs only the concept-level fields.
+    """
     metrics = []
     for m in doc["concepts"]:
-        results = {cls: DStatResult(**res) for cls, res in m["class_results"].items()}
+        results = (
+            {cls: DStatResult(**res) for cls, res in m["class_results"].items()}
+            if with_classes
+            else {}
+        )
         metrics.append(MeaningClassMetrics(**{**m, "class_results": results}))
     return metrics
 
 
-def _metrics_stage(args: argparse.Namespace) -> dict:
+def _metrics_stage(args: argparse.Namespace, wordlist_size: int | None = None) -> dict:
+    """Compute and write the metrics cache.
+
+    A ``wordlist_size`` (rank's --k) is checked against the usable concepts
+    before any D statistic is computed.
+    """
     out, tree_path, cognates_path = Path(args.out), Path(args.tree), Path(args.cognates)
     tree = read_newick_file(tree_path)
     matrix, load_issues = load_cognates(cognates_path)
+    usable, skip_warnings = _usable_concepts(matrix, tree)
+    if wordlist_size is not None and wordlist_size > len(usable):
+        raise CliError(
+            f"k out of range: need 1 <= k <= {len(usable)} usable concepts, got {wordlist_size}"
+        )
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
-    metrics, skip_warnings = _compute_all_metrics(matrix, tree, config, args.workers)
+    metrics = _compute_all_metrics(matrix, tree, usable, config, args.workers)
     table = build_feature_table(metrics)
     doc = {
         "schema_version": 1,
@@ -194,8 +223,8 @@ def _metrics_stage(args: argparse.Namespace) -> dict:
 def _stage_invariants(stage: str):
     """Turn a failed numerical invariant of ``stage`` into a located error.
 
-    k-means asserts that a restart produced a result, and the Jacobi
-    eigensolver raises RuntimeError when it does not converge.
+    k-means asserts that no Lloyd iteration raised a restart's WCSS, and
+    the Jacobi eigensolver raises RuntimeError when it does not converge.
     """
     try:
         yield
@@ -204,8 +233,8 @@ def _stage_invariants(stage: str):
 
 
 @_stage_invariants("pca")
-def _pca_stage(args: argparse.Namespace, metrics_doc: dict) -> dict:
-    table = build_feature_table(_metrics_from_doc(metrics_doc))
+def _pca_stage(args: argparse.Namespace, metrics: list[MeaningClassMetrics]) -> dict:
+    table = build_feature_table(metrics)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         result = run_pca(standardize(table))
@@ -247,7 +276,11 @@ def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
 
 
 def _report_stage(
-    args: argparse.Namespace, metrics_doc: dict, pca_doc: dict, clusters_doc: dict
+    args: argparse.Namespace,
+    metrics_doc: dict,
+    metrics: list[MeaningClassMetrics],
+    pca_doc: dict,
+    clusters_doc: dict,
 ) -> WordlistSelection:
     out = Path(args.out)
     # Each cache records the digest of the upstream file it was built from.
@@ -291,7 +324,7 @@ def _report_stage(
     }
     artifacts = {
         "report.json": emit_report(
-            _metrics_from_doc(metrics_doc),
+            metrics,
             oriented,
             assignment,
             ranking,
@@ -363,7 +396,8 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    doc = _pca_stage(args, _read_json(out, "metrics.json", "metrics"))
+    metrics_doc = _read_json(out, "metrics.json", "metrics")
+    doc = _pca_stage(args, _metrics_from_doc(metrics_doc, with_classes=False))
     explained = ", ".join(f"{100 * v:.1f}%" for v in doc["explained_variance"][:2])
     print(f"pca over {len(doc['row_labels'])} concepts (PC1, PC2 explain {explained})")
     print(f"pca results -> {out / 'pca.json'}")
@@ -379,10 +413,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    metrics_doc = _metrics_stage(args)
-    pca_doc = _pca_stage(args, metrics_doc)
+    metrics_doc = _metrics_stage(args, wordlist_size=args.k)
+    metrics = _metrics_from_doc(metrics_doc)
+    pca_doc = _pca_stage(args, metrics)
     clusters_doc = _cluster_stage(args, pca_doc)
-    selection = _report_stage(args, metrics_doc, pca_doc, clusters_doc)
+    selection = _report_stage(args, metrics_doc, metrics, pca_doc, clusters_doc)
     print(f"top {len(selection.concepts)} concepts:")
     for concept in selection.concepts:
         print(f"  {concept}")
@@ -391,8 +426,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    upstream = (("metrics.json", "metrics"), ("pca.json", "pca"), ("clusters.json", "cluster"))
-    _report_stage(args, *(_read_json(out, name, stage) for name, stage in upstream))
+    metrics_doc = _read_json(out, "metrics.json", "metrics")
+    pca_doc = _read_json(out, "pca.json", "pca")
+    clusters_doc = _read_json(out, "clusters.json", "cluster")
+    _report_stage(args, metrics_doc, _metrics_from_doc(metrics_doc), pca_doc, clusters_doc)
     return 0
 
 
@@ -428,8 +465,22 @@ def _kmeans_k(value: str):
     return _positive_int(value)
 
 
+def _threshold(value: str) -> float:
+    parsed = float(value)
+    if not math.isfinite(parsed):
+        raise argparse.ArgumentTypeError(f"stability threshold must be finite, got {value}")
+    return parsed
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument error is a domain error: ``error:`` on stderr and exit 1."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lexiphylo",
         description=(
             "Score meaning classes in a cognate database for suitability in "
@@ -493,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"wordlist size (default {DEFAULT_WORDLIST_SIZE})")
     p.add_argument("--kmeans-k", type=_kmeans_k, dest="kmeans_k")
     p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
-    p.add_argument("--theta", type=float, default=DEFAULT_STABILITY_THRESHOLD,
+    p.add_argument("--theta", type=_threshold, default=DEFAULT_STABILITY_THRESHOLD,
                    help=f"stability-mix warning threshold (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -503,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seed=False)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--k", type=_positive_int, default=DEFAULT_WORDLIST_SIZE)
-    p.add_argument("--theta", type=float, default=DEFAULT_STABILITY_THRESHOLD)
+    p.add_argument("--theta", type=_threshold, default=DEFAULT_STABILITY_THRESHOLD)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("simulate", help="Brownian-motion tip values for a tree")

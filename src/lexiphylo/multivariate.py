@@ -7,9 +7,12 @@ on incommensurate scales (counts, proportions, statistics) make
 correlation PCA the right default; covariance PCA would let the largest
 count dominate.
 
-k-means uses k-means++ seeding with independent restarts on Philox streams
-``(seed, restart)``; the best (lowest-WCSS) restart wins, ties going to the
-lowest restart index, so the result is independent of execution order.
+k-means uses k-means++ seeding with independent restarts: restart ``r``
+draws from Philox stream ``(seed, r)``, through one generator re-keyed per
+restart. The Lloyd iterations of all restarts run as one batch, each
+restart stopping on its own rule, with the arithmetic of one restart at a
+time. The best (lowest-WCSS) restart wins, ties going to the lowest
+restart index, so the result is independent of execution order.
 """
 
 from __future__ import annotations
@@ -19,13 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import rekey, stream
 from .metrics import FeatureTable
 
 DEFAULT_RESTARTS = 25
 MAX_LLOYD_ITERATIONS = 100
 JACOBI_TOL = 1e-12
 LOW_STRUCTURE_SILHOUETTE = 0.5
+# What numpy's column sums start from: +0.0 where a reduction begins at the
+# identity (numpy 2), -0.0 (a no-op) where it begins at the first row.
+_COLUMN_SUM_START = float(np.add.reduce(np.full((1, 2), -0.0), axis=0)[0])
 
 
 class ZeroVarianceWarning(UserWarning):
@@ -188,38 +194,74 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(
-    x: np.ndarray, centers: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations until assignments stabilize or the iteration cap."""
-    labels = np.full(len(x), -1)
-    previous_wcss = np.inf
+def _update_one(x: np.ndarray, d2: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
+    """One restart's assignment fix-up and centroid update, in place.
+
+    Each empty cluster, in index order, takes the point farthest from its
+    centroid; then every centroid is its members' mean.
+    """
+    point_d2 = d2[np.arange(len(x)), labels]
+    for j in range(len(centers)):
+        if not np.any(labels == j):
+            idx = int(np.argmax(point_d2))
+            labels[idx] = j
+            point_d2[idx] = 0.0
+    for j in range(len(centers)):
+        centers[j] = x[labels == j].mean(axis=0)
+
+
+def _sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of every point to every centroid of every restart: (R, n, k)."""
+    return np.sum((x[None, :, None, :] - centers[:, None, :, :]) ** 2, axis=3)
+
+
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of every restart at once; ``centers`` is (R, k, d).
+
+    A restart stops when its assignments do not change or at the iteration
+    cap. A centroid is its members' sum, accumulated in point order from
+    where numpy's column sums start, divided by their count: the bits of
+    ``members.mean(axis=0)``. numpy sums one-column members pairwise
+    instead, so one-column data and restarts with an empty cluster take
+    the per-restart update.
+
+    Returns the final (R, n) assignments and (R, n) squared distances to
+    the updated centroids.
+    """
+    n_restarts, k, _dim = centers.shape
+    n = len(x)
+    labels = np.full((n_restarts, n), -1)
+    previous_wcss = np.full(n_restarts, np.inf)
+    active = np.arange(n_restarts)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(d2, axis=1)  # ties go to the lowest index
-        # Re-home any empty cluster to the point farthest from its centroid.
-        point_d2 = d2[np.arange(len(x)), new_labels]
-        for j in range(k):
-            if not np.any(new_labels == j):
-                idx = int(np.argmax(point_d2))
-                new_labels[idx] = j
-                point_d2[idx] = 0.0
-        wcss = 0.0
-        for j in range(k):
-            members = x[new_labels == j]
-            centers[j] = members.mean(axis=0)
-            wcss += float(np.sum((members - centers[j]) ** 2))
-        if wcss > previous_wcss + 1e-9 * max(1.0, previous_wcss):
+        rows = np.arange(len(active))[:, None]
+        current = centers[active]
+        d2 = _sq_distances(x, current)
+        new_labels = np.argmin(d2, axis=2)  # ties go to the lowest index
+        counts = np.zeros((len(active), k), dtype=np.intp)
+        np.add.at(counts, (rows, new_labels), 1)
+        one_by_one = np.any(counts == 0, axis=1) | (x.shape[1] == 1)
+        for i in np.flatnonzero(one_by_one):
+            _update_one(x, d2[i], new_labels[i], current[i])
+        regular = np.flatnonzero(~one_by_one)
+        sums = np.full((len(regular), k, x.shape[1]), _COLUMN_SUM_START)
+        np.add.at(sums, (rows[: len(regular)], new_labels[regular]), x)
+        current[regular] = sums / counts[regular, :, None]
+        centers[active] = current
+        wcss = np.sum((x - current[rows, new_labels]) ** 2, axis=(1, 2))
+        previous = previous_wcss[active]
+        if np.any(wcss > previous + 1e-9 * np.maximum(1.0, previous)):
             raise AssertionError("k-means WCSS increased across an iteration")
-        if np.array_equal(new_labels, labels):
+        moved = np.any(new_labels != labels[active], axis=1)
+        labels[active] = new_labels
+        previous_wcss[active] = wcss
+        active = active[moved]
+        if not len(active):
             break
-        labels = new_labels
-        previous_wcss = wcss
-    # Final WCSS against the updated centroids.
-    d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    wcss = float(np.sum(d2[np.arange(len(x)), labels]))
-    return labels, centers, wcss
+    # Final assignments against the updated centroids.
+    d2 = _sq_distances(x, centers)
+    labels = np.argmin(d2, axis=2)
+    return labels, np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
 
 
 def kmeans(
@@ -228,7 +270,12 @@ def kmeans(
     seed: int,
     n_restarts: int = DEFAULT_RESTARTS,
 ) -> ClusterAssignment:
-    """Best-of-``n_restarts`` k-means on the given score matrix."""
+    """Best-of-``n_restarts`` k-means on the given score matrix.
+
+    Restart ``r`` is seeded by k-means++ from stream ``(seed, r)``, drawn
+    through one generator re-keyed per restart; Lloyd iterations then run
+    for all restarts as one batch.
+    """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
@@ -240,17 +287,21 @@ def kmeans(
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
 
-    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
+    rng = stream(seed, 0)
+    centers = np.empty((n_restarts, k, x.shape[1]))
     for restart in range(n_restarts):
-        rng = stream(seed, restart)
-        centers = _kmeans_pp_init(x, k, rng)
-        labels, centers, wcss = _lloyd(x, centers.copy(), k)
-        if best is None or wcss < best[0]:
-            best = (wcss, restart, labels, centers)
-    assert best is not None
-    wcss, _restart, labels, centers = best
+        rekey(rng, seed, restart)
+        centers[restart] = _kmeans_pp_init(x, k, rng)
+    labels, point_d2 = _lloyd(x, centers)
+    wcss = point_d2.sum(axis=1)  # one row per restart, in point order
+    best = int(np.argmin(wcss))  # ties go to the lowest restart
     return ClusterAssignment(
-        labels=labels, centroids=centers, wcss=wcss, k=k, seed=seed, n_restarts=n_restarts
+        labels=labels[best],
+        centroids=centers[best].copy(),
+        wcss=float(wcss[best]),
+        k=k,
+        seed=seed,
+        n_restarts=n_restarts,
     )
 
 

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from lexiphylo.tree import parse_newick
 from util import balanced_newick, caterpillar_newick
 
 TREE = balanced_newick(4, prefix="L")  # 16 tips: L000..L015
+BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
 
 def write_inputs(tmp_path, tree_text=TREE, rows=None):
@@ -369,6 +371,52 @@ class TestRankPipeline:
         assert "k out of range" in capsys.readouterr().err
 
 
+class TestFailFast:
+    """A bad flag is refused before any D statistic is computed."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--theta", "1e400"], "threshold must be finite"), (["--k", "80"], "k out of range")],
+    )
+    def test_rank_refuses_before_metrics(self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_metrics(*args):
+            raise AssertionError("a D statistic was computed")
+
+        monkeypatch.setattr(cli, "compute_metrics", no_metrics)
+        out = tmp_path / "out"
+        code = main(
+            ["rank", "--tree", str(BUNDLED / "tree.nwk"), "--cognates",
+             str(BUNDLED / "cognates.csv"), "--seed", "1", "--reps", "5", *flags,
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert message in err
+        assert not (out / "metrics.json").exists()
+
+    def test_report_refuses_non_finite_theta(self, ranked, capsys):
+        _, _, _, out = ranked
+        before = (out / "report.json").read_bytes()
+        code = main(["report", "--out", str(out), "--k", "3", "--theta", "1e400"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "threshold must be finite" in err
+        assert (out / "report.json").read_bytes() == before
+
+    def test_bad_flag_value_is_an_error_line(self, tmp_path, capsys):
+        tree_path, cognates_path = write_inputs(tmp_path)
+        code = main(
+            ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+             "--seed", "7", "--reps", "0", "--out", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "--reps" in err
+
+
 def test_comma_in_tab_delimited_concept(tmp_path):
     tree_path, cognates_path = write_inputs(tmp_path)
     text = cognates_path.read_text().replace(",", "\t").replace("\thand\t", "\thand, left\t")
@@ -461,6 +509,7 @@ class TestConfigFile:
         [
             ("reps", 2.5), ("reps", True), ("reps", 0), ("seed", 7.5), ("k", "five"),
             ("theta", "x"), ("workers", 0), ("kmeans_k", "x"), ("restarts", [3]),
+            ("theta", "1e400"),
         ],
     )
     def test_bad_config_value_is_an_error_line(self, tmp_path, capsys, key, value):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from lexiphylo import multivariate
 from lexiphylo.metrics import FEATURE_COLUMNS, FeatureTable
 from lexiphylo.multivariate import (
     LowStructureWarning,
@@ -11,6 +14,7 @@ from lexiphylo.multivariate import (
     silhouette_score,
     standardize,
 )
+from util import oracle_kmeans
 
 
 def table_from(values, columns=None, standardized=False):
@@ -220,3 +224,80 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             silhouette_score(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+
+def _with_warnings(func, *args, **kwargs):
+    """``func``'s result and the sorted messages of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = func(*args, **kwargs)
+    return result, sorted(str(w.message) for w in caught)
+
+
+def _kmeans_point_sets():
+    rng = np.random.default_rng(41)
+    base = rng.normal(size=(4, 2))
+    signed_zeros = np.round(rng.normal(size=(9, 2)))
+    signed_zeros[signed_zeros == 0.0] = -0.0
+    return {
+        "gaussian": rng.normal(size=(11, 2)),
+        "integer grid (ties)": np.round(rng.normal(size=(11, 2))),
+        "duplicates": np.repeat(base, 3, axis=0),
+        "signed zeros": signed_zeros,
+        "one column": rng.normal(size=(24, 1)),
+        "three columns": rng.normal(size=(9, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_kmeans_point_sets()))
+def test_kmeans_matches_restart_oracle_bitwise(name):
+    x = _kmeans_point_sets()[name]
+    for k in range(1, len(x) + 1):
+        for seed in (0, 3):
+            for n_restarts in (1, 4):
+                case = (name, k, seed, n_restarts)
+                try:
+                    expected, expected_warnings = _with_warnings(
+                        oracle_kmeans, x, k, seed, n_restarts
+                    )
+                except AssertionError as exc:
+                    # More clusters than distinct points can leave a centroid
+                    # undefined; both versions then fail the WCSS invariant.
+                    with pytest.raises(AssertionError, match=str(exc)):
+                        _with_warnings(kmeans, x, k, seed, n_restarts)
+                    continue
+                got, got_warnings = _with_warnings(kmeans, x, k, seed, n_restarts)
+                assert got.labels.tolist() == expected.labels.tolist(), case
+                assert got.centroids.tobytes() == expected.centroids.tobytes(), case
+                assert np.float64(got.wcss).tobytes() == np.float64(expected.wcss).tobytes(), case
+                assert got_warnings == expected_warnings, case
+
+
+def test_kmeans_rehoming_matches_oracle_bitwise():
+    # Three distinct locations cannot fill four clusters: the first
+    # assignment leaves one empty, so every restart re-homes.
+    x = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 3 + [[5.0, 0.0]] * 2)
+    rehomes = []
+    for seed in range(4):
+        expected = oracle_kmeans(x, 4, seed, 3, on_rehome=lambda: rehomes.append(seed))
+        got = kmeans(x, 4, seed, 3)
+        assert got.labels.tolist() == expected.labels.tolist()
+        assert got.centroids.tobytes() == expected.centroids.tobytes()
+        assert got.wcss == expected.wcss
+    assert sorted(set(rehomes)) == [0, 1, 2, 3]
+
+
+def test_choose_k_matches_oracle_choose_k(monkeypatch):
+    rng = np.random.default_rng(42)
+    point_sets = [
+        two_blobs(rng, size=8)[0],
+        np.round(rng.normal(size=(14, 2)), 1),
+        rng.random((16, 2)),
+    ]
+    for x in point_sets:
+        for seed in (0, 5):
+            got = _with_warnings(choose_k, x, range(2, 7), seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(multivariate, "kmeans", oracle_kmeans)
+                expected = _with_warnings(choose_k, x, range(2, 7), seed)
+            assert got == expected

@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the package's vectorized code paths:
 they are dict-based recursions over the tree structure, kept in lockstep
 with the documented arithmetic (same child order, same sequential
-accumulation, same epsilon policy) so that equality can be asserted
-bitwise, not just within a tolerance.
+accumulation, same epsilon policy), and k-means one restart at a time, so
+that equality can be asserted bitwise, not just within a tolerance.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 from lexiphylo._rng import stream
 from lexiphylo.comparative import DStatResult
+from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
 from lexiphylo.tree import Tree, prune_to_taxa
 
 
@@ -157,6 +158,84 @@ def oracle_d_statistic(tree: Tree, presence, mask, n_reps: int, seed: int) -> DS
         p_bm=float(np.mean(d_bm >= d_obs)),
         n_reps=n_reps,
         n_tips_used=n,
+    )
+
+
+def _oracle_kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = len(x)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def oracle_lloyd(
+    x: np.ndarray, centers: np.ndarray, k: int, on_rehome=None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One restart's Lloyd iterations, as first implemented.
+
+    ``on_rehome`` (if given) is called each time an empty cluster is re-homed.
+    """
+    labels = np.full(len(x), -1)
+    previous_wcss = np.inf
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)  # ties go to the lowest index
+        # Re-home any empty cluster to the point farthest from its centroid.
+        point_d2 = d2[np.arange(len(x)), new_labels]
+        for j in range(k):
+            if not np.any(new_labels == j):
+                if on_rehome is not None:
+                    on_rehome()
+                idx = int(np.argmax(point_d2))
+                new_labels[idx] = j
+                point_d2[idx] = 0.0
+        wcss = 0.0
+        for j in range(k):
+            members = x[new_labels == j]
+            centers[j] = members.mean(axis=0)
+            wcss += float(np.sum((members - centers[j]) ** 2))
+        if wcss > previous_wcss + 1e-9 * max(1.0, previous_wcss):
+            raise AssertionError("k-means WCSS increased across an iteration")
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        previous_wcss = wcss
+    # Final WCSS against the updated centroids.
+    d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    wcss = float(np.sum(d2[np.arange(len(x)), labels]))
+    return labels, centers, wcss
+
+
+def oracle_kmeans(
+    scores, k: int, seed: int, n_restarts: int = 25, on_rehome=None
+) -> ClusterAssignment:
+    """Best-of-restarts k-means one restart at a time, as first implemented.
+
+    Restart r builds stream ``(seed, r)``, seeds by k-means++ and runs its
+    own Lloyd loop; the first restart with the lowest WCSS wins.
+    """
+    x = np.asarray(scores, dtype=float)
+    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
+    for restart in range(n_restarts):
+        rng = stream(seed, restart)
+        centers = _oracle_kmeans_pp_init(x, k, rng)
+        labels, centers, wcss = oracle_lloyd(x, centers.copy(), k, on_rehome)
+        if best is None or wcss < best[0]:
+            best = (wcss, restart, labels, centers)
+    assert best is not None
+    wcss, _restart, labels, centers = best
+    return ClusterAssignment(
+        labels=labels, centroids=centers, wcss=wcss, k=k, seed=seed, n_restarts=n_restarts
     )
 
 

@@ -8,9 +8,11 @@ back from the output directory, so the cheap stages re-run without
 recomputing the D statistics. ``metrics.json`` is the single source for
 pca; ``features.csv`` is an export nothing reads back. ``pca.json`` and
 ``clusters.json`` record the SHA-256 of the upstream cache they were built
-from, and the report stage refuses a stale link. Every stochastic
-subcommand requires an explicit --seed; there is no wall-clock fallback, so
-a command line plus its inputs fully determines the output bytes.
+from, and the report stage refuses a stale link. A cache that is not JSON
+or lacks or mistypes a field is an error naming the file and the stage to
+re-run, not a traceback. Every stochastic subcommand requires an explicit
+--seed; there is no wall-clock fallback, so a command line plus its inputs
+fully determines the output bytes.
 
 Exit codes: 0 success, 1 domain error (parse/validation/statistics, or a
 failed numerical invariant in the pca or cluster stage), 2 I/O error.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -142,11 +145,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@contextlib.contextmanager
+def _malformed(path: Path, stage: str):
+    """Turn a cache document that is not JSON or lacks or mistypes a field into a located error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CliError(f"{path} is malformed ({exc!r}); re-run the {stage} stage") from exc
+
+
 def _read_json(out: Path, name: str, stage: str) -> dict:
     path = out / name
     if not path.exists():
         raise CliError(f"{path} not found; run the {stage} stage first")
-    return json.loads(path.read_text("utf-8"))
+    with _malformed(path, stage):
+        doc = json.loads(path.read_text("utf-8"))
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+    return doc
 
 
 def _rebuild(cls, doc: dict, **overrides):
@@ -166,6 +182,13 @@ def _rebuild(cls, doc: dict, **overrides):
             value = tuple(value)
         values[f.name] = value
     return cls(**{**values, **overrides})
+
+
+def _read_metrics(out: Path, with_classes: bool = True) -> tuple[dict, list[MeaningClassMetrics]]:
+    """The metrics cache in ``out`` and its concept records."""
+    doc = _read_json(out, "metrics.json", "metrics")
+    with _malformed(out / "metrics.json", "metrics"):
+        return doc, _metrics_from_doc(doc, with_classes)
 
 
 def _metrics_from_doc(doc: dict, with_classes: bool = True) -> list[MeaningClassMetrics]:
@@ -250,7 +273,9 @@ def _pca_stage(args: argparse.Namespace, metrics: list[MeaningClassMetrics]) -> 
 
 @_stage_invariants("cluster")
 def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
-    scores2 = np.array(pca_doc["scores"])[:, :2]
+    with _malformed(Path(args.out) / "pca.json", "pca"):
+        scores2 = np.array(pca_doc["scores"])[:, :2]
+        row_labels = list(pca_doc["row_labels"])
     kmeans_k = args.kmeans_k
     meta: dict = {"mode": "fixed", "warnings": []}
     if kmeans_k is None:
@@ -268,7 +293,7 @@ def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
         "schema_version": 1,
         "upstream_sha256": _sha256(Path(args.out) / "pca.json"),
         **asdict(assignment),
-        "labels": dict(zip(pca_doc["row_labels"], assignment.labels.tolist())),
+        "labels": dict(zip(row_labels, assignment.labels.tolist())),
         "selection": meta,
     }
     (Path(args.out) / "clusters.json").write_text(to_json(doc), "utf-8")
@@ -293,23 +318,30 @@ def _report_stage(
                 f"{out / name} was not built from the current {upstream}; "
                 f"re-run the {stage} stage"
             )
-    oriented = orient_axes(_rebuild(PcaResult, pca_doc))
-    labels = clusters_doc["labels"]
-    assignment = _rebuild(
-        ClusterAssignment,
-        clusters_doc,
-        labels=np.array([labels[concept] for concept in oriented.row_labels]),
-    )
+    with _malformed(out / "pca.json", "pca"):
+        oriented = orient_axes(_rebuild(PcaResult, pca_doc))
+        stage_warnings = list(pca_doc["warnings"])
+    with _malformed(out / "clusters.json", "cluster"):
+        labels = clusters_doc["labels"]
+        assignment = _rebuild(
+            ClusterAssignment,
+            clusters_doc,
+            labels=np.array([labels[concept] for concept in oriented.row_labels]),
+        )
+        cluster_meta = clusters_doc["selection"]
+        stage_warnings += cluster_meta["warnings"]
+    with _malformed(out / "metrics.json", "metrics"):
+        config = metrics_doc["config"]
+        run_metadata = {
+            "seed": config["seed"],
+            "n_reps": config["n_reps"],
+            "inputs": metrics_doc["inputs"],
+            "warnings": sorted(metrics_doc["warnings"] + stage_warnings),
+        }
     ranking = suitability_rank(oriented, assignment)
     selection = select_wordlist(ranking, k=args.k, threshold=args.theta)
-    cluster_meta = clusters_doc["selection"]
     run_block = {
-        "seed": metrics_doc["config"]["seed"],
-        "n_reps": metrics_doc["config"]["n_reps"],
-        "inputs": metrics_doc["inputs"],
-        "warnings": sorted(
-            metrics_doc["warnings"] + pca_doc["warnings"] + cluster_meta["warnings"]
-        ),
+        **run_metadata,
         "wordlist_size": args.k,
         "stability_threshold": args.theta,
         "suitability_score": "PC1 - PC2 (oriented axes)",
@@ -396,8 +428,8 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    metrics_doc = _read_json(out, "metrics.json", "metrics")
-    doc = _pca_stage(args, _metrics_from_doc(metrics_doc, with_classes=False))
+    _, metrics = _read_metrics(out, with_classes=False)
+    doc = _pca_stage(args, metrics)
     explained = ", ".join(f"{100 * v:.1f}%" for v in doc["explained_variance"][:2])
     print(f"pca over {len(doc['row_labels'])} concepts (PC1, PC2 explain {explained})")
     print(f"pca results -> {out / 'pca.json'}")
@@ -426,10 +458,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    metrics_doc = _read_json(out, "metrics.json", "metrics")
+    metrics_doc, metrics = _read_metrics(out)
     pca_doc = _read_json(out, "pca.json", "pca")
     clusters_doc = _read_json(out, "clusters.json", "cluster")
-    _report_stage(args, metrics_doc, _metrics_from_doc(metrics_doc), pca_doc, clusters_doc)
+    _report_stage(args, metrics_doc, metrics, pca_doc, clusters_doc)
     return 0
 
 
@@ -571,20 +603,34 @@ def build_parser() -> argparse.ArgumentParser:
 _STOCHASTIC_COMMANDS = {"metrics", "dstat", "cluster", "rank", "simulate"}
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on first use.
+
+    Building it at import would add to the cost of ``import lexiphylo``, and
+    a parser per call leaves its reference cycles to the garbage collector.
+    Nothing may change it after it is built.
+    """
+    return build_parser()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse ``argv``; a --config file's values become the subcommand's defaults.
 
     Each value is parsed from its text by the flag's own ``type``, so a
     config value is accepted exactly when the same text on the command line
     would be. Flags given on the command line win, JSON null keeps the
     built-in default, and keys naming no flag of the subcommand are ignored.
+    The defaults go into a parser built for this call alone, so the shared
+    parser keeps its built-in defaults.
     """
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.config:
         raw = json.loads(Path(args.config).read_text("utf-8"))
         if not isinstance(raw, dict):
             raise CliError("--config must contain a flat JSON object")
         config = {str(k).replace("-", "_"): v for k, v in raw.items()}
+        parser = build_parser()
         subparsers = next(a for a in parser._actions if a.dest == "command")
         sub = subparsers.choices[args.command]
         for action in sub._actions:
@@ -604,9 +650,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (CliError, NewickError, TreeError, CognateFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

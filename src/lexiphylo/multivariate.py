@@ -9,10 +9,15 @@ count dominate.
 
 k-means uses k-means++ seeding with independent restarts: restart ``r``
 draws from Philox stream ``(seed, r)``, through one generator re-keyed per
-restart. The Lloyd iterations of all restarts run as one batch, each
-restart stopping on its own rule, with the arithmetic of one restart at a
-time. The best (lowest-WCSS) restart wins, ties going to the lowest
-restart index, so the result is independent of execution order.
+restart. The seeding of all restarts runs as one batch that repeats the
+steps of ``Generator.choice`` without its validation; a restart whose
+running total of squared distances reaches zero is replayed one restart at
+a time. The Lloyd iterations of all restarts then run as one batch, each
+restart stopping on its own rule. Both batches keep the arithmetic of one
+restart at a time. The best (lowest-WCSS) restart wins, ties going to the
+lowest restart index, so the result is independent of execution order.
+The silhouette sums each point's distances to each cluster in one pass,
+with the bits of a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -194,6 +199,50 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
+def _kmeans_pp_seed(x: np.ndarray, k: int, seed: int, n_restarts: int) -> np.ndarray:
+    """k-means++ centers of every restart at once: (restarts, k, d).
+
+    Restart ``r`` re-keys the generator to stream ``(seed, r)`` and draws
+    ``integers(n)`` and then ``random(k - 1)``: the numbers that
+    ``_kmeans_pp_init`` draws while no running total is zero. Each later
+    center repeats the steps of ``Generator.choice(n, p=d2 / total)``
+    without its validation: normalise, ``cumsum``, divide by the last
+    entry, and count the entries <= the uniform draw, which is
+    ``searchsorted(side="right")`` on the non-decreasing cdf. Row sums
+    over C-contiguous rows have the bits of the one-restart 1-D sums.
+
+    A restart whose running total reaches zero would draw ``integers(n)``
+    there instead, and one whose total is not finite would make ``choice``
+    raise; such a restart is replayed by ``_kmeans_pp_init``.
+    """
+    n = len(x)
+    rng = stream(seed, 0)
+    first = np.empty(n_restarts, dtype=np.intp)
+    uniforms = np.empty((n_restarts, k - 1))
+    for restart in range(n_restarts):
+        rekey(rng, seed, restart)
+        first[restart] = rng.integers(n)
+        rng.random(out=uniforms[restart])
+    centers = np.empty((n_restarts, k, x.shape[1]))
+    centers[:, 0] = x[first]
+    d2 = np.sum((x - centers[:, :1]) ** 2, axis=2)
+    replay = np.zeros(n_restarts, dtype=bool)
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        replay |= ~(np.isfinite(total) & (total > 0.0))
+        # Only the replayed restarts divide by a zero or non-finite total.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        idx = np.count_nonzero(cdf <= uniforms[:, j - 1, None], axis=1)
+        centers[:, j] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centers[:, j, None]) ** 2, axis=2))
+    for restart in np.flatnonzero(replay):
+        rekey(rng, seed, int(restart))
+        centers[restart] = _kmeans_pp_init(x, k, rng)
+    return centers
+
+
 def _update_one(x: np.ndarray, d2: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
     """One restart's assignment fix-up and centroid update, in place.
 
@@ -273,8 +322,8 @@ def kmeans(
     """Best-of-``n_restarts`` k-means on the given score matrix.
 
     Restart ``r`` is seeded by k-means++ from stream ``(seed, r)``, drawn
-    through one generator re-keyed per restart; Lloyd iterations then run
-    for all restarts as one batch.
+    through one generator re-keyed per restart; the seeding and then the
+    Lloyd iterations run for all restarts as one batch.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 2:
@@ -287,11 +336,7 @@ def kmeans(
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
 
-    rng = stream(seed, 0)
-    centers = np.empty((n_restarts, k, x.shape[1]))
-    for restart in range(n_restarts):
-        rekey(rng, seed, restart)
-        centers[restart] = _kmeans_pp_init(x, k, rng)
+    centers = _kmeans_pp_seed(x, k, seed, n_restarts)
     labels, point_d2 = _lloyd(x, centers)
     wcss = point_d2.sum(axis=1)  # one row per restart, in point order
     best = int(np.argmin(wcss))  # ties go to the lowest restart
@@ -306,27 +351,34 @@ def kmeans(
 
 
 def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient; points in singleton clusters score 0."""
+    """Mean silhouette coefficient; points in singleton clusters score 0.
+
+    One pass builds the (n, clusters) table of each point's summed distance
+    to each cluster's members, from which a (own cluster, excluding the
+    point) and b (nearest other cluster) follow. Each cluster's distance
+    columns are gathered C-contiguous before the row sums: a row sum over
+    a C-contiguous row has the bits of the 1-D sum of that row, while a
+    gather left in another order reduces in another order.
+    """
     x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    clusters = np.unique(labels)
+    clusters, member_of, sizes = np.unique(
+        np.asarray(labels), return_inverse=True, return_counts=True
+    )
     if len(clusters) < 2:
         raise ValueError("silhouette needs >= 2 clusters")
     dist = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+    sums = np.empty((len(x), len(clusters)))
+    for c in range(len(clusters)):
+        sums[:, c] = np.ascontiguousarray(dist[:, member_of == c]).sum(axis=1)
     values = np.zeros(len(x))
-    for i in range(len(x)):
-        own = labels == labels[i]
-        n_own = int(own.sum())
-        if n_own <= 1:
-            continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(
-            float(dist[i, labels == other].mean())
-            for other in clusters
-            if other != labels[i]
-        )
-        denom = max(a, b)
-        values[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    rows = np.flatnonzero(sizes[member_of] > 1)
+    own = member_of[rows]
+    a = sums[rows, own] / (sizes[own] - 1)
+    other_means = sums[rows] / sizes
+    other_means[np.arange(len(rows)), own] = np.inf
+    b = other_means.min(axis=1)
+    denom = np.maximum(a, b)
+    values[rows] = np.divide(b - a, denom, out=np.zeros(len(rows)), where=denom != 0.0)
     return float(values.mean())
 
 

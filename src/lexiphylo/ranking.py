@@ -19,7 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .multivariate import ClusterAssignment, PcaResult
 
@@ -157,6 +158,7 @@ def select_wordlist(
 def ranking_to_csv(ranking: SuitabilityRanking) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(f.name for f in fields(RankedConcept))
-    writer.writerows(astuple(row) for row in ranking.rows)
+    names = [f.name for f in fields(RankedConcept)]
+    writer.writerow(names)
+    writer.writerows(map(attrgetter(*names), ranking.rows))
     return buf.getvalue()

@@ -10,7 +10,6 @@ to reproduce itself.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from importlib import resources
 from xml.sax.saxutils import escape
 
@@ -75,14 +74,16 @@ def emit_report(
     ``metadata`` is the caller's run block (seeds, n_reps, thresholds,
     input digests); it is embedded verbatim under ``"run"``. Each concept's
     ``mean_D_status`` is ``"imputed"`` when its record has no mean D (every
-    class was skipped) and ``"computed"`` otherwise.
+    class was skipped) and ``"computed"`` otherwise. Class entries, ranking
+    rows, the selection and the cluster assignment are their records'
+    fields as stored (``vars``), not deep copies.
     """
     _check_row_sets(metrics, pca, clusters, ranking)
 
     concept_blocks = []
     for m in sorted(metrics, key=lambda m: m.concept):
         classes = [
-            {"cognate_class": cls, **asdict(res)}
+            {"cognate_class": cls, **vars(res)}
             for cls, res in sorted(m.class_results.items())
         ]
         skipped = [
@@ -122,14 +123,14 @@ def emit_report(
             ],
         },
         "clusters": {
-            **asdict(clusters),
+            **vars(clusters),
             "labels": [
                 {"concept": concept, "cluster": int(clusters.labels[i])}
                 for i, concept in enumerate(pca.row_labels)
             ],
         },
-        "ranking": [asdict(row) for row in ranking.rows],
-        "selection": asdict(selection),
+        "ranking": [vars(row) for row in ranking.rows],
+        "selection": vars(selection),
         "warnings": sorted(
             set(metadata.get("warnings", [])) | set(selection.warnings)
         ),

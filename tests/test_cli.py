@@ -539,3 +539,90 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "0 errors" in proc.stdout
+
+
+def _drop_first_n_loans(text):
+    doc = json.loads(text)
+    del doc["concepts"][0]["n_loans"]
+    return to_json(doc)
+
+
+def _drop_first_label(text):
+    doc = json.loads(text)
+    del doc["labels"][sorted(doc["labels"])[0]]
+    return to_json(doc)
+
+
+@pytest.mark.parametrize(
+    "name, edit, stage, argv",
+    [
+        ("metrics.json", _drop_first_n_loans, "metrics", ["pca"]),
+        ("metrics.json", _drop_first_n_loans, "metrics", ["report", "--k", "3"]),
+        ("metrics.json", lambda text: "[1, 2]\n", "metrics", ["pca"]),
+        ("clusters.json", _drop_first_label, "cluster", ["report", "--k", "3"]),
+        ("pca.json", lambda text: text[: len(text) // 2], "pca", ["cluster", "--seed", "7"]),
+        ("pca.json", lambda text: text[: len(text) // 2], "pca", ["report", "--k", "3"]),
+    ],
+)
+def test_malformed_cache_is_a_located_error(ranked, tmp_path, capsys, name, edit, stage, argv):
+    _, _, _, out = ranked
+    work = tmp_path / "work"
+    shutil.copytree(out, work)
+    path = work / name
+    path.write_text(edit(path.read_text("utf-8")), "utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} ")
+    assert f"re-run the {stage} stage" in err
+
+
+def test_config_defaults_do_not_outlive_the_call(tmp_path):
+    """An in-process --config run leaves the next run its built-in defaults."""
+    tree_path, cognates_path = write_inputs(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"reps": 7}), "utf-8")
+    metrics = ["metrics", "--tree", str(tree_path), "--cognates", str(cognates_path),
+               "--seed", "7"]
+    runs = {"config": [*metrics, "--config", str(config)], "default": metrics}
+    for label, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / "in" / label)]) == 0
+    for label, argv in runs.items():
+        subprocess.run(
+            [sys.executable, "-m", "lexiphylo", *argv, "--out", str(tmp_path / "sub" / label)],
+            check=True, capture_output=True,
+        )
+        for name in ("metrics.json", "features.csv"):
+            in_process = (tmp_path / "in" / label / name).read_bytes()
+            assert in_process == (tmp_path / "sub" / label / name).read_bytes(), (label, name)
+    n_reps = {
+        label: json.loads((tmp_path / "in" / label / "metrics.json").read_text())["config"]["n_reps"]
+        for label in runs
+    }
+    assert n_reps == {"config": 7, "default": cli.DEFAULT_N_REPS}
+
+
+def test_parser_is_built_on_first_call_not_at_import(tmp_path):
+    probe = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import lexiphylo.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    lexiphylo.cli.main(['pca', '--out', sys.argv[1]])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "missing")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, first_call, second_call = json.loads(proc.stdout)
+    assert at_import == 0
+    assert first_call > 0
+    assert second_call == first_call

@@ -14,7 +14,7 @@ from lexiphylo.multivariate import (
     silhouette_score,
     standardize,
 )
-from util import oracle_kmeans
+from util import oracle_kmeans, oracle_kmeans_pp_seeds, oracle_silhouette
 
 
 def table_from(values, columns=None, standardized=False):
@@ -301,3 +301,64 @@ def test_choose_k_matches_oracle_choose_k(monkeypatch):
                 patch.setattr(multivariate, "kmeans", oracle_kmeans)
                 expected = _with_warnings(choose_k, x, range(2, 7), seed)
             assert got == expected
+
+
+def _seeding_point_sets():
+    rng = np.random.default_rng(43)
+    return {
+        **_kmeans_point_sets(),
+        "all identical": np.full((6, 2), 1.5),
+        "two distinct points": np.array([[0.0, 1.0]] * 4 + [[2.0, -1.0]] * 3),
+        "one column, three distinct": np.repeat(rng.normal(size=(3, 1)), 3, axis=0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_seeding_point_sets()))
+def test_kmeans_pp_seeding_matches_restart_loop_bitwise(name, monkeypatch):
+    x = _seeding_point_sets()[name]
+    replays = []
+    one_restart = multivariate._kmeans_pp_init
+
+    def counted(*args):
+        replays.append(args[1])
+        return one_restart(*args)
+
+    monkeypatch.setattr(multivariate, "_kmeans_pp_init", counted)
+    for k in range(1, len(x) + 1):
+        for seed in (0, 3, 2**64 - 1):
+            for n_restarts in (1, 5):
+                case = (name, k, seed, n_restarts)
+                expected = oracle_kmeans_pp_seeds(x, k, seed, n_restarts)
+                got, caught = _with_warnings(multivariate._kmeans_pp_seed, x, k, seed, n_restarts)
+                assert got.tobytes() == expected.tobytes(), case
+                assert caught == [], case
+    # A running total reaches 0.0 exactly when k exceeds the number of
+    # distinct points; those restarts, and only those, are replayed.
+    n_distinct = len({tuple(row) for row in x.tolist()})
+    assert bool(replays) == (n_distinct < len(x)), name
+    assert all(k > n_distinct for k in replays), name
+
+
+def test_silhouette_matches_point_by_point_oracle_bitwise():
+    rng = np.random.default_rng(44)
+    kinds = {"singleton": 0, "duplicates": 0}
+    for case in range(300):
+        n = int(rng.integers(3, 40))
+        x = rng.normal(size=(n, int(rng.integers(1, 4))))
+        if case % 3 == 1:
+            x = x[rng.integers(0, max(1, n // 3), size=n)]
+            kinds["duplicates"] += 1
+        elif case % 3 == 2:
+            x = np.round(x)
+        labels = rng.integers(0, int(rng.integers(2, min(n, 8) + 1)), size=n)
+        if case % 2:
+            labels[rng.integers(n)] = labels.max() + 1
+        if len(np.unique(labels)) < 2:
+            continue
+        sizes = np.unique(labels, return_counts=True)[1]
+        kinds["singleton"] += bool(np.any(sizes == 1))
+        got, caught = _with_warnings(silhouette_score, x, labels)
+        expected = oracle_silhouette(x, labels)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), case
+        assert caught == [], case
+    assert min(kinds.values()) > 50

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's vectorized code paths:
 they are dict-based recursions over the tree structure, kept in lockstep
 with the documented arithmetic (same child order, same sequential
-accumulation, same epsilon policy), and k-means one restart at a time, so
-that equality can be asserted bitwise, not just within a tolerance.
+accumulation, same epsilon policy), k-means one restart at a time, and the
+silhouette one point at a time, so that equality can be asserted bitwise,
+not just within a tolerance.
 """
 
 from __future__ import annotations
@@ -177,6 +178,13 @@ def _oracle_kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centers
 
 
+def oracle_kmeans_pp_seeds(x: np.ndarray, k: int, seed: int, n_restarts: int) -> np.ndarray:
+    """Every restart's k-means++ centers, one restart at a time: (restarts, k, d)."""
+    return np.stack(
+        [_oracle_kmeans_pp_init(x, k, stream(seed, restart)) for restart in range(n_restarts)]
+    )
+
+
 def oracle_lloyd(
     x: np.ndarray, centers: np.ndarray, k: int, on_rehome=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -237,6 +245,31 @@ def oracle_kmeans(
     return ClusterAssignment(
         labels=labels, centroids=centers, wcss=wcss, k=k, seed=seed, n_restarts=n_restarts
     )
+
+
+def oracle_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette coefficient; points in singleton clusters score 0."""
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
+    clusters = np.unique(labels)
+    if len(clusters) < 2:
+        raise ValueError("silhouette needs >= 2 clusters")
+    dist = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+    values = np.zeros(len(x))
+    for i in range(len(x)):
+        own = labels == labels[i]
+        n_own = int(own.sum())
+        if n_own <= 1:
+            continue
+        a = dist[i, own].sum() / (n_own - 1)
+        b = min(
+            float(dist[i, labels == other].mean())
+            for other in clusters
+            if other != labels[i]
+        )
+        denom = max(a, b)
+        values[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(values.mean())
 
 
 def all_binary_traits(n: int):

@@ -29,7 +29,6 @@ import math
 import sys
 import typing
 import warnings as _warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -131,6 +130,9 @@ def _compute_all_metrics(
     if workers <= 1:
         results = [compute_metrics(matrix, tree, c, config) for c in usable]
     else:
+        # Imported here: a one-worker run does not pay for the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(tree, matrix, config)
         ) as pool:
@@ -273,13 +275,30 @@ def _pca_stage(args: argparse.Namespace, metrics: list[MeaningClassMetrics]) -> 
 
 @_stage_invariants("cluster")
 def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
-    with _malformed(Path(args.out) / "pca.json", "pca"):
-        scores2 = np.array(pca_doc["scores"])[:, :2]
+    """k-means over PC1/PC2, with k fixed or chosen by silhouette over 2..6.
+
+    k may not exceed the number of distinct PC1/PC2 rows: k-means cannot
+    fill more clusters than there are distinct points, so a larger
+    ``--kmeans-k`` is an error and the auto range stops there.
+    """
+    pca_path = Path(args.out) / "pca.json"
+    with _malformed(pca_path, "pca"):
+        scores2 = np.array(pca_doc["scores"], dtype=float)[:, :2]
         row_labels = list(pca_doc["row_labels"])
+    n_distinct = len(set(map(tuple, scores2.tolist())))
     kmeans_k = args.kmeans_k
+    if kmeans_k is not None and kmeans_k > n_distinct:
+        raise CliError(
+            f"--kmeans-k {kmeans_k} exceeds the {n_distinct} distinct PC1/PC2 rows in {pca_path}"
+        )
     meta: dict = {"mode": "fixed", "warnings": []}
     if kmeans_k is None:
-        k_hi = min(6, len(scores2) - 1)
+        k_hi = min(6, len(scores2) - 1, n_distinct)
+        if k_hi < 2:
+            raise CliError(
+                f"--kmeans-k auto needs at least 2 distinct PC1/PC2 rows in {pca_path}, "
+                f"found {n_distinct}"
+            )
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             kmeans_k = choose_k(scores2, range(2, k_hi + 1), args.seed, args.restarts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -231,11 +231,30 @@ def binary_trait(
         raise ValueError(
             f"unknown cognate class {cognate_class!r} for concept {concept!r}"
         )
-    attesting = classes[cognate_class]
-    taxa = list(taxa)
-    presence = np.array([taxon in attesting for taxon in taxa], dtype=np.int8)
-    mask = np.array([taxon in attested for taxon in taxa], dtype=np.int8)
-    return presence, mask
+    taxa = tuple(taxa)
+    positions, mask = _taxon_positions(attested, taxa)
+    presence = np.zeros(len(taxa), dtype=np.int8)
+    presence[[i for taxon in classes[cognate_class] for i in positions.get(taxon, ())]] = 1
+    return presence, mask.copy()
+
+
+@lru_cache(maxsize=1)
+def _taxon_positions(
+    attested: frozenset[str], taxa: tuple[str, ...]
+) -> tuple[dict[str, list[int]], np.ndarray]:
+    """Where each taxon sits in ``taxa``, and the attested mask over ``taxa``.
+
+    Built once per concept and shared by its classes, so a class costs
+    work in proportion to its own size. Both keys hash and compare in C:
+    a frozenset caches its hash, and a repeated argument compares by
+    identity.
+    """
+    positions: dict[str, list[int]] = {}
+    for i, taxon in enumerate(taxa):
+        positions.setdefault(taxon, []).append(i)
+    mask = np.zeros(len(taxa), dtype=np.int8)
+    mask[[i for taxon in attested for i in positions.get(taxon, ())]] = 1
+    return positions, mask
 
 
 def concept_summary(matrix: CognateMatrix, concept: str) -> ConceptSummary:

@@ -24,8 +24,11 @@ numbers as constructing stream ``(seed, r)`` afresh.
 The kernel is batched over replicates and sweeps the tree level by level,
 but every value sees the IEEE operations of the naive per-node recursion:
 children are accumulated in stored order and the edge sum runs in node
-order. The pruned tree and its sweep schedules depend only on which tips
-are attested, so every class of a concept shares them.
+order. One D computation scores its observed trait and both nulls as one
+stack of 2 * n_reps + 1 rows, swept ``DEFAULT_N_REPS`` rows at a time;
+rows never mix, so each score has the bits of a sweep of its row alone.
+The pruned tree and its sweep schedules depend only on which tips are
+attested, so every class of a concept shares them.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -48,6 +51,9 @@ from .tree import Tree, prune_to_taxa
 DEFAULT_N_REPS = 1000
 MIN_TIPS_FOR_D = 4
 _NULL_GAP_TOL = 1e-12
+# Non-root nodes per block of the edge-difference pass; bounds its one
+# temporary (the block's parent estimates) at _EDGE_BLOCK rows.
+_EDGE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,15 @@ def _epsilon(tree: Tree) -> float:
 
 
 class _Sweeps:
-    """Inverse-length weights and the bottom-up schedule of one tree.
+    """Inverse-length weights and the sweep schedules of one tree.
 
     ``up`` follows ``tree.height_levels``: per level, its nodes, their
     weight totals, and per child slot ``k`` the k-th children, their
     weights and the positions of the level's nodes that have a k-th child.
     Weight totals accumulate over children in stored order, so a naive
-    recursion reproduces them bit for bit.
+    recursion reproduces them bit for bit. ``edges`` splits the non-root
+    nodes into runs of at most ``_EDGE_BLOCK`` consecutive indices, each
+    with its nodes' parents.
     """
 
     def __init__(self, tree: Tree) -> None:
@@ -96,28 +104,38 @@ class _Sweeps:
         lengths = tree.lengths[:-1]
         w = np.zeros(tree.n_nodes)
         w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
+        weights = w.tolist()
         self.up = []
         for nodes in tree.height_levels:
-            kid_lists = [tree.children[i] for i in nodes]
-            totals = np.zeros((len(nodes), 1))
-            for j, kids in enumerate(kid_lists):
+            kid_lists = [tree.children[i] for i in nodes.tolist()]
+            totals = []
+            for kids in kid_lists:
                 total = 0.0
                 for c in kids:
-                    total += w[c]
-                totals[j] = total
+                    total += weights[c]
+                totals.append(total)
             slots = []
             for k in range(max(map(len, kid_lists))):
                 has = [j for j, kids in enumerate(kid_lists) if len(kids) > k]
                 kth = np.array([kid_lists[j][k] for j in has])
                 where = slice(None) if len(has) == len(nodes) else np.array(has)
                 slots.append((kth, w[kth, None], where))
-            self.up.append((nodes, totals, slots))
+            self.up.append((nodes, np.array(totals)[:, None], slots))
+        self.edges = []
+        for start in range(0, tree.n_nodes - 1, _EDGE_BLOCK):
+            block = slice(start, min(start + _EDGE_BLOCK, tree.n_nodes - 1))
+            self.edges.append((block, tree.parents[block]))
 
 
 @lru_cache(maxsize=1)
-def _pruned_sweeps(tree: Tree, used_labels: tuple[str, ...]) -> _Sweeps:
-    """The tree pruned to ``used_labels``, with its sweeps; reused by a concept's classes."""
-    return _Sweeps(prune_to_taxa(tree, set(used_labels)))
+def _pruned_sweeps(tree: Tree, mask: bytes) -> _Sweeps:
+    """The tree pruned to the tips where ``mask`` (one byte per tip) is 1, with its sweeps.
+
+    A concept's classes share the mask, so they share one pruning; the key
+    is the mask's bytes, which hash and compare in C.
+    """
+    keep = {lab for lab, kept in zip(tree.tip_labels, mask) if kept}
+    return _Sweeps(prune_to_taxa(tree, keep))
 
 
 def _nodal_estimates_batch(
@@ -144,21 +162,27 @@ def _nodal_estimates_batch(
 
 
 def _d_sum_batch(
-    sweeps: _Sweeps, tip_values: np.ndarray, out: np.ndarray | None = None
+    sweeps: _Sweeps, centered: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Change score for each row of 0/1 ``tip_values``: sum of |edge differences|.
+    """Change score for each row of ``centered``: sum of |edge differences|.
 
-    Tips are first centered to +-0.5. That leaves every |child - parent|
-    difference unchanged in exact arithmetic, and makes trait complementation
-    a pure sign flip - exact in IEEE floating point - so
-    d_sum(v) == d_sum(1 - v) holds bitwise, not just approximately.
-    The edge differences replace the estimates deepest level first, so
-    each parent is read before it is overwritten; ``out`` is an optional
-    (n_nodes, batch) work array. Edges are summed sequentially in node order.
+    Each row is a 0/1 trait centered to +-0.5 (``trait - 0.5``, exact).
+    That leaves every |child - parent| difference unchanged in exact
+    arithmetic, and makes trait complementation a pure sign flip - exact in
+    IEEE floating point - so d_sum(v) == d_sum(1 - v) holds bitwise, not
+    just approximately.
+    The edge differences replace the estimates in node order, one block of
+    ``sweeps.edges`` at a time. Every parent has a larger index than its
+    children, and a block gathers its parents' estimates before it writes,
+    so each estimate is read before it is overwritten. ``out`` is an
+    optional (n_nodes, batch) work array. Edges are summed sequentially in
+    node order.
     """
-    est = _nodal_estimates_batch(sweeps, tip_values - 0.5, out)
-    for nodes, parents in reversed(sweeps.tree.depth_levels):
-        est[nodes] = np.abs(est[nodes] - est[parents])
+    est = _nodal_estimates_batch(sweeps, centered, out)
+    for block, parents in sweeps.edges:
+        edges = est[block]
+        np.subtract(edges, est[parents], out=edges)
+        np.abs(edges, out=edges)
     return _sum_rows(est[:-1])
 
 
@@ -172,6 +196,27 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     if x.shape[1] == 1:
         return np.add.accumulate(x, axis=0)[-1]
     return np.add.reduce(x, axis=0)
+
+
+def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """``_d_sum_batch`` of every row of ``rows``, swept ``DEFAULT_N_REPS`` rows at a time.
+
+    Columns of a sweep never mix and ``_sum_rows`` adds each column's
+    edges in node order whatever the chunk width, so every score has the
+    same bits as a sweep of its row alone. ``work`` is an optional flat
+    buffer of at least n_nodes * (chunk width) floats; each chunk views its
+    head as a C-contiguous (n_nodes, width) work array.
+    """
+    n_nodes = sweeps.tree.n_nodes
+    width = min(len(rows), DEFAULT_N_REPS)
+    if work is None:
+        work = np.empty(n_nodes * width)
+    scores = np.empty(len(rows))
+    for start in range(0, len(rows), width):
+        chunk = rows[start : start + width]
+        out = work[: n_nodes * len(chunk)].reshape(n_nodes, len(chunk))
+        scores[start : start + len(chunk)] = _d_sum_batch(sweeps, chunk, out)
+    return scores
 
 
 def _bm_sweep(tree: Tree, values: np.ndarray, sd: np.ndarray, root_value: float) -> None:
@@ -222,7 +267,7 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
         raise ValueError("tip values must be coded 0/1")
     if tip_values.min() == tip_values.max():
         raise ValueError("constant trait: d_sum undefined")
-    return float(_d_sum_batch(_Sweeps(tree), tip_values[None, :])[0])
+    return float(_d_sum_batch(_Sweeps(tree), tip_values[None, :] - 0.5)[0])
 
 
 def _resolve_polytomies(tree: Tree, seed: int) -> Tree:
@@ -344,28 +389,27 @@ def d_statistic(
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
 
-    used_labels = tuple(lab for lab, keep in zip(tree.tip_labels, mask) if keep)
-    n_used = len(used_labels)
+    n_used = int(np.count_nonzero(mask))
     if n_used < MIN_TIPS_FOR_D:
         raise ValueError(f"fewer than {MIN_TIPS_FOR_D} usable tips (got {n_used})")
-    sweeps = _pruned_sweeps(tree, used_labels)
+    sweeps = _pruned_sweeps(tree, mask.tobytes())
     pruned = sweeps.tree
-
-    by_label = {lab: v for lab, v, keep in zip(tree.tip_labels, presence, mask) if keep}
-    trait = np.array([by_label[lab] for lab in pruned.tip_labels], dtype=float)
+    # The pruned tree keeps the used tips in their order in ``tree``.
+    trait = presence[mask]
     m = int(trait.sum())
     if m == 0 or m == n_used:
         raise ValueError("no variation in trait")
 
-    d_obs = float(_d_sum_batch(sweeps, trait[None, :])[0])
-
-    shuffled = np.tile(trait, (n_reps, 1))
+    # One stacked row per score, centered as _d_sum_batch takes it: the
+    # observed trait, then the shuffle null's replicates, then the BM null's.
+    rows = np.empty((2 * n_reps + 1, n_used))
+    rows[: n_reps + 1] = trait - 0.5
     innovations = np.empty((n_reps, pruned.n_nodes))
     g = stream(seed, 0)
     for r in range(n_reps):
         if r:
             rekey(g, seed, r)
-        g.shuffle(shuffled[r])  # the same draws as trait[g.permutation(n_used)]
+        g.shuffle(rows[1 + r])  # the same draws as trait[g.permutation(n_used)]
         g.standard_normal(out=innovations[r])
 
     def tie_keys(r: int) -> np.ndarray:
@@ -381,10 +425,15 @@ def d_statistic(
     del innovations
     _bm_sweep(pruned, values, np.sqrt(pruned.lengths), 0.0)
     bm_traits = _threshold_rows(values[pruned.tip_indices].T, m, tie_keys)
-    # Each null is scored on its own, reusing the spent BM values as work array.
-    d_random = _d_sum_batch(sweeps, shuffled, values)
-    del shuffled
-    d_bm = _d_sum_batch(sweeps, bm_traits, values)
+    np.subtract(bm_traits, 0.5, out=rows[n_reps + 1 :])
+    # The spent BM values are the sweeps' work array when they are large
+    # enough (from DEFAULT_N_REPS reps up); otherwise they are freed first.
+    width = min(len(rows), DEFAULT_N_REPS)
+    work = values.reshape(-1) if values.size >= pruned.n_nodes * width else None
+    del values
+    scores = _d_sum_rows(sweeps, rows, work)
+    d_obs = float(scores[0])
+    d_random, d_bm = scores[1 : n_reps + 1], scores[n_reps + 1 :]
     mean_random = float(d_random.mean())
     mean_bm = float(d_bm.mean())
     if abs(mean_random - mean_bm) < _NULL_GAP_TOL:

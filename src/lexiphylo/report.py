@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -21,6 +20,15 @@ from .multivariate import ClusterAssignment, PcaResult
 from .ranking import SuitabilityRanking, WordlistSelection
 
 REPORT_SCHEMA_VERSION = 1
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data, as ``xml.sax.saxutils.escape``.
+
+    Written out here because importing ``xml.sax.saxutils`` also imports
+    ``urllib.request`` and with it ``http.client``, ``ssl`` and ``email``.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def report_schema() -> dict:

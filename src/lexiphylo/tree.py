@@ -4,7 +4,8 @@ Nodes are stored in postorder: every child index is smaller than its
 parent's, and the root is always the last node, so index order is a
 bottom-up and reversed index order a top-down traversal. ``height_levels``
 and ``depth_levels`` group the nodes for sweeps that process a whole level
-at a time.
+at a time. A pruned tree keeps its parent's postorder restricted to the
+surviving nodes, so the kept tips keep their relative order.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -66,19 +67,20 @@ class Tree:
             raise TreeError(f"expected exactly one root, found {len(roots)}")
         if roots[0] != n - 1:
             raise TreeError("root must be the last node (postorder numbering)")
+        parents = self.parents.tolist()
         seen = 0
         for i, kids in enumerate(self.children):
             for c in kids:
                 if c >= i:
                     raise TreeError("child index must precede its parent")
-                if self.parents[c] != i:
+                if parents[c] != i:
                     raise TreeError("children and parents arrays disagree")
-                seen += 1
+            seen += len(kids)
         if seen != n - 1:
             raise TreeError("tree is not connected")
         if not np.all(np.isfinite(self.lengths)) or np.any(self.lengths < 0):
             raise TreeError("branch lengths must be finite and non-negative")
-        tip_labels = [self.labels[i] for i in range(n) if not self.children[i]]
+        tip_labels = [lab for lab, kids in zip(self.labels, self.children) if not kids]
         if any(lab is None or lab == "" for lab in tip_labels):
             raise TreeError("every tip must be labeled")
         if len(set(tip_labels)) != len(tip_labels):
@@ -96,11 +98,11 @@ class Tree:
 
     @cached_property
     def tip_indices(self) -> np.ndarray:
-        return np.array([i for i in range(self.n_nodes) if not self.children[i]], dtype=np.intp)
+        return np.array([i for i, kids in enumerate(self.children) if not kids], dtype=np.intp)
 
     @cached_property
     def tip_labels(self) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in self.tip_indices)  # type: ignore[misc]
+        return tuple(lab for lab, kids in zip(self.labels, self.children) if not kids)  # type: ignore[misc]
 
     @property
     def n_tips(self) -> int:
@@ -116,11 +118,12 @@ class Tree:
     @cached_property
     def root_distances(self) -> np.ndarray:
         """Path length from the root to every node."""
-        dist = np.zeros(self.n_nodes)
+        parents, lengths = self.parents.tolist(), self.lengths.tolist()
+        dist = [0.0] * self.n_nodes
         # Reversed index order visits every parent before its children.
         for i in range(self.n_nodes - 2, -1, -1):
-            dist[i] = dist[self.parents[i]] + self.lengths[i]
-        return dist
+            dist[i] = dist[parents[i]] + lengths[i]
+        return np.array(dist)
 
     @cached_property
     def height_levels(self) -> tuple[np.ndarray, ...]:
@@ -133,7 +136,7 @@ class Tree:
         levels: dict[int, list[int]] = {}
         for i, kids in enumerate(self.children):
             if kids:
-                height[i] = 1 + max(height[c] for c in kids)
+                height[i] = 1 + max(map(height.__getitem__, kids))
                 levels.setdefault(height[i], []).append(i)
         return tuple(np.array(levels[h], dtype=np.intp) for h in sorted(levels))
 
@@ -145,17 +148,19 @@ class Tree:
         A top-down sweep can finish one group at a time: every parent lies in
         an earlier group or is the root.
         """
-        depth = np.zeros(self.n_nodes, dtype=np.intp)
+        parents = self.parents.tolist()
+        depth = [0] * self.n_nodes
+        levels: dict[int, list[int]] = {}
         for i in range(self.n_nodes - 2, -1, -1):
-            depth[i] = depth[self.parents[i]] + 1
-        order = np.argsort(depth[:-1], kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
-        return tuple((nodes, self.parents[nodes]) for nodes in groups if len(nodes))
+            depth[i] = depth[parents[i]] + 1
+            levels.setdefault(depth[i], []).append(i)
+        groups = (np.array(levels[d][::-1], dtype=np.intp) for d in sorted(levels))
+        return tuple((nodes, self.parents[nodes]) for nodes in groups)
 
     @cached_property
     def height(self) -> float:
         """Maximum root-to-tip distance."""
-        return float(max(self.root_distances[i] for i in self.tip_indices))
+        return float(self.root_distances[self.tip_indices].max())
 
     def structurally_equal(self, other: "Tree") -> bool:
         """Exact equality of topology, labels, and branch lengths."""
@@ -411,36 +416,54 @@ def prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
     Unary internal nodes created by the pruning are suppressed and their
     branch lengths summed. The root is never suppressed, even if it ends up
     with a single child: dropping it would shorten every root-to-tip path.
+
+    The pruned tree is built from the surviving nodes directly: its node
+    order is ``tree``'s postorder restricted to the survivors, so the kept
+    tips keep their relative order. A surviving node heading a spliced
+    chain takes its own length plus each spliced ancestor's, added bottom-up.
     """
     keep = set(keep)
-    known = set(tree.tip_labels)
-    unknown = keep - known
+    unknown = keep.difference(tree.tip_labels)
     if unknown:
         raise TreeError(f"unknown tip label: {sorted(unknown)[0]!r}")
     if len(keep) < 2:
         raise TreeError(f"need >= 2 taxa, got {len(keep)}")
 
-    built: dict[int, _PNode | None] = {}
-    for i in tree.postorder():
-        if tree.is_tip(i):
-            if tree.labels[i] in keep:
-                built[i] = _PNode(tree.labels[i], float(tree.lengths[i]), [], False)
-            else:
-                built[i] = None
-            continue
-        kids = [built[c] for c in tree.children[i] if built[c] is not None]
-        if not kids:
-            built[i] = None
-        elif len(kids) == 1 and i != tree.root:
-            # Splice out the unary node; child edge absorbs this edge.
-            kids[0].length += float(tree.lengths[i])
-            built[i] = kids[0]
+    root = tree.root
+    lengths = tree.lengths.tolist()
+    # head[i]: the pruned index of the node that stands for i's subtree, -1 if it is empty.
+    head = [-1] * tree.n_nodes
+    parents: list[int] = []
+    children: list[tuple[int, ...]] = []
+    kept_lengths: list[float] = []
+    labels: list[str | None] = []
+    for i, kids in enumerate(tree.children):
+        if kids:
+            live = [head[c] for c in kids if head[c] >= 0]
+            if not live:
+                continue
+            if len(live) == 1 and i != root:
+                # Splice out the unary node; the child edge absorbs this edge.
+                kept_lengths[live[0]] += lengths[i]
+                head[i] = live[0]
+                continue
+        elif tree.labels[i] in keep:
+            live = []
         else:
-            built[i] = _PNode(tree.labels[i], float(tree.lengths[i]), kids, False)
-
-    root = built[tree.root]
-    assert root is not None
-    return _flatten(root)
+            continue
+        head[i] = len(labels)
+        for c in live:
+            parents[c] = head[i]
+        parents.append(-1)
+        children.append(tuple(live))
+        kept_lengths.append(lengths[i])
+        labels.append(tree.labels[i])
+    return Tree(
+        np.array(parents, dtype=np.intp),
+        tuple(children),
+        np.array(kept_lengths),
+        tuple(labels),
+    )
 
 
 def tree_summary(tree: Tree) -> TreeSummary:

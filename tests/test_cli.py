@@ -553,6 +553,12 @@ def _drop_first_label(text):
     return to_json(doc)
 
 
+def _non_numeric_score(text):
+    doc = json.loads(text)
+    doc["scores"][0][0] = {"x": 1}
+    return to_json(doc)
+
+
 @pytest.mark.parametrize(
     "name, edit, stage, argv",
     [
@@ -562,6 +568,7 @@ def _drop_first_label(text):
         ("clusters.json", _drop_first_label, "cluster", ["report", "--k", "3"]),
         ("pca.json", lambda text: text[: len(text) // 2], "pca", ["cluster", "--seed", "7"]),
         ("pca.json", lambda text: text[: len(text) // 2], "pca", ["report", "--k", "3"]),
+        ("pca.json", _non_numeric_score, "pca", ["cluster", "--seed", "7"]),
     ],
 )
 def test_malformed_cache_is_a_located_error(ranked, tmp_path, capsys, name, edit, stage, argv):
@@ -626,3 +633,60 @@ def test_parser_is_built_on_first_call_not_at_import(tmp_path):
     assert at_import == 0
     assert first_call > 0
     assert second_call == first_call
+
+
+class TestClusterDistinctRows:
+    """k-means cannot fill more clusters than there are distinct PC1/PC2 rows."""
+
+    @pytest.fixture()
+    def out(self, tmp_path):
+        # 4 distinct points, each 3 times: k 6-9 used to trip the WCSS check.
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+        scores = [[x, y, 0.0] for x, y in points for _ in range(3)]
+        # A -0.0 coordinate is the same point as 0.0.
+        scores[1][0] = -0.0
+        doc = {"scores": scores, "row_labels": [f"c{i:02d}" for i in range(len(scores))]}
+        (tmp_path / "pca.json").write_text(json.dumps(doc), "utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+    def test_k_above_distinct_rows_is_an_error_line(self, out, k, capsys):
+        code = main(["cluster", "--out", str(out), "--seed", "1", "--kmeans-k", str(k)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            f"error: --kmeans-k {k} exceeds the 4 distinct PC1/PC2 rows in {out / 'pca.json'}\n"
+        )
+        assert not (out / "clusters.json").exists()
+
+    @pytest.mark.parametrize("k", ["2", "3", "4"])
+    def test_k_up_to_distinct_rows_clusters(self, out, k):
+        assert main(["cluster", "--out", str(out), "--seed", "1", "--kmeans-k", k]) == 0
+        assert json.loads((out / "clusters.json").read_text())["k"] == int(k)
+
+    def test_auto_range_stops_at_distinct_rows(self, out):
+        assert main(["cluster", "--out", str(out), "--seed", "1"]) == 0
+        assert json.loads((out / "clusters.json").read_text())["selection"]["range"] == [2, 4]
+
+    def test_auto_needs_two_distinct_rows(self, out, capsys):
+        doc = json.loads((out / "pca.json").read_text())
+        doc["scores"] = [[1.0, 2.0, float(i)] for i in range(len(doc["scores"]))]
+        (out / "pca.json").write_text(json.dumps(doc), "utf-8")
+        assert main(["cluster", "--out", str(out), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --kmeans-k auto needs at least 2 distinct PC1/PC2 rows")
+        assert "found 1" in err
+
+
+def test_import_loads_no_network_or_pool_modules():
+    # The SVG escape is local and the process pool is imported only for
+    # --workers > 1, so a fresh import stays off urllib's HTTP stack.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, lexiphylo.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    for name in ("urllib.request", "http.client", "ssl", "email", "concurrent.futures.process"):
+        assert name not in loaded, name

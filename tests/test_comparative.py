@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexiphylo import comparative
 from lexiphylo.comparative import (
+    DEFAULT_N_REPS,
     MIN_TIPS_FOR_D,
     BmParams,
     d_statistic,
@@ -16,16 +18,16 @@ from lexiphylo.tree import parse_newick
 from lexiphylo._rng import stream
 from util import (
     SMALL_TREE_NEWICKS,
+    TIE_TREE,
     balanced_newick,
-    oracle_d_statistic,
+    benchmark_corpus_newick,
+    caterpillar_newick,
+    oracle_d_from_scores,
+    oracle_d_scores,
     oracle_d_sum,
     oracle_nodal_estimates,
     sample_binary_traits,
 )
-
-# Zero-length sibling tips (A/B, C/D, E/F/G) get equal BM values, so the
-# threshold often ties at the cut and needs its tie-break keys.
-TIE_TREE = "(((A:0,B:0):1,(C:0,D:0):1):1,((E:0,F:0,G:0):1,(H:1,I:0.5):1):1,J:2);"
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +155,18 @@ class TestDSum:
             for trait in sample_binary_traits(tree.n_tips, 10, seed=17):
                 assert d_sum(tree, trait) == oracle_d_sum(tree, trait)
 
+    def test_matches_naive_oracle_across_edge_blocks(self):
+        # Trees with more non-root nodes than one block of the edge pass.
+        for newick in (
+            balanced_newick(7, branch=0.7),
+            caterpillar_newick(100, branch=0.3),
+            benchmark_corpus_newick(),
+        ):
+            tree = parse_newick(newick)
+            assert tree.n_nodes - 1 > 2 * comparative._EDGE_BLOCK
+            for trait in sample_binary_traits(tree.n_tips, 4, seed=tree.n_tips):
+                assert d_sum(tree, trait) == oracle_d_sum(tree, trait)
+
     def test_nodal_estimates_match_oracle_bitwise(self):
         rng = np.random.default_rng(23)
         for newick in SMALL_TREE_NEWICKS:
@@ -273,18 +287,48 @@ def _presence_mask_cases(tree):
     [nwk for nwk in SMALL_TREE_NEWICKS if parse_newick(nwk).n_tips >= MIN_TIPS_FOR_D]
     + [TIE_TREE],
 )
-def test_d_statistic_matches_replicate_oracle_bitwise(newick):
+def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
+    # The observed trait and both nulls are 2 * n_reps + 1 stacked rows, swept
+    # DEFAULT_N_REPS rows at a time: 499 reps fit one chunk, 500 leave a
+    # 1-row chunk, whose edge sum must stay sequential. Every chunk's scores
+    # are recorded and compared with the oracle's, not only their means.
+    chunks: list[np.ndarray] = []
+
+    def recording_d_sum_batch(sweeps, centered, out=None):
+        scores = d_sum_batch(sweeps, centered, out)
+        chunks.append(scores.copy())
+        return scores
+
+    d_sum_batch = comparative._d_sum_batch
+    monkeypatch.setattr(comparative, "_d_sum_batch", recording_d_sum_batch)
     tree = parse_newick(newick)
     for case, (presence, mask) in enumerate(_presence_mask_cases(tree)):
-        for n_reps in (1, 2, 25):
+        for n_reps in (1, 2, 25) + ((499, 500) if case % 6 == 0 else ()):
             seed = 1000 * case + n_reps
+            chunks.clear()
+            scores = oracle_d_scores(tree, presence, mask, n_reps, seed)
             try:
-                expected = oracle_d_statistic(tree, presence, mask, n_reps, seed)
+                expected = oracle_d_from_scores(scores, n_reps, int(np.sum(mask)))
             except ValueError as exc:
                 with pytest.raises(ValueError, match=str(exc)):
                     d_statistic(tree, presence, mask, n_reps, seed=seed)
                 continue
             assert d_statistic(tree, presence, mask, n_reps, seed=seed) == expected
+            widths = [DEFAULT_N_REPS] * (len(scores) // DEFAULT_N_REPS)
+            widths += [len(scores) % DEFAULT_N_REPS] if len(scores) % DEFAULT_N_REPS else []
+            assert [len(chunk) for chunk in chunks] == widths
+            assert np.concatenate(chunks).tobytes() == scores.tobytes()
+
+
+def test_d_statistic_matches_replicate_oracle_on_the_benchmark_tree():
+    tree = parse_newick(benchmark_corpus_newick())
+    rng = np.random.default_rng(400)
+    for case in range(3):
+        mask = (rng.random(tree.n_tips) < 0.9).astype(int)
+        presence = mask * (rng.random(tree.n_tips) < 0.3)
+        scores = oracle_d_scores(tree, presence, mask, 5, case)
+        expected = oracle_d_from_scores(scores, 5, int(mask.sum()))
+        assert d_statistic(tree, presence, mask, 5, seed=case) == expected
 
 
 @settings(max_examples=40, deadline=None)

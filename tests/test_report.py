@@ -4,12 +4,13 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lexiphylo.cognates import load_cognates
 from lexiphylo.metrics import DStatConfig, build_feature_table, compute_metrics
 from lexiphylo.multivariate import kmeans, pca, standardize
 from lexiphylo.ranking import orient_axes, select_wordlist, suitability_rank
-from lexiphylo.report import emit_report, emit_scatter, report_schema
+from lexiphylo.report import emit_report, emit_scatter, escape, report_schema
 from lexiphylo.tree import parse_newick
 from util import balanced_newick
 
@@ -160,3 +161,17 @@ class TestEmitScatter:
         rows = tuple(replace(r, concept=f"{r.concept}&<x>") for r in ranking.rows)
         svg = emit_scatter(renamed, clusters, SuitabilityRanking(rows))
         ET.fromstring(svg)  # still well-formed
+
+
+@pytest.mark.parametrize("text", ["", "plain", "a&b", "<x>", "&amp;", "\"q\" 'a'", "&<>\"'", "><&&<<"])
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape as sax_escape
+
+    assert escape(text) == sax_escape(text)
+
+
+@given(st.text(alphabet="&<>\"';ax\u00e9", max_size=30))
+def test_escape_matches_saxutils_property(text):
+    from xml.sax.saxutils import escape as sax_escape
+
+    assert escape(text) == sax_escape(text)

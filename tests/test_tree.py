@@ -4,13 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from lexiphylo.tree import (
     NewickError,
+    Tree,
     TreeError,
     parse_newick,
     prune_to_taxa,
     tree_summary,
     write_newick,
 )
-from util import balanced_newick
+from util import (
+    SMALL_TREE_NEWICKS,
+    TIE_TREE,
+    balanced_newick,
+    benchmark_corpus_newick,
+    caterpillar_newick,
+    oracle_prune_to_taxa,
+)
 
 
 class TestParse:
@@ -138,6 +146,92 @@ class TestPrune:
             pruned = prune_to_taxa(tree, keep)
             for label, idx in zip(pruned.tip_labels, pruned.tip_indices):
                 assert abs(pruned.root_distances[idx] - original[label]) < 1e-12
+
+
+def _subtree_tips(tree: Tree, node: int) -> list[str]:
+    stack, tips = [node], []
+    while stack:
+        i = stack.pop()
+        if tree.is_tip(i):
+            tips.append(tree.labels[i])
+        stack.extend(tree.children[i])
+    return sorted(tips)
+
+
+def _keep_sets(tree: Tree, rng: np.random.Generator, count: int):
+    """All tips, random subsets, and subsets inside one root child (a unary root)."""
+    yield set(tree.tip_labels)
+    for _ in range(count):
+        size = int(rng.integers(2, tree.n_tips + 1))
+        yield set(rng.choice(tree.tip_labels, size=size, replace=False).tolist())
+    for child in tree.children[tree.root]:
+        tips = _subtree_tips(tree, child)
+        for _ in range(count // 4 if len(tips) >= 2 else 0):
+            size = int(rng.integers(2, len(tips) + 1))
+            yield set(rng.choice(tips, size=size, replace=False).tolist())
+
+
+def _assert_same_tree(got: Tree, want: Tree) -> None:
+    assert got.parents.dtype == want.parents.dtype
+    assert got.parents.tolist() == want.parents.tolist()
+    assert got.children == want.children
+    assert got.labels == want.labels
+    assert got.lengths.tobytes() == want.lengths.tobytes()
+    assert got.defaulted == want.defaulted
+
+
+class TestPruneMatchesNestedRebuild:
+    """The survivor-order prune against the nested-node prune it replaced."""
+
+    @pytest.mark.parametrize(
+        "newick",
+        SMALL_TREE_NEWICKS
+        + [
+            TIE_TREE,
+            caterpillar_newick(12, branch=0.3),
+            # Unary internal nodes in the input are spliced as well.
+            "(((A:1):2,B:0.1):1,(C:1.5):0.5,((D:0.25):0.5):0.125);",
+        ],
+    )
+    def test_small_trees(self, newick):
+        tree = parse_newick(newick)
+        rng = np.random.default_rng(len(newick))
+        for keep in _keep_sets(tree, rng, 40):
+            _assert_same_tree(prune_to_taxa(tree, keep), oracle_prune_to_taxa(tree, keep))
+
+    def test_benchmark_corpus_tree(self):
+        tree = parse_newick(benchmark_corpus_newick())
+        assert tree.n_tips == 400
+        rng = np.random.default_rng(8)
+        for keep in _keep_sets(tree, rng, 24):
+            pruned = prune_to_taxa(tree, keep)
+            _assert_same_tree(pruned, oracle_prune_to_taxa(tree, keep))
+            # The kept tips keep their order in the parent tree.
+            assert pruned.tip_labels == tuple(lab for lab in tree.tip_labels if lab in keep)
+
+    def test_repruning_a_unary_root(self):
+        tree = parse_newick("((A:1,B:2):3,(C:1,D:1):1);")
+        unary = prune_to_taxa(tree, {"A", "B"})
+        assert len(unary.children[unary.root]) == 1
+        for keep in ({"A", "B"}, {"A", "B", "C"} & set(unary.tip_labels)):
+            _assert_same_tree(prune_to_taxa(unary, keep), oracle_prune_to_taxa(unary, keep))
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            ({"A", "Z"}, "unknown tip label: 'Z'"),
+            ({"Y", "Z", "A", "B"}, "unknown tip label: 'Y'"),
+            ({"Z"}, "unknown tip label: 'Z'"),
+            ({"A"}, "need >= 2 taxa, got 1"),
+            (set(), "need >= 2 taxa, got 0"),
+        ],
+    )
+    def test_errors(self, keep, message):
+        tree = parse_newick("((A:1,B:1):1,C:2);")
+        for prune in (prune_to_taxa, oracle_prune_to_taxa):
+            with pytest.raises(TreeError) as caught:
+                prune(tree, keep)
+            assert str(caught.value) == message
 
 
 class TestSummary:

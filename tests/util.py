@@ -3,19 +3,22 @@
 The oracles here deliberately avoid the package's vectorized code paths:
 they are dict-based recursions over the tree structure, kept in lockstep
 with the documented arithmetic (same child order, same sequential
-accumulation, same epsilon policy), k-means one restart at a time, and the
-silhouette one point at a time, so that equality can be asserted bitwise,
-not just within a tolerance.
+accumulation, same epsilon policy), pruning through a nested rebuild,
+k-means one restart at a time, and the silhouette one point at a time, so
+that equality can be asserted bitwise, not just within a tolerance.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 from lexiphylo._rng import stream
 from lexiphylo.comparative import DStatResult
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
-from lexiphylo.tree import Tree, prune_to_taxa
+from lexiphylo.tree import Tree, TreeError, _flatten, _PNode
 
 
 def balanced_newick(depth: int, branch: float = 1.0, prefix: str = "T") -> str:
@@ -38,6 +41,15 @@ def caterpillar_newick(n_tips: int, branch: float = 1.0) -> str:
     return inner.rsplit(":", 1)[0] + ";"
 
 
+def benchmark_corpus_newick() -> str:
+    """The 400-tip tree of the benchmark's generated corpus (perfbench/corpus.py, seed 0)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(0, 400, 24)[0]
+
+
 # Small trees (<= 8 tips) for oracle-equivalence checks; one polytomy,
 # one caterpillar, uneven branch lengths, and a zero-length branch.
 SMALL_TREE_NEWICKS = [
@@ -52,7 +64,50 @@ SMALL_TREE_NEWICKS = [
 ]
 
 
+# Zero-length sibling tips (A/B, C/D, E/F/G) get equal BM values, so the
+# threshold often ties at the cut and needs its tie-break keys.
+TIE_TREE = "(((A:0,B:0):1,(C:0,D:0):1):1,((E:0,F:0,G:0):1,(H:1,I:0.5):1):1,J:2);"
+
+
 # -- naive oracles -----------------------------------------------------------
+
+
+def oracle_prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
+    """Induce the subtree on ``keep`` through nested nodes, as first implemented.
+
+    Unary internal nodes created by the pruning are suppressed and their
+    branch lengths summed. The root is never suppressed, even if it ends up
+    with a single child: dropping it would shorten every root-to-tip path.
+    """
+    keep = set(keep)
+    known = set(tree.tip_labels)
+    unknown = keep - known
+    if unknown:
+        raise TreeError(f"unknown tip label: {sorted(unknown)[0]!r}")
+    if len(keep) < 2:
+        raise TreeError(f"need >= 2 taxa, got {len(keep)}")
+
+    built: dict[int, _PNode | None] = {}
+    for i in tree.postorder():
+        if tree.is_tip(i):
+            if tree.labels[i] in keep:
+                built[i] = _PNode(tree.labels[i], float(tree.lengths[i]), [], False)
+            else:
+                built[i] = None
+            continue
+        kids = [built[c] for c in tree.children[i] if built[c] is not None]
+        if not kids:
+            built[i] = None
+        elif len(kids) == 1 and i != tree.root:
+            # Splice out the unary node; child edge absorbs this edge.
+            kids[0].length += float(tree.lengths[i])
+            built[i] = kids[0]
+        else:
+            built[i] = _PNode(tree.labels[i], float(tree.lengths[i]), kids, False)
+
+    root = built[tree.root]
+    assert root is not None
+    return _flatten(root)
 
 
 def oracle_root_distances(tree: Tree) -> dict[int, float]:
@@ -117,22 +172,24 @@ def oracle_d_sum(tree: Tree, tip_values) -> float:
     return total
 
 
-def oracle_d_statistic(tree: Tree, presence, mask, n_reps: int, seed: int) -> DStatResult:
-    """The D statistic one replicate at a time, as first implemented.
+def oracle_d_scores(tree: Tree, presence, mask, n_reps: int, seed: int) -> np.ndarray:
+    """Every change score of a D computation, one replicate at a time, as first implemented.
 
-    Replicate r builds stream ``(seed, r)`` and draws the shuffle
-    permutation, the BM innovations and the tie-break keys; BM runs node by
-    node from the root; the threshold lexsorts each replicate on (value
-    descending, tie key); every change score is the recursive
-    ``oracle_d_sum``. Raises ValueError where the nulls coincide.
+    Returns the observed score, then each shuffle-null replicate's, then
+    each BM-null replicate's. Replicate r builds stream ``(seed, r)`` and
+    draws the shuffle permutation, the BM innovations and the tie-break
+    keys; BM runs node by node from the root; the threshold lexsorts each
+    replicate on (value descending, tie key); every change score is the
+    recursive ``oracle_d_sum``.
     """
     mask = np.asarray(mask).astype(bool)
-    pruned = prune_to_taxa(tree, {lab for lab, keep in zip(tree.tip_labels, mask) if keep})
+    pruned = oracle_prune_to_taxa(
+        tree, {lab for lab, keep in zip(tree.tip_labels, mask) if keep}
+    )
     by_label = dict(zip(tree.tip_labels, np.asarray(presence, dtype=float)))
     trait = np.array([by_label[lab] for lab in pruned.tip_labels])
     n, m = len(trait), int(trait.sum())
     sd = np.sqrt(pruned.lengths)
-    d_obs = oracle_d_sum(pruned, trait)
     d_random, d_bm = np.empty(n_reps), np.empty(n_reps)
     for r in range(n_reps):
         g = stream(seed, r)
@@ -147,6 +204,12 @@ def oracle_d_statistic(tree: Tree, presence, mask, n_reps: int, seed: int) -> DS
         bm[np.lexsort((ties, -values[pruned.tip_indices]))[:m]] = 1.0
         d_random[r] = oracle_d_sum(pruned, shuffled)
         d_bm[r] = oracle_d_sum(pruned, bm)
+    return np.concatenate([[oracle_d_sum(pruned, trait)], d_random, d_bm])
+
+
+def oracle_d_from_scores(scores: np.ndarray, n_reps: int, n_tips_used: int) -> DStatResult:
+    """The D statistic from ``oracle_d_scores``; raises ValueError where the nulls coincide."""
+    d_obs, d_random, d_bm = float(scores[0]), scores[1 : n_reps + 1], scores[n_reps + 1 :]
     mean_random, mean_bm = float(d_random.mean()), float(d_bm.mean())
     if abs(mean_random - mean_bm) < 1e-12:
         raise ValueError("nulls indistinguishable: mean random and BM scores coincide")
@@ -158,7 +221,7 @@ def oracle_d_statistic(tree: Tree, presence, mask, n_reps: int, seed: int) -> DS
         p_random=float(np.mean(d_random <= d_obs)),
         p_bm=float(np.mean(d_bm >= d_obs)),
         n_reps=n_reps,
-        n_tips_used=n,
+        n_tips_used=n_tips_used,
     )
 
 

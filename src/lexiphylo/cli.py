@@ -14,8 +14,9 @@ re-run, not a traceback. Every stochastic subcommand requires an explicit
 --seed; there is no wall-clock fallback, so a command line plus its inputs
 fully determines the output bytes.
 
-Exit codes: 0 success, 1 domain error (parse/validation/statistics, or a
-failed numerical invariant in the pca or cluster stage), 2 I/O error.
+Exit codes: 0 success, 1 domain error (parse/validation/statistics, a
+failed numerical invariant in the pca or cluster stage, or a --reps too
+large to allocate), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .comparative import (
     BmParams,
     DStatResult,
     d_statistic,
+    release_workspace,
     simulate_bm,
 )
 from .metrics import (
@@ -125,10 +127,17 @@ def _compute_all_metrics(
     """Metrics for the ``usable`` concepts, in their order.
 
     The result is independent of the worker count: per-class seeds are
-    hash-derived and assembly keeps the input order.
+    hash-derived and assembly keeps the input order. A pool starts all its
+    workers up front, so it gets at most one per concept, and a single
+    worker runs in this process, which frees the D statistic's buffers when
+    it is done: the later stages need none of them.
     """
+    workers = min(workers, len(usable))
     if workers <= 1:
-        results = [compute_metrics(matrix, tree, c, config) for c in usable]
+        try:
+            results = [compute_metrics(matrix, tree, c, config) for c in usable]
+        finally:
+            release_workspace()
     else:
         # Imported here: a one-worker run does not pay for the process pool.
         from concurrent.futures import ProcessPoolExecutor
@@ -674,6 +683,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, NewickError, TreeError, CognateFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc} (lower --reps)", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

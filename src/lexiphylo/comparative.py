@@ -30,6 +30,17 @@ rows never mix, so each score has the bits of a sweep of its row alone.
 The pruned tree and its sweep schedules depend only on which tips are
 attested, so every class of a concept shares them.
 
+A D computation allocates no replicate-sized array of its own. Each thread
+keeps one workspace of flat float64 buffers that grow to the largest call
+seen and never shrink: the stacked rows (``2 * n_reps + 1`` by used tips)
+and the node-major BM values, which are then the sweeps' work array
+(nodes by the larger of ``n_reps`` and the sweep width). A thread retains
+the two arrays of its largest call, plus a ``_DRAW_BLOCK``-row draw
+block, until it ends or calls ``release_workspace``. The BM innovations
+are drawn replicate by replicate into that block, ``_DRAW_BLOCK`` rows at
+a time, and copied node-major into the BM values, so the draws keep their
+order.
+
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
 ``epsilon = 1e-8 * tree height`` (1e-8 absolute on a zero-height tree, which
@@ -39,6 +50,8 @@ genuinely means zero variance.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -54,6 +67,9 @@ _NULL_GAP_TOL = 1e-12
 # Non-root nodes per block of the edge-difference pass; bounds its one
 # temporary (the block's parent estimates) at _EDGE_BLOCK rows.
 _EDGE_BLOCK = 64
+# Replicates per block of BM innovation draws: each block is drawn
+# replicate-major and copied node-major into the BM values.
+_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,51 @@ class DStatResult:
     p_bm: float
     n_reps: int
     n_tips_used: int
+
+
+class _Workspace(threading.local):
+    """Named flat float64 buffers, one set per thread, reused by every D call.
+
+    A buffer grows to the largest request seen and never shrinks. A grow
+    drops the old buffer before it allocates, so the two never coexist and
+    a failed grow leaves no buffer, which the next request allocates anew.
+    Each buffer is its own anonymous memory map, outside the malloc heap:
+    its pages are faulted in once, when first written, and freeing it
+    returns them to the system without leaving a hole in the heap.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the head of buffer ``name``."""
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            import mmap  # deferred: `import lexiphylo` does not pay for it
+
+            self.buffers.pop(name, None)
+            try:
+                mapped = mmap.mmap(-1, 8 * size)
+            except (OSError, OverflowError) as exc:
+                raise MemoryError(
+                    f"cannot map {8 * size / 2**30:.1f} GiB of replicate arrays ({exc})"
+                ) from exc
+            buf = self.buffers[name] = np.frombuffer(mapped, dtype=np.float64)
+        return buf[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def release_workspace() -> None:
+    """Free this thread's D-call buffers; the next D call allocates them anew."""
+    _WORKSPACE.buffers.clear()
+
+
+def _sweep_width(n_rows: int) -> int:
+    """Rows per chunk when ``_d_sum_rows`` sweeps ``n_rows`` rows."""
+    return min(n_rows, DEFAULT_N_REPS)
 
 
 def _epsilon(tree: Tree) -> float:
@@ -198,23 +259,20 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=0)
 
 
-def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
     """``_d_sum_batch`` of every row of ``rows``, swept ``DEFAULT_N_REPS`` rows at a time.
 
     Columns of a sweep never mix and ``_sum_rows`` adds each column's
     edges in node order whatever the chunk width, so every score has the
-    same bits as a sweep of its row alone. ``work`` is an optional flat
-    buffer of at least n_nodes * (chunk width) floats; each chunk views its
-    head as a C-contiguous (n_nodes, width) work array.
+    same bits as a sweep of its row alone. Each chunk's (n_nodes, width)
+    work array is the head of the thread's ``values`` buffer.
     """
     n_nodes = sweeps.tree.n_nodes
-    width = min(len(rows), DEFAULT_N_REPS)
-    if work is None:
-        work = np.empty(n_nodes * width)
+    width = _sweep_width(len(rows))
     scores = np.empty(len(rows))
     for start in range(0, len(rows), width):
         chunk = rows[start : start + width]
-        out = work[: n_nodes * len(chunk)].reshape(n_nodes, len(chunk))
+        out = _WORKSPACE.take("values", n_nodes, len(chunk))
         scores[start : start + len(chunk)] = _d_sum_batch(sweeps, chunk, out)
     return scores
 
@@ -402,36 +460,44 @@ def d_statistic(
 
     # One stacked row per score, centered as _d_sum_batch takes it: the
     # observed trait, then the shuffle null's replicates, then the BM null's.
-    rows = np.empty((2 * n_reps + 1, n_used))
+    n_rows = 2 * n_reps + 1
+    n_nodes = pruned.n_nodes
+    rows = _WORKSPACE.take("rows", n_rows, n_used)
     rows[: n_reps + 1] = trait - 0.5
-    innovations = np.empty((n_reps, pruned.n_nodes))
+    # The BM values, node-major; the spent values are then the sweeps' work
+    # array, so the buffer is sized for both.
+    values = _WORKSPACE.take("values", n_nodes * max(n_reps, _sweep_width(n_rows)))
+    values = values[: n_nodes * n_reps].reshape(n_nodes, n_reps)
+    block = _WORKSPACE.take("block", min(_DRAW_BLOCK, n_reps), n_nodes)
     g = stream(seed, 0)
-    for r in range(n_reps):
-        if r:
-            rekey(g, seed, r)
-        g.shuffle(rows[1 + r])  # the same draws as trait[g.permutation(n_used)]
-        g.standard_normal(out=innovations[r])
+    for start in range(0, n_reps, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, n_reps)
+        for r in range(start, stop):
+            if r:
+                rekey(g, seed, r)
+            g.shuffle(rows[1 + r])  # the same draws as trait[g.permutation(n_used)]
+            g.standard_normal(out=block[r - start])
+        values[:, start:stop] = block[: stop - start].T
 
     def tie_keys(r: int) -> np.ndarray:
         # The keys come last in replicate r's stream, so they are drawn only
         # for the rare rows that tie at the cut (zero-length branches).
         rekey(g, seed, r)
         g.permutation(n_used)
-        g.standard_normal(pruned.n_nodes)
+        g.standard_normal(n_nodes)
         return g.random(n_used)
 
-    # BM null: sigma2 = 1, root 0 (scale-free), swept node-major.
-    values = innovations.T.copy()
-    del innovations
+    # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
+    # values are gathered, tip-major, into the BM half of ``rows``, which is
+    # overwritten by the thresholded traits only once all of them are known.
+    # The indices are in range; mode="clip" makes np.take write to ``out``
+    # directly, where the default mode gathers into a copy first.
     _bm_sweep(pruned, values, np.sqrt(pruned.lengths), 0.0)
-    bm_traits = _threshold_rows(values[pruned.tip_indices].T, m, tie_keys)
-    np.subtract(bm_traits, 0.5, out=rows[n_reps + 1 :])
-    # The spent BM values are the sweeps' work array when they are large
-    # enough (from DEFAULT_N_REPS reps up); otherwise they are freed first.
-    width = min(len(rows), DEFAULT_N_REPS)
-    work = values.reshape(-1) if values.size >= pruned.n_nodes * width else None
-    del values
-    scores = _d_sum_rows(sweeps, rows, work)
+    bm_rows = rows[n_reps + 1 :]
+    tips = bm_rows.reshape(n_used, n_reps)
+    np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
+    np.subtract(_threshold_rows(tips.T, m, tie_keys), 0.5, out=bm_rows)
+    scores = _d_sum_rows(sweeps, rows)
     d_obs = float(scores[0])
     d_random, d_bm = scores[1 : n_reps + 1], scores[n_reps + 1 :]
     mean_random = float(d_random.mean())

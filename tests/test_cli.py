@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexiphylo import cli
+from lexiphylo import cli, comparative
 from lexiphylo.cli import main
 from lexiphylo.report import to_json
 from lexiphylo.tree import parse_newick
@@ -690,3 +691,82 @@ def test_import_loads_no_network_or_pool_modules():
     loaded = set(json.loads(proc.stdout))
     for name in ("urllib.request", "http.client", "ssl", "email", "concurrent.futures.process"):
         assert name not in loaded, name
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+
+    def __init__(self, seen, max_workers, initializer, initargs):
+        seen.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The max_workers of every process pool ``cli`` builds; none is started."""
+    import concurrent.futures
+
+    seen = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", functools.partial(_RecordingPool, seen)
+    )
+    monkeypatch.setattr(cli, "_POOL_STATE", {})
+    return seen
+
+
+@pytest.mark.parametrize("workers, pools", [("500", [4]), ("3", [3])])
+def test_workers_are_capped_at_usable_concepts(tmp_path, recording_pool, workers, pools):
+    # A pool starts every worker up front, so it gets no more workers than
+    # concepts; the bytes do not depend on the worker count.
+    tree_path, cognates_path = write_inputs(tmp_path)
+    outputs = {}
+    for n in ("1", workers):
+        out = tmp_path / f"out{n}"
+        argv = ["metrics", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                "--seed", "3", "--reps", "10", "--workers", n, "--out", str(out)]
+        assert main(argv) == 0
+        outputs[n] = [(out / name).read_bytes() for name in ("metrics.json", "features.csv")]
+    assert recording_pool == pools
+    assert outputs[workers] == outputs["1"]
+
+
+def test_one_usable_concept_runs_without_a_pool(tmp_path, recording_pool):
+    from lexiphylo.cognates import load_cognates
+    from lexiphylo.metrics import DStatConfig
+    from lexiphylo.tree import read_newick_file
+
+    tree_path, cognates_path = write_inputs(tmp_path)
+    tree = read_newick_file(tree_path)
+    matrix, _ = load_cognates(cognates_path)
+    config = DStatConfig(seed=3, n_reps=10)
+    serial = cli._compute_all_metrics(matrix, tree, ["eye"], config, 1)
+    assert cli._compute_all_metrics(matrix, tree, ["eye"], config, 8) == serial
+    assert recording_pool == []
+    # The in-process metrics stage frees its D buffers for the later stages.
+    assert comparative._WORKSPACE.buffers == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dstat", "--concept", "eye", "--cognate-class", "K1"],
+    ["rank", "--k", "3", "--workers", "1", "--out", "OUT"],
+    ["rank", "--k", "3", "--workers", "2", "--out", "OUT"],
+])
+def test_impossible_reps_is_a_memory_error_line(tmp_path, capsys, argv):
+    # 10**12 reps asks for about 1.2 PiB, which is refused at once.
+    tree_path, cognates_path = write_inputs(tmp_path)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    code = main([*argv, "--tree", str(tree_path), "--cognates", str(cognates_path),
+                 "--seed", "1", "--reps", str(10**12)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: not enough memory: ") and err.endswith("(lower --reps)\n")
+    assert "Traceback" not in err

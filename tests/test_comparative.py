@@ -1,3 +1,8 @@
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +19,8 @@ from lexiphylo.comparative import (
     simulate_bm,
     threshold_at_prevalence,
 )
-from lexiphylo.tree import parse_newick
+from lexiphylo.cognates import binary_trait, load_cognates
+from lexiphylo.tree import parse_newick, read_newick_file
 from lexiphylo._rng import stream
 from util import (
     SMALL_TREE_NEWICKS,
@@ -28,6 +34,8 @@ from util import (
     oracle_nodal_estimates,
     sample_binary_traits,
 )
+
+BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +298,10 @@ def _presence_mask_cases(tree):
 def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
     # The observed trait and both nulls are 2 * n_reps + 1 stacked rows, swept
     # DEFAULT_N_REPS rows at a time: 499 reps fit one chunk, 500 leave a
-    # 1-row chunk, whose edge sum must stay sequential. Every chunk's scores
-    # are recorded and compared with the oracle's, not only their means.
+    # 1-row chunk, whose edge sum must stay sequential. 63, 64 and 65 reps
+    # end just short of, on and just past a block of _DRAW_BLOCK innovation
+    # draws. Every chunk's scores are recorded and compared with the
+    # oracle's, not only their means.
     chunks: list[np.ndarray] = []
 
     def recording_d_sum_batch(sweeps, centered, out=None):
@@ -303,7 +313,7 @@ def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
     monkeypatch.setattr(comparative, "_d_sum_batch", recording_d_sum_batch)
     tree = parse_newick(newick)
     for case, (presence, mask) in enumerate(_presence_mask_cases(tree)):
-        for n_reps in (1, 2, 25) + ((499, 500) if case % 6 == 0 else ()):
+        for n_reps in (1, 2, 25, 63, 64, 65) + ((499, 500) if case % 6 == 0 else ()):
             seed = 1000 * case + n_reps
             chunks.clear()
             scores = oracle_d_scores(tree, presence, mask, n_reps, seed)
@@ -344,3 +354,108 @@ def test_d_sum_complement_invariance_property(bits, tree_index):
     forward = d_sum(tree, trait)
     assert forward >= 0.0
     assert d_sum(tree, 1.0 - trait) == forward
+
+
+def _oracle_d(tree, presence, mask, n_reps, seed):
+    scores = oracle_d_scores(tree, presence, mask, n_reps, seed)
+    return oracle_d_from_scores(scores, n_reps, int(np.sum(mask)))
+
+
+def _random_trait(tree, seed):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random(tree.n_tips) < 0.9).astype(int)
+    return mask * (rng.random(tree.n_tips) < 0.3), mask
+
+
+def _bundled_water():
+    tree = read_newick_file(BUNDLED / "tree.nwk")
+    matrix, _ = load_cognates(BUNDLED / "cognates.csv")
+    presence, mask = binary_trait(matrix, "water", "water-01", tree.tip_labels)
+    return tree, presence, mask
+
+
+def test_workspace_grows_and_is_reused_across_shapes(monkeypatch):
+    # A fresh workspace grows on a 400-tip call, is reused (not shrunk) by a
+    # 5-tip one, then grows again. Every call must match the oracle, so a
+    # row left over from an earlier call would show.
+    monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
+    wide = parse_newick(benchmark_corpus_newick())
+    five = parse_newick("((A:1,B:2):1,(C:1,(D:1,E:0.5):2):1);")
+    hundred = parse_newick(caterpillar_newick(100, branch=0.3))
+    cases = [
+        (wide, *_random_trait(wide, 1), 25),
+        (five, np.array([1, 1, 0, 0, 0]), np.ones(5, dtype=int), 1),
+        (hundred, *_random_trait(hundred, 2), 500),
+    ]
+    sizes = []
+    for tree, presence, mask, n_reps in cases:
+        assert d_statistic(tree, presence, mask, n_reps, seed=n_reps) == _oracle_d(
+            tree, presence, mask, n_reps, n_reps
+        )
+        sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
+    assert sizes[1] == sizes[0]
+    assert sizes[2]["rows"] > sizes[0]["rows"] and sizes[2]["values"] > sizes[0]["values"]
+
+
+def test_threads_calling_d_statistic_at_once_match_serial():
+    # Each thread has its own workspace; four threads on two cores, each
+    # starting at a different case, with a short switch interval.
+    hundred = parse_newick(caterpillar_newick(100, branch=0.3))
+    wide = parse_newick(benchmark_corpus_newick())
+    cases = [
+        (hundred, *_random_trait(hundred, 3), 200),
+        (wide, *_random_trait(wide, 4), 10),
+        (hundred, *_random_trait(hundred, 5), 70),
+        (wide, *_random_trait(wide, 6), 3),
+    ]
+    serial = [d_statistic(t, p, m, n, seed=i) for i, (t, p, m, n) in enumerate(cases)]
+    results = [[None] * len(cases) for _ in range(4)]
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        barrier.wait(timeout=30)
+        for step in range(2 * len(cases)):
+            i = (k + step) % len(cases)
+            t, p, m, n = cases[i]
+            results[k][i] = d_statistic(t, p, m, n, seed=i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 4
+
+
+def test_warm_d_call_allocates_less_than_one_replicate_array():
+    # A warm call of the same shape reuses the workspace: the rows, the BM
+    # values and the innovations are not allocated again, so what it does
+    # allocate peaks below one (n_nodes x n_reps) float64 array.
+    tree, presence, mask = _bundled_water()
+    d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
+    n_nodes = comparative._pruned_sweeps(tree, mask.astype(bool).tobytes()).tree.n_nodes
+    tracemalloc.start()
+    try:
+        d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_nodes * DEFAULT_N_REPS * 8
+
+
+def test_impossible_replicate_count_is_a_memory_error_and_workspace_survives():
+    # 10**12 reps asks for about 1.2 PiB of rows, more than any address
+    # space holds, so the map is refused at once and nothing is allocated;
+    # the workspace stays usable.
+    tree, presence, mask = _bundled_water()
+    expected = d_statistic(tree, presence, mask, 30, seed=2)
+    with pytest.raises(MemoryError):
+        d_statistic(tree, presence, mask, 10**12, seed=2)
+    assert d_statistic(tree, presence, mask, 30, seed=2) == expected
+    assert expected == _oracle_d(tree, presence, mask, 30, 2)

@@ -47,6 +47,7 @@ from .comparative import (
     DEFAULT_N_REPS,
     BmParams,
     DStatResult,
+    ReplicateMemoryError,
     d_statistic,
     release_workspace,
     simulate_bm,
@@ -684,8 +685,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, NewickError, TreeError, CognateFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
+    except ReplicateMemoryError as exc:
         print(f"error: not enough memory: {exc} (lower --reps)", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -31,15 +31,16 @@ The pruned tree and its sweep schedules depend only on which tips are
 attested, so every class of a concept shares them.
 
 A D computation allocates no replicate-sized array of its own. Each thread
-keeps one workspace of flat float64 buffers that grow to the largest call
-seen and never shrink: the stacked rows (``2 * n_reps + 1`` by used tips)
-and the node-major BM values, which are then the sweeps' work array
-(nodes by the larger of ``n_reps`` and the sweep width). A thread retains
-the two arrays of its largest call, plus a ``_DRAW_BLOCK``-row draw
-block, until it ends or calls ``release_workspace``. The BM innovations
-are drawn replicate by replicate into that block, ``_DRAW_BLOCK`` rows at
-a time, and copied node-major into the BM values, so the draws keep their
-order.
+keeps one workspace of two flat float64 buffers that grow to the largest
+call seen and never shrink: the stacked rows (``2 * n_reps + 1`` by used
+tips), and the node-major BM values followed by a draw block of
+``_DRAW_BLOCK`` replicates, which together are then the sweeps' work array
+(nodes by the larger of ``n_reps`` plus the block and the sweep width). A
+thread retains the two arrays of its largest call until it ends or calls
+``release_workspace``. Each replicate's BM innovations are drawn, in
+stream order, into a row of the block, and each full block is copied
+node-major into the BM values, so the draws keep their order. The buffers
+are ordinary numpy arrays, so a forked process writes its own copy.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -99,15 +100,16 @@ class DStatResult:
     n_tips_used: int
 
 
+class ReplicateMemoryError(MemoryError):
+    """A D computation's replicate arrays do not fit in memory (too many reps)."""
+
+
 class _Workspace(threading.local):
     """Named flat float64 buffers, one set per thread, reused by every D call.
 
     A buffer grows to the largest request seen and never shrinks. A grow
     drops the old buffer before it allocates, so the two never coexist and
     a failed grow leaves no buffer, which the next request allocates anew.
-    Each buffer is its own anonymous memory map, outside the malloc heap:
-    its pages are faulted in once, when first written, and freeing it
-    returns them to the system without leaving a hole in the heap.
     """
 
     def __init__(self) -> None:
@@ -118,16 +120,11 @@ class _Workspace(threading.local):
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
-            import mmap  # deferred: `import lexiphylo` does not pay for it
-
             self.buffers.pop(name, None)
             try:
-                mapped = mmap.mmap(-1, 8 * size)
-            except (OSError, OverflowError) as exc:
-                raise MemoryError(
-                    f"cannot map {8 * size / 2**30:.1f} GiB of replicate arrays ({exc})"
-                ) from exc
-            buf = self.buffers[name] = np.frombuffer(mapped, dtype=np.float64)
+                buf = self.buffers[name] = np.empty(size)
+            except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+                raise ReplicateMemoryError(f"replicate arrays: {exc}") from exc
         return buf[:size].reshape(shape)
 
 
@@ -464,11 +461,12 @@ def d_statistic(
     n_nodes = pruned.n_nodes
     rows = _WORKSPACE.take("rows", n_rows, n_used)
     rows[: n_reps + 1] = trait - 0.5
-    # The BM values, node-major; the spent values are then the sweeps' work
-    # array, so the buffer is sized for both.
-    values = _WORKSPACE.take("values", n_nodes * max(n_reps, _sweep_width(n_rows)))
-    values = values[: n_nodes * n_reps].reshape(n_nodes, n_reps)
-    block = _WORKSPACE.take("block", min(_DRAW_BLOCK, n_reps), n_nodes)
+    # The BM values, node-major, then the draw block; once both are spent,
+    # the buffer is the sweeps' work array, so it is sized for either use.
+    n_block = min(_DRAW_BLOCK, n_reps)
+    buf = _WORKSPACE.take("values", n_nodes * max(n_reps + n_block, _sweep_width(n_rows)))
+    values = buf[: n_nodes * n_reps].reshape(n_nodes, n_reps)
+    block = buf[n_nodes * n_reps : n_nodes * (n_reps + n_block)].reshape(n_block, n_nodes)
     g = stream(seed, 0)
     for start in range(0, n_reps, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, n_reps)

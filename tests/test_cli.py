@@ -770,3 +770,37 @@ def test_impossible_reps_is_a_memory_error_line(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error: not enough memory: ") and err.endswith("(lower --reps)\n")
     assert "Traceback" not in err
+
+
+def test_fork_pool_after_an_in_process_d_call_matches_serial():
+    # Pool workers forked after a D call in this process inherit its
+    # workspace at full size and reuse it without growing it; each must
+    # write its own copy. Bundled at 20 reps gives 50 concepts, so both
+    # workers get tasks at chunksize 4.
+    import numpy as np
+
+    from lexiphylo.cognates import load_cognates
+    from lexiphylo.metrics import DStatConfig
+    from lexiphylo.tree import read_newick_file
+
+    tree = read_newick_file(BUNDLED / "tree.nwk")
+    matrix, _ = load_cognates(BUNDLED / "cognates.csv")
+    usable, _ = cli._usable_concepts(matrix, tree)
+    config = DStatConfig(seed=4, n_reps=20)
+    serial = cli._compute_all_metrics(matrix, tree, usable, config, 1)
+    presence = (np.random.default_rng(0).random(tree.n_tips) < 0.5).astype(int)
+    comparative.d_statistic(tree, presence, np.ones(tree.n_tips, dtype=int), 200, seed=0)
+    assert cli._compute_all_metrics(matrix, tree, usable, config, 2) == serial
+
+
+def test_other_memory_errors_get_no_reps_hint(tmp_path, capsys, monkeypatch):
+    # Only the D statistic's replicate arrays grow with --reps.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(cli, "load_cognates", no_memory)
+    tree_path, cognates_path = write_inputs(tmp_path)
+    code = main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                 "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: not enough memory: Unable to allocate 8.00 GiB\n"

@@ -433,12 +433,15 @@ def test_threads_calling_d_statistic_at_once_match_serial():
     assert results == [serial] * 4
 
 
-def test_warm_d_call_allocates_less_than_one_replicate_array():
-    # A warm call of the same shape reuses the workspace: the rows, the BM
-    # values and the innovations are not allocated again, so what it does
-    # allocate peaks below one (n_nodes x n_reps) float64 array.
+def test_warm_d_call_reuses_its_buffers_and_allocates_less_than_one_replicate_array():
+    # A warm call of the same shape reuses the workspace: its two buffers
+    # (the rows; the BM values and draw block) are the same objects
+    # afterwards, and what the call does allocate (its temporaries, which
+    # tracemalloc sees through numpy) peaks below one (n_nodes x n_reps)
+    # float64 array.
     tree, presence, mask = _bundled_water()
     d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
+    before = dict(comparative._WORKSPACE.buffers)
     n_nodes = comparative._pruned_sweeps(tree, mask.astype(bool).tobytes()).tree.n_nodes
     tracemalloc.start()
     try:
@@ -446,16 +449,19 @@ def test_warm_d_call_allocates_less_than_one_replicate_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    after = comparative._WORKSPACE.buffers
+    assert sorted(after) == sorted(before) == ["rows", "values"]
+    assert all(after[name] is before[name] for name in before)
     assert peak < n_nodes * DEFAULT_N_REPS * 8
 
 
 def test_impossible_replicate_count_is_a_memory_error_and_workspace_survives():
-    # 10**12 reps asks for about 1.2 PiB of rows, more than any address
-    # space holds, so the map is refused at once and nothing is allocated;
-    # the workspace stays usable.
+    # 10**12 reps asks for about 1.2 PiB of rows, more than any machine
+    # holds, so numpy refuses it at once and nothing is allocated; the
+    # workspace stays usable.
     tree, presence, mask = _bundled_water()
     expected = d_statistic(tree, presence, mask, 30, seed=2)
-    with pytest.raises(MemoryError):
+    with pytest.raises(comparative.ReplicateMemoryError):
         d_statistic(tree, presence, mask, 10**12, seed=2)
     assert d_statistic(tree, presence, mask, 30, seed=2) == expected
     assert expected == _oracle_d(tree, presence, mask, 30, 2)

@@ -1,18 +1,20 @@
 """Command-line pipeline: validate, metrics, dstat, pca, cluster, rank, simulate, report.
 
 The four pipeline stages (metrics, pca, cluster, report) are one function
-each: it takes the upstream stages' cache documents, writes its own JSON
-cache to the output directory and returns it. ``rank`` chains them in
-memory; the pca, cluster and report subcommands read the upstream documents
-back from the output directory, so the cheap stages re-run without
-recomputing the D statistics. ``metrics.json`` is the single source for
-pca; ``features.csv`` is an export nothing reads back. ``pca.json`` and
-``clusters.json`` record the SHA-256 of the upstream cache they were built
-from, and the report stage refuses a stale link. A cache that is not JSON
-or lacks or mistypes a field is an error naming the file and the stage to
-re-run, not a traceback. Every stochastic subcommand requires an explicit
---seed; there is no wall-clock fallback, so a command line plus its inputs
-fully determines the output bytes.
+each: it takes the upstream stages' caches, writes its own JSON cache to the
+output directory and returns it. A cache is its document and the SHA-256 of
+the bytes the stage wrote or read, so no file is read twice: ``rank`` chains
+the stages in memory, and the pca, cluster and report subcommands read the
+upstream caches back once each, so the cheap stages re-run without
+recomputing the D statistics. ``features.csv`` is an export nothing reads.
+``pca.json`` and ``clusters.json`` record the digest of the upstream cache
+they were built from, and the report stage refuses a stale link. A cache
+that is not JSON or lacks or mistypes a field is an error naming the file
+and the stage to re-run, not a traceback. Each flag is declared once, in
+``_FLAGS``, so it means the same in every subcommand that takes it. Every
+stochastic subcommand takes and requires an explicit --seed; there is no
+wall-clock fallback, so a command line plus its inputs fully determines the
+output bytes.
 
 Exit codes: 0 success, 1 domain error (parse/validation/statistics, a
 failed numerical invariant in the pca or cluster stage, or a --reps too
@@ -152,9 +154,8 @@ def _compute_all_metrics(
 
 # -- stages and their cache documents ----------------------------------------
 
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# A stage cache: its document and the SHA-256 of the bytes it was written or read as.
+Cache = tuple[dict, str]
 
 
 @contextlib.contextmanager
@@ -166,15 +167,25 @@ def _malformed(path: Path, stage: str):
         raise CliError(f"{path} is malformed ({exc!r}); re-run the {stage} stage") from exc
 
 
-def _read_json(out: Path, name: str, stage: str) -> dict:
+def _write_cache(out: Path, name: str, doc: dict) -> Cache:
+    """Write ``doc`` as the cache ``name`` in ``out``, with the schema version all caches share."""
+    doc = {"schema_version": 1, **doc}
+    data = to_json(doc).encode("utf-8")
+    (out / name).write_bytes(data)
+    return doc, hashlib.sha256(data).hexdigest()
+
+
+def _read_cache(out: Path, name: str, stage: str) -> Cache:
+    """The cache ``name`` in ``out``, read once; ``stage`` is the one that writes it."""
     path = out / name
     if not path.exists():
         raise CliError(f"{path} not found; run the {stage} stage first")
+    data = path.read_bytes()
     with _malformed(path, stage):
-        doc = json.loads(path.read_text("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
         if not isinstance(doc, dict):
             raise TypeError("not a JSON object")
-    return doc
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _rebuild(cls, doc: dict, **overrides):
@@ -196,13 +207,6 @@ def _rebuild(cls, doc: dict, **overrides):
     return cls(**{**values, **overrides})
 
 
-def _read_metrics(out: Path, with_classes: bool = True) -> tuple[dict, list[MeaningClassMetrics]]:
-    """The metrics cache in ``out`` and its concept records."""
-    doc = _read_json(out, "metrics.json", "metrics")
-    with _malformed(out / "metrics.json", "metrics"):
-        return doc, _metrics_from_doc(doc, with_classes)
-
-
 def _metrics_from_doc(doc: dict, with_classes: bool = True) -> list[MeaningClassMetrics]:
     """The concept records of a metrics document.
 
@@ -211,37 +215,33 @@ def _metrics_from_doc(doc: dict, with_classes: bool = True) -> list[MeaningClass
     """
     metrics = []
     for m in doc["concepts"]:
-        results = (
-            {cls: DStatResult(**res) for cls, res in m["class_results"].items()}
-            if with_classes
-            else {}
-        )
+        results = m["class_results"] if with_classes else {}
+        results = {cls: DStatResult(**res) for cls, res in results.items()}
         metrics.append(MeaningClassMetrics(**{**m, "class_results": results}))
     return metrics
 
 
-def _metrics_stage(args: argparse.Namespace, wordlist_size: int | None = None) -> dict:
+def _metrics_stage(args: argparse.Namespace) -> Cache:
     """Compute and write the metrics cache.
 
-    A ``wordlist_size`` (rank's --k) is checked against the usable concepts
-    before any D statistic is computed.
+    A subcommand that takes --k (rank) has it checked against the usable
+    concepts before any D statistic is computed.
     """
     out, tree_path, cognates_path = Path(args.out), Path(args.tree), Path(args.cognates)
     tree = read_newick_file(tree_path)
     matrix, load_issues = load_cognates(cognates_path)
     usable, skip_warnings = _usable_concepts(matrix, tree)
-    if wordlist_size is not None and wordlist_size > len(usable):
+    if "k" in args and args.k > len(usable):
         raise CliError(
-            f"k out of range: need 1 <= k <= {len(usable)} usable concepts, got {wordlist_size}"
+            f"k out of range: need 1 <= k <= {len(usable)} usable concepts, got {args.k}"
         )
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
     metrics = _compute_all_metrics(matrix, tree, usable, config, args.workers)
     table = build_feature_table(metrics)
     doc = {
-        "schema_version": 1,
         "config": {"seed": args.seed, "n_reps": args.reps},
         "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
+            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
             for name, path in (("tree", tree_path), ("cognates", cognates_path))
         },
         "warnings": sorted(skip_warnings + [issue.message for issue in load_issues]),
@@ -250,8 +250,7 @@ def _metrics_stage(args: argparse.Namespace, wordlist_size: int | None = None) -
     out.mkdir(parents=True, exist_ok=True)
     # An export for other tools; nothing reads it back.
     (out / "features.csv").write_text(feature_table_to_csv(table), "utf-8")
-    (out / "metrics.json").write_text(to_json(doc), "utf-8")
-    return doc
+    return _write_cache(out, "metrics.json", doc)
 
 
 @contextlib.contextmanager
@@ -268,29 +267,30 @@ def _stage_invariants(stage: str):
 
 
 @_stage_invariants("pca")
-def _pca_stage(args: argparse.Namespace, metrics: list[MeaningClassMetrics]) -> dict:
-    table = build_feature_table(metrics)
+def _pca_stage(args: argparse.Namespace, metrics: Cache) -> Cache:
+    metrics_doc, metrics_sha256 = metrics
+    with _malformed(Path(args.out) / "metrics.json", "metrics"):
+        table = build_feature_table(_metrics_from_doc(metrics_doc, with_classes=False))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         result = run_pca(standardize(table))
     doc = {
-        "schema_version": 1,
-        "upstream_sha256": _sha256(Path(args.out) / "metrics.json"),
+        "upstream_sha256": metrics_sha256,
         **asdict(result),
         "warnings": sorted(str(w.message) for w in caught),
     }
-    (Path(args.out) / "pca.json").write_text(to_json(doc), "utf-8")
-    return doc
+    return _write_cache(Path(args.out), "pca.json", doc)
 
 
 @_stage_invariants("cluster")
-def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
+def _cluster_stage(args: argparse.Namespace, pca: Cache) -> Cache:
     """k-means over PC1/PC2, with k fixed or chosen by silhouette over 2..6.
 
     k may not exceed the number of distinct PC1/PC2 rows: k-means cannot
     fill more clusters than there are distinct points, so a larger
     ``--kmeans-k`` is an error and the auto range stops there.
     """
+    pca_doc, pca_sha256 = pca
     pca_path = Path(args.out) / "pca.json"
     with _malformed(pca_path, "pca"):
         scores2 = np.array(pca_doc["scores"], dtype=float)[:, :2]
@@ -319,30 +319,29 @@ def _cluster_stage(args: argparse.Namespace, pca_doc: dict) -> dict:
         }
     assignment = kmeans(scores2, kmeans_k, seed=args.seed, n_restarts=args.restarts)
     doc = {
-        "schema_version": 1,
-        "upstream_sha256": _sha256(Path(args.out) / "pca.json"),
+        "upstream_sha256": pca_sha256,
         **asdict(assignment),
         "labels": dict(zip(row_labels, assignment.labels.tolist())),
         "selection": meta,
     }
-    (Path(args.out) / "clusters.json").write_text(to_json(doc), "utf-8")
-    return doc
+    return _write_cache(Path(args.out), "clusters.json", doc)
 
 
 def _report_stage(
-    args: argparse.Namespace,
-    metrics_doc: dict,
-    metrics: list[MeaningClassMetrics],
-    pca_doc: dict,
-    clusters_doc: dict,
+    args: argparse.Namespace, metrics: Cache, pca: Cache, clusters: Cache
 ) -> WordlistSelection:
     out = Path(args.out)
-    # Each cache records the digest of the upstream file it was built from.
-    for name, doc, upstream, stage in (
-        ("pca.json", pca_doc, "metrics.json", "pca"),
-        ("clusters.json", clusters_doc, "pca.json", "cluster"),
+    metrics_doc, metrics_sha256 = metrics
+    pca_doc, pca_sha256 = pca
+    clusters_doc, _ = clusters
+    with _malformed(out / "metrics.json", "metrics"):
+        records = _metrics_from_doc(metrics_doc)
+    # Each cache records the digest of the upstream cache it was built from.
+    for name, doc, upstream, upstream_sha256, stage in (
+        ("pca.json", pca_doc, "metrics.json", metrics_sha256, "pca"),
+        ("clusters.json", clusters_doc, "pca.json", pca_sha256, "cluster"),
     ):
-        if doc.get("upstream_sha256") != _sha256(out / upstream):
+        if doc.get("upstream_sha256") != upstream_sha256:
             raise CliError(
                 f"{out / name} was not built from the current {upstream}; "
                 f"re-run the {stage} stage"
@@ -385,12 +384,7 @@ def _report_stage(
     }
     artifacts = {
         "report.json": emit_report(
-            metrics,
-            oriented,
-            assignment,
-            ranking,
-            selection,
-            run_block,
+            records, oriented, assignment, ranking, selection, run_block
         ),
         "ranking.csv": ranking_to_csv(ranking),
         "scatter.svg": emit_scatter(oriented, assignment, ranking),
@@ -433,7 +427,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    doc = _metrics_stage(args)
+    doc, _ = _metrics_stage(args)
     for message in doc["warnings"]:
         print(f"warning: {message}", file=sys.stderr)
     out = Path(args.out)
@@ -457,8 +451,7 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    _, metrics = _read_metrics(out, with_classes=False)
-    doc = _pca_stage(args, metrics)
+    doc, _ = _pca_stage(args, _read_cache(out, "metrics.json", "metrics"))
     explained = ", ".join(f"{100 * v:.1f}%" for v in doc["explained_variance"][:2])
     print(f"pca over {len(doc['row_labels'])} concepts (PC1, PC2 explain {explained})")
     print(f"pca results -> {out / 'pca.json'}")
@@ -467,18 +460,16 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    doc = _cluster_stage(args, _read_json(out, "pca.json", "pca"))
+    doc, _ = _cluster_stage(args, _read_cache(out, "pca.json", "pca"))
     print(f"k-means: k={doc['k']}, wcss={doc['wcss']:.4f}")
     print(f"clusters -> {out / 'clusters.json'}")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    metrics_doc = _metrics_stage(args, wordlist_size=args.k)
-    metrics = _metrics_from_doc(metrics_doc)
-    pca_doc = _pca_stage(args, metrics)
-    clusters_doc = _cluster_stage(args, pca_doc)
-    selection = _report_stage(args, metrics_doc, metrics, pca_doc, clusters_doc)
+    metrics = _metrics_stage(args)
+    pca = _pca_stage(args, metrics)
+    selection = _report_stage(args, metrics, pca, _cluster_stage(args, pca))
     print(f"top {len(selection.concepts)} concepts:")
     for concept in selection.concepts:
         print(f"  {concept}")
@@ -487,10 +478,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    metrics_doc, metrics = _read_metrics(out)
-    pca_doc = _read_json(out, "pca.json", "pca")
-    clusters_doc = _read_json(out, "clusters.json", "cluster")
-    _report_stage(args, metrics_doc, metrics, pca_doc, clusters_doc)
+    metrics = _read_cache(out, "metrics.json", "metrics")
+    pca = _read_cache(out, "pca.json", "pca")
+    _report_stage(args, metrics, pca, _read_cache(out, "clusters.json", "cluster"))
     return 0
 
 
@@ -540,7 +530,59 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every flag once, by name: its option string and its add_argument keywords,
+# so a flag means the same in every subcommand that takes it. simulate's
+# optional --out FILE is the one option string with a second entry.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "tree": ("--tree", dict(required=True, metavar="NEWICK")),
+    "cognates": ("--cognates", dict(required=True, metavar="CSV")),
+    "config": ("--config", dict(metavar="JSON",
+                                help="flat JSON file supplying defaults for any flag")),
+    "seed": ("--seed", dict(type=int,
+                            help="required; stochastic runs have no wall-clock default")),
+    "reps": ("--reps", dict(type=_positive_int, default=DEFAULT_N_REPS,
+                            help=f"null replicates (default {DEFAULT_N_REPS})")),
+    "out": ("--out", dict(required=True, metavar="DIR")),
+    "workers": ("--workers", dict(type=_positive_int, default=1)),
+    "concept": ("--concept", dict(required=True)),
+    "cognate_class": ("--cognate-class", dict(required=True)),
+    "kmeans_k": ("--kmeans-k", dict(
+        type=_kmeans_k,
+        help="cluster count, or 'auto' for silhouette selection (default auto)")),
+    "restarts": ("--restarts", dict(type=_positive_int, default=DEFAULT_RESTARTS)),
+    "k": ("--k", dict(type=_positive_int, default=DEFAULT_WORDLIST_SIZE,
+                      help=f"wordlist size (default {DEFAULT_WORDLIST_SIZE})")),
+    "theta": ("--theta", dict(
+        type=_threshold, default=DEFAULT_STABILITY_THRESHOLD,
+        help=f"stability-mix warning threshold (default {DEFAULT_STABILITY_THRESHOLD})")),
+    "sigma2": ("--sigma2", dict(type=float, required=True)),
+    "root": ("--root", dict(type=float, default=0.0, help="root value (default 0)")),
+    "out_file": ("--out", dict(metavar="FILE")),
+}
+
+# Each subcommand: its handler, its help line and its flags, in --help order.
+_COMMANDS: dict[str, tuple[typing.Callable, str, tuple[str, ...]]] = {
+    "validate": (_cmd_validate, "check tree + cognate inputs and cross-references",
+                 ("tree", "cognates", "config")),
+    "metrics": (_cmd_metrics, "compute the six per-concept variables (the slow stage)",
+                ("tree", "cognates", "config", "seed", "reps", "out", "workers")),
+    "dstat": (_cmd_dstat, "D statistic for one cognate class",
+              ("tree", "cognates", "config", "seed", "concept", "cognate_class", "reps")),
+    "pca": (_cmd_pca, "standardize cached features and run PCA", ("config", "out")),
+    "cluster": (_cmd_cluster, "k-means over cached PC1/PC2 scores",
+                ("config", "seed", "out", "kmeans_k", "restarts")),
+    "rank": (_cmd_rank, "full pipeline: metrics, pca, cluster, rank, report",
+             ("tree", "cognates", "config", "seed", "reps", "k", "kmeans_k", "restarts",
+              "theta", "out", "workers")),
+    "report": (_cmd_report, "re-emit report artifacts from cached stages",
+               ("config", "out", "k", "theta")),
+    "simulate": (_cmd_simulate, "Brownian-motion tip values for a tree",
+                 ("tree", "config", "seed", "sigma2", "root", "out_file")),
+}
+
+
+def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """``defaults`` maps a subcommand to flag values, by dest, that replace built-in defaults."""
     parser = _ArgumentParser(
         prog="lexiphylo",
         description=(
@@ -550,86 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_inputs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tree", required=True, metavar="NEWICK")
-        p.add_argument("--cognates", required=True, metavar="CSV")
-
-    def add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
-        p.add_argument("--config", metavar="JSON", default=None,
-                       help="flat JSON file supplying defaults for any flag")
-        if seed:
-            p.add_argument("--seed", type=int,
-                           help="required; stochastic runs have no wall-clock default")
-
-    p = sub.add_parser("validate", help="check tree + cognate inputs and cross-references")
-    add_inputs(p)
-    add_common(p, seed=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("metrics", help="compute the six per-concept variables (the slow stage)")
-    add_inputs(p)
-    add_common(p)
-    p.add_argument("--reps", type=_positive_int, default=DEFAULT_N_REPS,
-                   help=f"null replicates (default {DEFAULT_N_REPS})")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("dstat", help="D statistic for one cognate class")
-    add_inputs(p)
-    add_common(p)
-    p.add_argument("--concept", required=True)
-    p.add_argument("--cognate-class", required=True, dest="cognate_class")
-    p.add_argument("--reps", type=_positive_int, default=DEFAULT_N_REPS)
-    p.set_defaults(func=_cmd_dstat)
-
-    p = sub.add_parser("pca", help="standardize cached features and run PCA")
-    add_common(p, seed=False)
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=_cmd_pca)
-
-    p = sub.add_parser("cluster", help="k-means over cached PC1/PC2 scores")
-    add_common(p)
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--kmeans-k", type=_kmeans_k, dest="kmeans_k",
-                   help="cluster count, or 'auto' for silhouette selection (default auto)")
-    p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("rank", help="full pipeline: metrics, pca, cluster, rank, report")
-    add_inputs(p)
-    add_common(p)
-    p.add_argument("--reps", type=_positive_int, default=DEFAULT_N_REPS)
-    p.add_argument("--k", type=_positive_int, default=DEFAULT_WORDLIST_SIZE,
-                   help=f"wordlist size (default {DEFAULT_WORDLIST_SIZE})")
-    p.add_argument("--kmeans-k", type=_kmeans_k, dest="kmeans_k")
-    p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
-    p.add_argument("--theta", type=_threshold, default=DEFAULT_STABILITY_THRESHOLD,
-                   help=f"stability-mix warning threshold (default {DEFAULT_STABILITY_THRESHOLD})")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("report", help="re-emit report artifacts from cached stages")
-    add_common(p, seed=False)
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--k", type=_positive_int, default=DEFAULT_WORDLIST_SIZE)
-    p.add_argument("--theta", type=_threshold, default=DEFAULT_STABILITY_THRESHOLD)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("simulate", help="Brownian-motion tip values for a tree")
-    p.add_argument("--tree", required=True, metavar="NEWICK")
-    add_common(p)
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--root", type=float, default=0.0, help="root value (default 0)")
-    p.add_argument("--out", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_simulate)
-
+    for command, (func, help_line, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name in names:
+            option, spec = _FLAGS[name]
+            p.add_argument(option, **spec)
+        p.set_defaults(func=func, **(defaults or {}).get(command, {}))
     return parser
-
-
-_STOCHASTIC_COMMANDS = {"metrics", "dstat", "cluster", "rank", "simulate"}
 
 
 @functools.cache
@@ -646,35 +615,36 @@ def _shared_parser() -> argparse.ArgumentParser:
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse ``argv``; a --config file's values become the subcommand's defaults.
 
-    Each value is parsed from its text by the flag's own ``type``, so a
-    config value is accepted exactly when the same text on the command line
-    would be. Flags given on the command line win, JSON null keeps the
+    Each value is parsed from its text by the flag's ``type`` in ``_FLAGS``,
+    so a config value is accepted exactly when the same text on the command
+    line would be. Flags given on the command line win, JSON null keeps the
     built-in default, and keys naming no flag of the subcommand are ignored.
     The defaults go into a parser built for this call alone, so the shared
     parser keeps its built-in defaults.
     """
     args = _shared_parser().parse_args(argv)
     if args.config:
-        raw = json.loads(Path(args.config).read_text("utf-8"))
+        try:
+            raw = json.loads(Path(args.config).read_text("utf-8"))
+        except ValueError as exc:
+            raise CliError(f"--config {args.config} is not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise CliError("--config must contain a flat JSON object")
         config = {str(k).replace("-", "_"): v for k, v in raw.items()}
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions if a.dest == "command")
-        sub = subparsers.choices[args.command]
-        for action in sub._actions:
-            value = config.get(action.dest)
-            if value is None or action.nargs is not None:
+        defaults = {}
+        for name in _COMMANDS[args.command][2]:
+            option, spec = _FLAGS[name]
+            dest = option[2:].replace("-", "_")
+            value = config.get(dest)
+            if value is None:
                 continue
             try:
-                sub.set_defaults(**{action.dest: (action.type or str)(str(value))})
+                defaults[dest] = spec.get("type", str)(str(value))
             except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise CliError(f"--config key {action.dest!r}: bad value {value!r}: {exc}") from exc
-        args = parser.parse_args(argv)
-    if args.command in _STOCHASTIC_COMMANDS and args.seed is None:
-        raise CliError(
-            f"a --seed is required for '{args.command}' (no wall-clock default)"
-        )
+                raise CliError(f"--config key {dest!r}: bad value {value!r}: {exc}") from exc
+        args = build_parser({args.command: defaults}).parse_args(argv)
+    if "seed" in args and args.seed is None:
+        raise CliError(f"a --seed is required for '{args.command}' (no wall-clock default)")
     return args
 
 

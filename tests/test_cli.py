@@ -1,3 +1,5 @@
+import argparse
+import collections
 import csv
 import functools
 import hashlib
@@ -530,6 +532,31 @@ class TestConfigFile:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "data, code, prefix",
+    [
+        (b"{bad", 1, "error: --config "),
+        (b'\xef\xbb\xbf{"seed": 7}', 1, "error: --config "),
+        ('{"concept": "caf\u00e9"}'.encode("latin-1"), 1, "error: --config "),
+        (None, 2, "io error: "),
+    ],
+)
+def test_unreadable_config_names_the_file(tmp_path, capsys, data, code, prefix):
+    """A config that is not UTF-8 JSON is a domain error naming it; a missing one an I/O error."""
+    tree_path, cognates_path = write_inputs(tmp_path)
+    config = tmp_path / "run.json"
+    if data is not None:
+        config.write_bytes(data)
+    assert main(
+        ["dstat", "--tree", str(tree_path), "--cognates", str(cognates_path), "--seed", "7",
+         "--concept", "eye", "--cognate-class", "K1", "--config", str(config)]
+    ) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert str(config) in err
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint_smoke(tmp_path):
     tree_path, cognates_path = write_inputs(tmp_path)
     proc = subprocess.run(
@@ -545,6 +572,12 @@ def test_module_entrypoint_smoke(tmp_path):
 def _drop_first_n_loans(text):
     doc = json.loads(text)
     del doc["concepts"][0]["n_loans"]
+    return to_json(doc)
+
+
+def _non_numeric_mean_d(text):
+    doc = json.loads(text)
+    doc["concepts"][0]["mean_d"] = "abc"
     return to_json(doc)
 
 
@@ -570,6 +603,7 @@ def _non_numeric_score(text):
         ("pca.json", lambda text: text[: len(text) // 2], "pca", ["cluster", "--seed", "7"]),
         ("pca.json", lambda text: text[: len(text) // 2], "pca", ["report", "--k", "3"]),
         ("pca.json", _non_numeric_score, "pca", ["cluster", "--seed", "7"]),
+        ("metrics.json", _non_numeric_mean_d, "metrics", ["pca"]),
     ],
 )
 def test_malformed_cache_is_a_located_error(ranked, tmp_path, capsys, name, edit, stage, argv):
@@ -804,3 +838,63 @@ def test_other_memory_errors_get_no_reps_hint(tmp_path, capsys, monkeypatch):
                  "--seed", "1", "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == "error: not enough memory: Unable to allocate 8.00 GiB\n"
+
+
+CACHES = ("metrics.json", "pca.json", "clusters.json")
+
+
+@pytest.fixture()
+def cache_reads(monkeypatch):
+    """Counts of Path.read_bytes and Path.read_text calls on the stage caches, by file name."""
+    reads = collections.Counter()
+    for method in ("read_bytes", "read_text"):
+        original = getattr(Path, method)
+
+        def counting(self, *args, _original=original, **kwargs):
+            if self.name in CACHES:
+                reads[self.name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counting)
+    return reads
+
+
+def test_each_stage_cache_is_read_once(ranked, tmp_path, cache_reads):
+    """rank hands its caches on in memory; a restage cycle reads each upstream cache once per stage."""
+    _, tree_path, cognates_path, out = ranked
+    assert main(
+        ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+         "--seed", "7", "--reps", "10", "--k", "3", "--out", str(tmp_path / "rank")]
+    ) == 0
+    assert cache_reads == {}
+    work = tmp_path / "work"
+    shutil.copytree(out, work)
+    assert main(["pca", "--out", str(work)]) == 0
+    assert main(["cluster", "--out", str(work), "--seed", "7"]) == 0
+    assert main(["report", "--out", str(work), "--k", "3"]) == 0
+    assert cache_reads == {"metrics.json": 2, "pca.json": 2, "clusters.json": 1}
+
+
+def test_each_flag_means_the_same_in_every_subcommand():
+    """Every --help formats, and a flag several subcommands take is the same flag in each.
+
+    simulate's optional --out FILE is the one flag that shares its option
+    string with another (rank's and the stages' required --out DIR).
+    """
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    first_seen = {}
+    for command, sub in commands.choices.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        for action in sub._actions:
+            if (command, action.dest) == ("simulate", "out"):
+                continue
+            spec = (action.option_strings, action.type, action.default, action.required,
+                    action.metavar, action.help)
+            other, other_spec = first_seen.setdefault(action.dest, (command, spec))
+            assert spec == other_spec, (action.dest, command, other)

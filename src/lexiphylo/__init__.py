@@ -21,6 +21,7 @@ from .cognates import (
 )
 from .comparative import (
     BmParams,
+    DStatBatch,
     DStatResult,
     d_statistic,
     d_sum,
@@ -77,6 +78,7 @@ __all__ = [
     "CognateFormatError",
     "CognateMatrix",
     "ConceptSummary",
+    "DStatBatch",
     "DStatConfig",
     "DStatResult",
     "FEATURE_COLUMNS",

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -185,7 +187,115 @@ def _read_cache(out: Path, name: str, stage: str) -> Cache:
         doc = json.loads(data.decode("utf-8"))
         if not isinstance(doc, dict):
             raise TypeError("not a JSON object")
+        if name == "metrics.json":
+            _check_metrics(doc)
     return doc, hashlib.sha256(data).hexdigest()
+
+
+class _InputDigest(typing.TypedDict):
+    path: str
+    sha256: str
+
+
+class _RunConfig(typing.TypedDict):
+    seed: int
+    n_reps: int
+
+
+class _MetricsCache(typing.TypedDict):
+    """The fields of ``metrics.json`` that the pca and report stages read."""
+
+    config: _RunConfig
+    inputs: dict[str, _InputDigest]
+    warnings: list[str]
+    concepts: list[MeaningClassMetrics]
+
+
+class _Mistyped(TypeError):
+    """A JSON value of the wrong type; ``path`` locates it, innermost part first."""
+
+    def __init__(self, expected: str, value: object) -> None:
+        super().__init__(expected, value)
+        self.path: list[str] = []
+
+    def __str__(self) -> str:
+        expected, value = self.args
+        return f"{''.join(reversed(self.path)).lstrip('.')}: expected {expected}, got {value!r}"
+
+
+# The JSON types that a field annotation stands for; no bool is a number.
+_JSON_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("null", (type(None),)),
+}
+
+
+@functools.cache
+def _json_check(hint) -> typing.Callable[[object], None]:
+    """A test that raises ``_Mistyped`` unless a JSON value has the type ``hint`` annotates.
+
+    A dataclass or TypedDict is an object with (at least) its fields,
+    ``dict[str, T]`` an object of ``T``, ``list[T]`` an array of ``T``, and
+    ``T | None`` a ``T`` or null.
+    """
+    if dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
+        members = [(name, _json_check(h)) for name, h in typing.get_type_hints(hint).items()]
+
+        def check(value: object) -> None:
+            if type(value) is not dict:
+                raise _Mistyped("an object", value)
+            for name, check_member in members:
+                try:
+                    check_member(value[name])
+                except KeyError:
+                    raise KeyError(name) from None
+                except _Mistyped as exc:
+                    exc.path.append(f".{name}")
+                    raise
+
+        return check
+    container = typing.get_origin(hint)
+    if container in (dict, list):
+        check_item = _json_check(typing.get_args(hint)[-1])
+        kind = "an object" if container is dict else "an array"
+
+        def check(value: object) -> None:
+            if type(value) is not container:
+                raise _Mistyped(kind, value)
+            for key, item in value.items() if container is dict else enumerate(value):
+                try:
+                    check_item(item)
+                except _Mistyped as exc:
+                    exc.path.append(f"[{key!r}]")
+                    raise
+
+        return check
+    kinds = [_JSON_TYPES[arg] for arg in typing.get_args(hint) or (hint,)]
+    expected = " or ".join(name for name, _ in kinds)
+    allowed = tuple(t for _, types in kinds for t in types)
+
+    def check(value: object) -> None:
+        if type(value) not in allowed:
+            raise _Mistyped(expected, value)
+
+    return check
+
+
+def _check_metrics(doc: dict) -> None:
+    """Raise TypeError, KeyError or ValueError at the first field of a metrics
+    document that does not have the type the later stages read it as."""
+    try:
+        _json_check(_MetricsCache)(doc)
+    except _Mistyped as exc:
+        raise TypeError(str(exc)) from None
+    for i, m in enumerate(doc["concepts"]):
+        # mean_D averages the class results, so it is null exactly when there are none.
+        if (m["mean_d"] is None) != (not m["class_results"]):
+            raise ValueError(
+                f"concepts[{i}].mean_d must be null exactly when it has no class results"
+            )
 
 
 def _rebuild(cls, doc: dict, **overrides):
@@ -221,15 +331,26 @@ def _metrics_from_doc(doc: dict, with_classes: bool = True) -> list[MeaningClass
     return metrics
 
 
+def _read_input(path: Path) -> tuple[typing.TextIO, dict]:
+    """An input file, read once: a UTF-8 text stream over its bytes, which
+    decodes them as ``Path.read_text`` does, and its path and the SHA-256 of
+    those bytes, as ``metrics.json`` records them."""
+    data = path.read_bytes()
+    digest = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), digest
+
+
 def _metrics_stage(args: argparse.Namespace) -> Cache:
     """Compute and write the metrics cache.
 
     A subcommand that takes --k (rank) has it checked against the usable
     concepts before any D statistic is computed.
     """
-    out, tree_path, cognates_path = Path(args.out), Path(args.tree), Path(args.cognates)
-    tree = read_newick_file(tree_path)
-    matrix, load_issues = load_cognates(cognates_path)
+    out = Path(args.out)
+    tree_text, tree_input = _read_input(Path(args.tree))
+    tree = read_newick_file(tree_text)
+    cognates_text, cognates_input = _read_input(Path(args.cognates))
+    matrix, load_issues = load_cognates(cognates_text)
     usable, skip_warnings = _usable_concepts(matrix, tree)
     if "k" in args and args.k > len(usable):
         raise CliError(
@@ -240,10 +361,7 @@ def _metrics_stage(args: argparse.Namespace) -> Cache:
     table = build_feature_table(metrics)
     doc = {
         "config": {"seed": args.seed, "n_reps": args.reps},
-        "inputs": {
-            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-            for name, path in (("tree", tree_path), ("cognates", cognates_path))
-        },
+        "inputs": {"tree": tree_input, "cognates": cognates_input},
         "warnings": sorted(skip_warnings + [issue.message for issue in load_issues]),
         "concepts": [asdict(m) for m in metrics],
     }

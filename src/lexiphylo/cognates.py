@@ -115,6 +115,14 @@ def _open_source(source: str | Path | IO[str]) -> IO[str]:
     return source
 
 
+def _read_lines(source: str | Path | IO[str]) -> list[str]:
+    """The lines of ``source``; a stream is closed, and its buffers freed,
+    before the text is split."""
+    with _open_source(source) as fh:
+        text = fh.read()
+    return text.splitlines()
+
+
 def _split_rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """Line number and whitespace-stripped CSV fields of each non-blank row."""
     reader = csv.reader(lines, delimiter=delimiter, strict=True)
@@ -133,8 +141,7 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
     a str. Returns the matrix plus a list of warnings (errors raise
     CognateFormatError with the offending line number).
     """
-    with _open_source(source) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(source)
     if not lines or not lines[0].strip():
         raise CognateFormatError("empty input (no header)", 1)
 
@@ -245,16 +252,23 @@ def _taxon_positions(
     """Where each taxon sits in ``taxa``, and the attested mask over ``taxa``.
 
     Built once per concept and shared by its classes, so a class costs
-    work in proportion to its own size. Both keys hash and compare in C:
-    a frozenset caches its hash, and a repeated argument compares by
-    identity.
+    work in proportion to its own size; the positions are built once per
+    ``taxa``. Both keys hash and compare in C: a frozenset caches its hash,
+    and a repeated argument compares by identity.
     """
-    positions: dict[str, list[int]] = {}
-    for i, taxon in enumerate(taxa):
-        positions.setdefault(taxon, []).append(i)
+    positions = _positions(taxa)
     mask = np.zeros(len(taxa), dtype=np.int8)
     mask[[i for taxon in attested for i in positions.get(taxon, ())]] = 1
     return positions, mask
+
+
+@lru_cache(maxsize=1)
+def _positions(taxa: tuple[str, ...]) -> dict[str, list[int]]:
+    """Each taxon's positions in ``taxa``."""
+    positions: dict[str, list[int]] = {}
+    for i, taxon in enumerate(taxa):
+        positions.setdefault(taxon, []).append(i)
+    return positions
 
 
 def concept_summary(matrix: CognateMatrix, concept: str) -> ConceptSummary:

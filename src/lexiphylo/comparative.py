@@ -14,33 +14,42 @@ because the two nulls normalize its scale; calibration tests pin the
 behavior (BM-threshold traits score near 0, shuffled traits near 1).
 
 Determinism contract: all randomness comes from Philox streams. Replicate
-``r`` of a D computation uses stream ``(seed, r)`` and draws, in order, the
-shuffle permutation, the BM innovations (one per node, the root draw
-unused), and the threshold tie-break keys. Results are therefore identical
-across serial and parallel execution. One generator per D computation is
-re-keyed from replicate to replicate (``_rng.rekey``), which draws the same
-numbers as constructing stream ``(seed, r)`` afresh.
+``r`` of a trait's D computation uses stream ``(seed, r)``, with the
+trait's own seed, and draws, in order, the shuffle permutation, the BM
+innovations (one per node, the root draw unused), and the threshold
+tie-break keys. Results are therefore identical across serial and parallel
+execution, and across however traits are stacked. One generator per D call
+is re-keyed from replicate to replicate and from trait to trait
+(``_rng.rekey``), which draws the same numbers as constructing stream
+``(seed, r)`` afresh.
 
-The kernel is batched over replicates and sweeps the tree level by level,
-but every value sees the IEEE operations of the naive per-node recursion:
-children are accumulated in stored order and the edge sum runs in node
-order. One D computation scores its observed trait and both nulls as one
-stack of 2 * n_reps + 1 rows, swept ``DEFAULT_N_REPS`` rows at a time;
-rows never mix, so each score has the bits of a sweep of its row alone.
-The pruned tree and its sweep schedules depend only on which tips are
-attested, so every class of a concept shares them.
+A D call scores a stack of traits that share one attested mask (all the
+classes of a concept), so the pruned tree, its sweep schedules and the
+generator are built once per call. The kernel is batched over traits and
+replicates and sweeps the tree level by level, but every value sees the
+IEEE operations of the naive per-node recursion: children are accumulated
+in stored order and the edge sum runs in node order. Each trait's observed
+score and its two nulls are 2 * n_reps + 1 stacked rows, and the rows of
+several traits share one BM sweep and one change-score sweep, each trait
+thresholded at its own prevalence. Rows never mix, so each score has the
+bits of a sweep of its row alone. Traits are stacked while their rows fit
+in ``_STACK_ROWS``, which bounds the workspace: from 32 reps up a stack
+holds one trait, so at the paper's 1000 reps each trait is swept alone,
+``DEFAULT_N_REPS`` rows at a time.
 
-A D computation allocates no replicate-sized array of its own. Each thread
-keeps one workspace of two flat float64 buffers that grow to the largest
-call seen and never shrink: the stacked rows (``2 * n_reps + 1`` by used
-tips), and the node-major BM values followed by a draw block of
-``_DRAW_BLOCK`` replicates, which together are then the sweeps' work array
-(nodes by the larger of ``n_reps`` plus the block and the sweep width). A
-thread retains the two arrays of its largest call until it ends or calls
-``release_workspace``. Each replicate's BM innovations are drawn, in
-stream order, into a row of the block, and each full block is copied
-node-major into the BM values, so the draws keep their order. The buffers
-are ordinary numpy arrays, so a forked process writes its own copy.
+A D call allocates no replicate-sized array of its own. Each thread keeps
+one workspace of three flat float64 buffers that grow and never shrink:
+the stacked rows (by used tips); the node-major BM values followed by a
+draw block of ``_DRAW_BLOCK`` replicates, which once spent hold the
+threshold and then are the sweeps' work array (nodes by stacked rows); and
+two blocks of ``_NODE_BLOCK`` gathered rows for the level sweeps. A
+stacked call grows them for a full stack on the unpruned tree, so a run
+reaches its workspace at its first concept instead of in steps. A thread
+retains its buffers until it ends or calls ``release_workspace``. Each
+replicate's BM innovations are drawn, in stream order, into a row of the
+block, and each full block is copied node-major into the BM values, so the
+draws keep their order. The buffers are ordinary numpy arrays, so a
+forked process writes its own copy.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -54,8 +63,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,12 +73,18 @@ from .tree import Tree, prune_to_taxa
 DEFAULT_N_REPS = 1000
 MIN_TIPS_FOR_D = 4
 _NULL_GAP_TOL = 1e-12
-# Non-root nodes per block of the edge-difference pass; bounds its one
-# temporary (the block's parent estimates) at _EDGE_BLOCK rows.
-_EDGE_BLOCK = 64
+# Most nodes per block of a sweep: a level of the tree, or the non-root
+# nodes of the edge-difference pass, is swept in blocks of at most this
+# many nodes, which bounds each block's gathers at _NODE_BLOCK rows.
+_NODE_BLOCK = 64
 # Replicates per block of BM innovation draws: each block is drawn
 # replicate-major and copied node-major into the BM values.
 _DRAW_BLOCK = 64
+# Most rows in one stack of a D call: its traits are swept together while
+# their 2 * n_reps + 1 rows each fit (6 traits at 10 reps), and a trait with
+# more rows is swept alone. Stacking more saves ever less sweep overhead,
+# while the workspace grows by about (tips + nodes) floats per row.
+_STACK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -115,14 +129,17 @@ class _Workspace(threading.local):
     def __init__(self) -> None:
         self.buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, *shape: int) -> np.ndarray:
-        """A C-contiguous ``shape`` view of the head of buffer ``name``."""
+    def take(self, name: str, *shape: int, reserve: int = 0) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the head of buffer ``name``.
+
+        A buffer that must grow grows to at least ``reserve`` elements.
+        """
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
             self.buffers.pop(name, None)
             try:
-                buf = self.buffers[name] = np.empty(size)
+                buf = self.buffers[name] = np.empty(max(size, reserve))
             except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
                 raise ReplicateMemoryError(f"replicate arrays: {exc}") from exc
         return buf[:size].reshape(shape)
@@ -148,13 +165,17 @@ def _epsilon(tree: Tree) -> float:
 class _Sweeps:
     """Inverse-length weights and the sweep schedules of one tree.
 
-    ``up`` follows ``tree.height_levels``: per level, its nodes, their
-    weight totals, and per child slot ``k`` the k-th children, their
-    weights and the positions of the level's nodes that have a k-th child.
-    Weight totals accumulate over children in stored order, so a naive
-    recursion reproduces them bit for bit. ``edges`` splits the non-root
-    nodes into runs of at most ``_EDGE_BLOCK`` consecutive indices, each
-    with its nodes' parents.
+    ``up`` follows ``tree.height_levels``, each level cut into blocks of at
+    most ``_NODE_BLOCK`` nodes: per block, its nodes, their weight totals,
+    and per child slot ``k`` the k-th children, their weights and the
+    positions of the block's nodes that have a k-th child. Weight totals
+    accumulate over children in stored order, so a naive recursion
+    reproduces them bit for bit. ``down`` follows ``tree.depth_levels`` in
+    blocks likewise: per block, its nodes and their parents. ``sd`` is each
+    node's standard deviation (the square root of its length) for a BM
+    sweep at rate 1, as an (n_nodes, 1) column. ``edges`` splits the
+    non-root nodes into runs of at most ``_NODE_BLOCK`` consecutive
+    indices, each with its nodes' parents.
     """
 
     def __init__(self, tree: Tree) -> None:
@@ -162,38 +183,74 @@ class _Sweeps:
         lengths = tree.lengths[:-1]
         w = np.zeros(tree.n_nodes)
         w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
-        weights = w.tolist()
-        self.up = []
-        for nodes in tree.height_levels:
-            kid_lists = [tree.children[i] for i in nodes.tolist()]
-            totals = []
-            for kids in kid_lists:
-                total = 0.0
-                for c in kids:
-                    total += weights[c]
-                totals.append(total)
-            slots = []
-            for k in range(max(map(len, kid_lists))):
-                has = [j for j, kids in enumerate(kid_lists) if len(kids) > k]
-                kth = np.array([kid_lists[j][k] for j in has])
-                where = slice(None) if len(has) == len(nodes) else np.array(has)
-                slots.append((kth, w[kth, None], where))
-            self.up.append((nodes, np.array(totals)[:, None], slots))
+        flat, counts, starts = tree.child_table
+        # The internal nodes block after block, so each slot is gathered for
+        # all blocks at once and then split by block.
+        blocks = _blocks(tree.height_levels)
+        sizes = [len(nodes) for nodes in blocks]
+        bounds = np.cumsum(sizes)
+        internal = np.concatenate([np.empty(0, np.intp), *blocks])
+        n_kids = counts[internal]
+        slots: list[list] = [[] for _ in blocks]
+        for k in range(int(n_kids.max(initial=0))):
+            has = n_kids > k
+            kth = flat[starts[internal[has]] + k]
+            weights = w[kth, None]
+            if k:
+                totals[has] += weights
+            else:
+                totals = weights.copy()
+            n_has = np.cumsum(has)[bounds - 1].tolist()
+            for j, (lo, hi) in enumerate(zip([0, *n_has[:-1]], n_has)):
+                if lo == hi:
+                    continue
+                where = (
+                    slice(None) if hi - lo == sizes[j]
+                    else np.flatnonzero(has[bounds[j] - sizes[j] : bounds[j]])
+                )
+                slots[j].append((kth[lo:hi], weights[lo:hi], where))
+        lows = (bounds - sizes).tolist()
+        self.up = [
+            (nodes, totals[lo:hi], block_slots)
+            for nodes, lo, hi, block_slots in zip(blocks, lows, bounds.tolist(), slots)
+        ]
+        self.down = [
+            (nodes, tree.parents[nodes])
+            for nodes in _blocks(nodes for nodes, _ in tree.depth_levels)
+        ]
+        self.sd = np.sqrt(tree.lengths)[:, None]
         self.edges = []
-        for start in range(0, tree.n_nodes - 1, _EDGE_BLOCK):
-            block = slice(start, min(start + _EDGE_BLOCK, tree.n_nodes - 1))
+        for start in range(0, tree.n_nodes - 1, _NODE_BLOCK):
+            block = slice(start, min(start + _NODE_BLOCK, tree.n_nodes - 1))
             self.edges.append((block, tree.parents[block]))
 
 
-@lru_cache(maxsize=1)
-def _pruned_sweeps(tree: Tree, mask: bytes) -> _Sweeps:
-    """The tree pruned to the tips where ``mask`` (one byte per tip) is 1, with its sweeps.
+def _blocks(levels) -> list[np.ndarray]:
+    """Each level's nodes cut into blocks of at most ``_NODE_BLOCK``, in order."""
+    return [
+        nodes[start : start + _NODE_BLOCK]
+        for nodes in levels
+        for start in range(0, len(nodes), _NODE_BLOCK)
+    ]
 
-    A concept's classes share the mask, so they share one pruning; the key
-    is the mask's bytes, which hash and compare in C.
+
+def _scratch(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat buffers of ``_NODE_BLOCK * width`` floats for one block's gathers.
+
+    They are the thread's ``level`` buffer, so a sweep allocates no
+    per-block array that grows with the number of nodes or rows.
     """
-    keep = {lab for lab, kept in zip(tree.tip_labels, mask) if kept}
-    return _Sweeps(prune_to_taxa(tree, keep))
+    size = _NODE_BLOCK * width
+    buf = _WORKSPACE.take("level", 2 * size)
+    return buf[:size], buf[size : 2 * size]
+
+
+def _gather(est: np.ndarray, index: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``est[index]``, written into the head of flat ``buf``."""
+    out = buf[: len(index) * est.shape[1]].reshape(len(index), est.shape[1])
+    # The indices are in range; mode="clip" makes np.take write to ``out``
+    # directly, where the default mode gathers into a copy first.
+    return est.take(index, axis=0, out=out, mode="clip")
 
 
 def _nodal_estimates_batch(
@@ -210,11 +267,18 @@ def _nodal_estimates_batch(
     tree = sweeps.tree
     est = np.empty((tree.n_nodes, tip_values.shape[0])) if out is None else out
     est[tree.tip_indices] = tip_values.T
+    acc_buf, term_buf = _scratch(est.shape[1])
     for nodes, totals, ((kids, w, _), *rest) in sweeps.up:
-        acc = w * est[kids]
+        acc = _gather(est, kids, acc_buf)
+        np.multiply(acc, w, out=acc)
         for kids, w, where in rest:
-            acc[where] += w * est[kids]
-        acc /= totals
+            term = _gather(est, kids, term_buf)
+            np.multiply(term, w, out=term)
+            if isinstance(where, slice):
+                np.add(acc, term, out=acc)
+            else:
+                acc[where] += term
+        np.divide(acc, totals, out=acc)
         est[nodes] = acc
     return est
 
@@ -237,9 +301,10 @@ def _d_sum_batch(
     node order.
     """
     est = _nodal_estimates_batch(sweeps, centered, out)
+    buf, _ = _scratch(est.shape[1])
     for block, parents in sweeps.edges:
         edges = est[block]
-        np.subtract(edges, est[parents], out=edges)
+        np.subtract(edges, _gather(est, parents, buf), out=edges)
         np.abs(edges, out=edges)
     return _sum_rows(est[:-1])
 
@@ -274,15 +339,27 @@ def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _bm_sweep(tree: Tree, values: np.ndarray, sd: np.ndarray, root_value: float) -> None:
+def _bm_sweep(
+    down: Sequence[tuple[np.ndarray, np.ndarray]],
+    sd: np.ndarray,
+    values: np.ndarray,
+    root_value: float,
+    bufs: tuple[np.ndarray, np.ndarray],
+) -> None:
     """Turn an (n_nodes, batch) array of innovations into BM node values, in place.
 
-    Node ``i`` takes its parent's value plus ``sd[i]`` times innovation
-    ``i``; the root takes ``root_value`` and its innovation is unused.
+    Node ``i`` takes its parent's value plus ``sd[i]`` (an (n_nodes, 1)
+    column) times innovation ``i``, all scaled at once before the top-down
+    sweep over ``down`` (``tree.depth_levels``, or blocks of them); the root
+    (the last node) takes ``root_value`` and its innovation is unused.
+    ``bufs`` are two flat buffers that hold each block's gathers.
     """
-    values[tree.root] = root_value
-    for nodes, parents in tree.depth_levels:
-        values[nodes] = values[parents] + sd[nodes, None] * values[nodes]
+    np.multiply(values, sd, out=values)
+    values[-1] = root_value
+    step_buf, base_buf = bufs
+    for nodes, parents in down:
+        base = _gather(values, parents, base_buf)
+        values[nodes] = np.add(base, _gather(values, nodes, step_buf), out=base)
 
 
 def simulate_bm(tree: Tree, params: BmParams) -> np.ndarray:
@@ -295,7 +372,9 @@ def simulate_bm(tree: Tree, params: BmParams) -> np.ndarray:
     the node numbering.
     """
     values = stream(params.seed, 0).standard_normal((tree.n_nodes, 1))
-    _bm_sweep(tree, values, np.sqrt(params.sigma2 * tree.lengths), params.root_value)
+    sd = np.sqrt(params.sigma2 * tree.lengths)[:, None]
+    bufs = (np.empty(tree.n_nodes), np.empty(tree.n_nodes))
+    _bm_sweep(tree.depth_levels, sd, values, params.root_value, bufs)
     return values[:, 0]
 
 
@@ -396,26 +475,45 @@ def threshold_at_prevalence(values: np.ndarray, m: int, seed: int) -> np.ndarray
     if not 1 <= m < n:
         raise ValueError(f"m out of range: need 1 <= m < {n}, got {m}")
     tie_keys = stream(seed, 0).random(n)
-    return _threshold_rows(values[None, :], m, lambda _: tie_keys)[0].astype(np.int8)
+    out = np.empty((1, n))
+    _threshold_rows(values[None, :], np.array([m]), lambda _: tie_keys, out)
+    return out[0].astype(np.int8)
 
 
 def _threshold_rows(
-    values: np.ndarray, m: int, tie_keys: Callable[[int], np.ndarray]
-) -> np.ndarray:
-    """Per row, True for the m largest values; ties at the cut go to the smaller key.
+    values: np.ndarray,
+    m: np.ndarray,
+    tie_keys: Callable[[int], np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Per row r, 1.0 in ``out`` for the m[r] largest values, else 0.0; ties at
+    the cut go to the smaller key.
 
-    The cut is the row's m-th largest value. A row with exactly m values at
-    or above it needs no tie-break; any other row ``r`` is ordered by
-    descending value, then by ``tie_keys(r)``, which is only called for
-    such rows.
+    The cut is the row's m-th largest value, found by partitioning a copy of
+    the values in ``out`` itself, which must not overlap ``values``. A row
+    with exactly m values at or above it needs no tie-break; any other row
+    ``r`` is ordered by descending value, then by ``tie_keys(r)``, which is
+    only called for such rows.
     """
     n = values.shape[1]
-    out = values >= np.partition(values, n - m, axis=1)[:, n - m, None]
-    for r in np.flatnonzero(np.count_nonzero(out, axis=1) != m).tolist():
+    kth = n - m
+    np.copyto(out, values)
+    out.partition(sorted(set(kth.tolist())), axis=1)
+    cut = out[np.arange(len(out)), kth]
+    np.greater_equal(values, cut[:, None], out=out)
+    for r in np.flatnonzero(out.sum(axis=1) != m).tolist():
         order = np.lexsort((tie_keys(r), -values[r]))
-        out[r] = False
-        out[r, order[:m]] = True
-    return out
+        out[r] = 0.0
+        out[r, order[: m[r]]] = 1.0
+
+
+@dataclass(frozen=True)
+class DStatBatch:
+    """The D statistics of a stack of traits, in stack order: each trait's
+    ``DStatResult``, or the reason it has none."""
+
+    n_reps: int
+    results: tuple[DStatResult | str, ...]
 
 
 def d_statistic(
@@ -424,9 +522,10 @@ def d_statistic(
     mask: np.ndarray,
     n_reps: int = DEFAULT_N_REPS,
     *,
-    seed: int,
-) -> DStatResult:
-    """D statistic for one binary trait, with shuffle and BM-threshold nulls.
+    seed: int | Sequence[int],
+) -> DStatResult | DStatBatch:
+    """D statistic for a binary trait, or for a stack of traits on one mask,
+    with shuffle and BM-threshold nulls.
 
     ``presence`` and ``mask`` align with ``tree.tip_labels``. Tips with
     ``mask == 0`` are missing data and are pruned before anything else is
@@ -434,12 +533,25 @@ def d_statistic(
     trait as clumped as Brownian motion scores ~0 and a phylogenetically
     random trait ~1. ``p_random`` is the fraction of shuffle-null scores
     <= d_obs, ``p_bm`` the fraction of BM-null scores >= d_obs.
+
+    A 1-D ``presence`` with one ``seed`` gives its ``DStatResult`` and
+    raises ValueError where it has none. A 2-D ``presence`` (traits, tips)
+    with one seed per trait gives a ``DStatBatch``, in which a trait
+    without variation, or whose nulls coincide, has that reason in place of
+    a result; each trait's draws and scores are those of its 1-D call.
+    Errors of the shared inputs (shapes, mask, ``n_reps``) raise either way.
     """
-    presence = np.asarray(presence).astype(np.int8)
+    presence = np.asarray(presence)
     mask = np.asarray(mask).astype(bool)
-    if presence.shape != (tree.n_tips,) or mask.shape != (tree.n_tips,):
+    aligned = presence.ndim in (1, 2) and presence.shape[-1] == tree.n_tips
+    if not aligned or mask.shape != (tree.n_tips,):
         raise ValueError("presence and mask must align with the tree tips")
-    if np.any(presence[~mask] != 0):
+    single = presence.ndim == 1
+    seeds = [seed] if single else [int(s) for s in seed]
+    presence = np.atleast_2d(presence).astype(np.int8)
+    if len(seeds) != len(presence):
+        raise ValueError(f"need one seed per trait: {len(presence)} traits, {len(seeds)} seeds")
+    if np.any(presence[:, ~mask] != 0):
         raise ValueError("presence must be 0 where the attested mask is 0")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -447,40 +559,130 @@ def d_statistic(
     n_used = int(np.count_nonzero(mask))
     if n_used < MIN_TIPS_FOR_D:
         raise ValueError(f"fewer than {MIN_TIPS_FOR_D} usable tips (got {n_used})")
-    sweeps = _pruned_sweeps(tree, mask.tobytes())
+    # Every trait of the call shares the mask, so it shares one pruning. The
+    # pruned tree keeps the used tips in their order in ``tree``.
+    sweeps = _Sweeps(prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept}))
+    traits = presence[:, mask]
+    m = traits.sum(axis=1)
+    results: list = ["no variation in trait" if k in (0, n_used) else None for k in m.tolist()]
+    live = [i for i, result in enumerate(results) if result is None]
+    per_stack = max(1, _STACK_ROWS // (2 * n_reps + 1))
+    # A stacked call grows the workspace for a full stack on the unpruned
+    # tree, so over a run it reaches its size at once instead of in steps.
+    reserve = {} if single else _stack_sizes(per_stack, n_reps, tree.n_tips, tree.n_nodes)
+    g = stream(seeds[live[0]], 0) if live else None
+    for start in range(0, len(live), per_stack):
+        stack = live[start : start + per_stack]
+        stack_seeds = [seeds[i] for i in stack]
+        scores = _stack_scores(sweeps, traits[stack], m[stack], n_reps, stack_seeds, g, reserve)
+        for i, result in zip(stack, _d_results(scores, len(stack), n_reps, n_used)):
+            results[i] = result
+    if single:
+        if isinstance(results[0], str):
+            raise ValueError(results[0])
+        return results[0]
+    return DStatBatch(n_reps, tuple(results))
+
+
+def _d_results(
+    scores: np.ndarray, n_traits: int, n_reps: int, n_used: int
+) -> list[DStatResult | str]:
+    """Each trait's D from a stack's scores (as ``_stack_scores`` orders
+    them), or why it has none.
+
+    Every mean is over one trait's contiguous row of scores, which numpy
+    sums as it sums that row alone.
+    """
+    d_obs = scores[:n_traits]
+    d_random, d_bm = scores[n_traits:].reshape(2, n_traits, n_reps)
+    mean_random = d_random.mean(axis=1)
+    mean_bm = d_bm.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where the nulls coincide
+        d = (d_obs - mean_bm) / (mean_random - mean_bm)
+    columns = zip(
+        d_obs.tolist(),
+        mean_random.tolist(),
+        mean_bm.tolist(),
+        d.tolist(),
+        (d_random <= d_obs[:, None]).mean(axis=1).tolist(),
+        (d_bm >= d_obs[:, None]).mean(axis=1).tolist(),
+    )
+    return [
+        "nulls indistinguishable: mean random and BM scores coincide"
+        if abs(mean_r - mean_b) < _NULL_GAP_TOL
+        else DStatResult(obs, mean_r, mean_b, D, p_r, p_b, n_reps, n_used)
+        for obs, mean_r, mean_b, D, p_r, p_b in columns
+    ]
+
+
+def _stack_sizes(n_traits: int, n_reps: int, n_tips: int, n_nodes: int) -> dict[str, int]:
+    """The workspace buffers a stack of ``n_traits`` takes, in floats, on a
+    tree of ``n_tips`` used tips and ``n_nodes`` nodes."""
+    n_cols = n_traits * n_reps
+    n_rows = n_traits + 2 * n_cols
+    width = _sweep_width(n_rows)
+    return {
+        "rows": n_rows * n_tips,
+        "values": n_nodes * max(n_cols + min(_DRAW_BLOCK, n_cols), width),
+        "level": 2 * _NODE_BLOCK * max(n_cols, width),
+    }
+
+
+def _stack_scores(
+    sweeps: _Sweeps,
+    traits: np.ndarray,
+    m: np.ndarray,
+    n_reps: int,
+    seeds: list[int],
+    g: np.random.Generator,
+    reserve: dict[str, int],
+) -> np.ndarray:
+    """Every change score of a stack of traits on ``sweeps.tree``.
+
+    ``traits`` holds the stack's 0/1 traits over the used tips, ``m`` their
+    prevalences and ``seeds`` their seeds; ``g`` is re-keyed for every
+    replicate. A workspace buffer that must grow grows to at least its
+    size in ``reserve``. The scores come in the order of the stacked rows:
+    each trait's observed score, then each trait's ``n_reps`` shuffle-null
+    scores, then each trait's ``n_reps`` BM-null scores.
+    """
+    n_traits, n_used = traits.shape
+    n_cols = n_traits * n_reps  # one per (trait, replicate), trait-major
+    n_rows = n_traits + 2 * n_cols
     pruned = sweeps.tree
-    # The pruned tree keeps the used tips in their order in ``tree``.
-    trait = presence[mask]
-    m = int(trait.sum())
-    if m == 0 or m == n_used:
-        raise ValueError("no variation in trait")
-
-    # One stacked row per score, centered as _d_sum_batch takes it: the
-    # observed trait, then the shuffle null's replicates, then the BM null's.
-    n_rows = 2 * n_reps + 1
     n_nodes = pruned.n_nodes
+    sizes = _stack_sizes(n_traits, n_reps, n_used, n_nodes)
+    for name, size in sizes.items():
+        _WORKSPACE.take(name, size, reserve=reserve.get(name, 0))
+    # One stacked row per score, centered as _d_sum_batch takes it.
     rows = _WORKSPACE.take("rows", n_rows, n_used)
-    rows[: n_reps + 1] = trait - 0.5
+    np.subtract(traits, 0.5, out=rows[:n_traits])
+    shuffled = rows[n_traits : n_traits + n_cols]
+    shuffled.reshape(n_traits, n_reps, n_used)[:] = rows[:n_traits, None]
+    bm_rows = rows[n_traits + n_cols :]
     # The BM values, node-major, then the draw block; once both are spent,
-    # the buffer is the sweeps' work array, so it is sized for either use.
-    n_block = min(_DRAW_BLOCK, n_reps)
-    buf = _WORKSPACE.take("values", n_nodes * max(n_reps + n_block, _sweep_width(n_rows)))
-    values = buf[: n_nodes * n_reps].reshape(n_nodes, n_reps)
-    block = buf[n_nodes * n_reps : n_nodes * (n_reps + n_block)].reshape(n_block, n_nodes)
-    g = stream(seed, 0)
-    for start in range(0, n_reps, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, n_reps)
-        for r in range(start, stop):
-            if r:
-                rekey(g, seed, r)
-            g.shuffle(rows[1 + r])  # the same draws as trait[g.permutation(n_used)]
-            g.standard_normal(out=block[r - start])
-        values[:, start:stop] = block[: stop - start].T
+    # the buffer holds the threshold and then is the sweeps' work array, so
+    # it is sized for every use.
+    n_block = min(_DRAW_BLOCK, n_cols)
+    buf = _WORKSPACE.take("values", sizes["values"])
+    values = buf[: n_nodes * n_cols].reshape(n_nodes, n_cols)
+    block = buf[n_nodes * n_cols : n_nodes * (n_cols + n_block)].reshape(n_block, n_nodes)
+    col = 0
+    for seed in seeds:
+        for r in range(n_reps):
+            rekey(g, seed, r)
+            g.shuffle(shuffled[col])  # the same draws as trait[g.permutation(n_used)]
+            g.standard_normal(out=block[col % _DRAW_BLOCK])
+            col += 1
+            if col % _DRAW_BLOCK == 0 or col == n_cols:
+                start = (col - 1) // _DRAW_BLOCK * _DRAW_BLOCK
+                values[:, start:col] = block[: col - start].T
 
-    def tie_keys(r: int) -> np.ndarray:
-        # The keys come last in replicate r's stream, so they are drawn only
+    def tie_keys(row: int) -> np.ndarray:
+        # The keys come last in a replicate's stream, so they are drawn only
         # for the rare rows that tie at the cut (zero-length branches).
-        rekey(g, seed, r)
+        trait, r = divmod(row, n_reps)
+        rekey(g, seeds[trait], r)
         g.permutation(n_used)
         g.standard_normal(n_nodes)
         return g.random(n_used)
@@ -488,28 +690,10 @@ def d_statistic(
     # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
     # values are gathered, tip-major, into the BM half of ``rows``, which is
     # overwritten by the thresholded traits only once all of them are known.
-    # The indices are in range; mode="clip" makes np.take write to ``out``
-    # directly, where the default mode gathers into a copy first.
-    _bm_sweep(pruned, values, np.sqrt(pruned.lengths), 0.0)
-    bm_rows = rows[n_reps + 1 :]
-    tips = bm_rows.reshape(n_used, n_reps)
+    _bm_sweep(sweeps.down, sweeps.sd, values, 0.0, _scratch(n_cols))
+    tips = bm_rows.reshape(n_used, n_cols)
     np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
-    np.subtract(_threshold_rows(tips.T, m, tie_keys), 0.5, out=bm_rows)
-    scores = _d_sum_rows(sweeps, rows)
-    d_obs = float(scores[0])
-    d_random, d_bm = scores[1 : n_reps + 1], scores[n_reps + 1 :]
-    mean_random = float(d_random.mean())
-    mean_bm = float(d_bm.mean())
-    if abs(mean_random - mean_bm) < _NULL_GAP_TOL:
-        raise ValueError("nulls indistinguishable: mean random and BM scores coincide")
-
-    return DStatResult(
-        d_obs=d_obs,
-        mean_d_random=mean_random,
-        mean_d_bm=mean_bm,
-        D=(d_obs - mean_bm) / (mean_random - mean_bm),
-        p_random=float(np.mean(d_random <= d_obs)),
-        p_bm=float(np.mean(d_bm >= d_obs)),
-        n_reps=n_reps,
-        n_tips_used=n_used,
-    )
+    thresholded = buf[: n_cols * n_used].reshape(n_cols, n_used)
+    _threshold_rows(tips.T, np.repeat(m, n_reps), tie_keys, thresholded)
+    np.subtract(thresholded, 0.5, out=bm_rows)
+    return _d_sum_rows(sweeps, rows)

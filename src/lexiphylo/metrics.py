@@ -93,26 +93,32 @@ def compute_metrics(
     # A loan triple is also an entry, so a tree language's loan lies in ``classes``.
     n_loans = sum(1 for (lang, _, _) in matrix.loans_for(concept) if lang in tree_languages)
 
-    class_results: dict[str, DStatResult] = {}
-    class_skips: dict[str, str] = {}
+    # Every class of the concept shares its attested mask, so the analysable
+    # ones go to the D statistic as one stack, each with its own seed.
+    reasons: dict[str, DStatResult | str | None] = {}
     for cls in sorted(classes):
         if len(attested) < MIN_TIPS_FOR_D:
-            class_skips[cls] = f"fewer than {MIN_TIPS_FOR_D} usable tips"
-            continue
-        if sizes[cls] == len(attested):
-            class_skips[cls] = "constant trait (attested by every usable language)"
-            continue
-        presence, mask = binary_trait(matrix, concept, cls, tree.tip_labels)
+            reasons[cls] = f"fewer than {MIN_TIPS_FOR_D} usable tips"
+        elif sizes[cls] == len(attested):
+            reasons[cls] = "constant trait (attested by every usable language)"
+        else:
+            reasons[cls] = None
+    stacked = [cls for cls, reason in reasons.items() if reason is None]
+    if stacked:
+        traits = [binary_trait(matrix, concept, cls, tree.tip_labels) for cls in stacked]
         try:
-            class_results[cls] = d_statistic(
+            outcomes = d_statistic(
                 tree,
-                presence,
-                mask,
+                np.array([presence for presence, _ in traits]),
+                traits[0][1],
                 n_reps=config.n_reps,
-                seed=config.class_seed(concept, cls),
-            )
-        except ValueError as exc:
-            class_skips[cls] = str(exc)
+                seed=[config.class_seed(concept, cls) for cls in stacked],
+            ).results
+        except ValueError as exc:  # an input every class shares, so each would raise it
+            outcomes = (str(exc),) * len(stacked)
+        reasons.update(zip(stacked, outcomes))
+    class_results = {cls: r for cls, r in reasons.items() if isinstance(r, DStatResult)}
+    class_skips = {cls: r for cls, r in reasons.items() if isinstance(r, str)}
 
     mean_d = (
         float(np.mean([res.D for res in class_results.values()]))

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -86,6 +88,23 @@ class Tree:
         if len(set(tip_labels)) != len(tip_labels):
             raise TreeError("tip labels must be unique")
 
+    @classmethod
+    def _unchecked(
+        cls,
+        parents: np.ndarray,
+        children: tuple[tuple[int, ...], ...],
+        lengths: np.ndarray,
+        labels: tuple[str | None, ...],
+    ) -> "Tree":
+        """A tree from fields that pass ``__post_init__`` by construction
+        (a pruning of a valid tree), without checking them again."""
+        tree = object.__new__(cls)
+        tree.__dict__.update(
+            parents=parents, children=children, lengths=lengths, labels=labels,
+            defaulted=frozenset(),
+        )
+        return tree
+
     # -- derived views ---------------------------------------------------
 
     @property
@@ -98,7 +117,7 @@ class Tree:
 
     @cached_property
     def tip_indices(self) -> np.ndarray:
-        return np.array([i for i, kids in enumerate(self.children) if not kids], dtype=np.intp)
+        return np.flatnonzero(self.child_table[1] == 0)
 
     @cached_property
     def tip_labels(self) -> tuple[str, ...]:
@@ -116,14 +135,31 @@ class Tree:
         return range(self.n_nodes)
 
     @cached_property
+    def child_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's children as flat arrays: the children of node 0, then of
+        node 1, ..., each in stored order; each node's child count; and the
+        offset of each node's first child."""
+        counts = np.fromiter(map(len, self.children), dtype=np.intp, count=self.n_nodes)
+        flat = np.fromiter(chain.from_iterable(self.children), dtype=np.intp)
+        return flat, counts, np.cumsum(counts) - counts
+
+    @cached_property
+    def _sibling_rank(self) -> np.ndarray:
+        """Each node's position among its parent's children (0 at the root)."""
+        flat, counts, starts = self.child_table
+        rank = np.zeros(self.n_nodes, dtype=np.intp)
+        rank[flat] = np.arange(len(flat)) - np.repeat(starts, counts)
+        return rank
+
+    @cached_property
     def root_distances(self) -> np.ndarray:
         """Path length from the root to every node."""
-        parents, lengths = self.parents.tolist(), self.lengths.tolist()
-        dist = [0.0] * self.n_nodes
-        # Reversed index order visits every parent before its children.
-        for i in range(self.n_nodes - 2, -1, -1):
-            dist[i] = dist[parents[i]] + lengths[i]
-        return np.array(dist)
+        dist = np.zeros(self.n_nodes)
+        # Each node adds its own length to its parent's distance, as a
+        # top-down walk does, one depth level at a time.
+        for nodes, parents in self.depth_levels:
+            dist[nodes] = dist[parents] + self.lengths[nodes]
+        return dist
 
     @cached_property
     def height_levels(self) -> tuple[np.ndarray, ...]:
@@ -132,13 +168,11 @@ class Tree:
         A bottom-up sweep can finish one group at a time: every child of a
         node lies in an earlier group or is a tip.
         """
-        height = [0] * self.n_nodes
-        levels: dict[int, list[int]] = {}
-        for i, kids in enumerate(self.children):
-            if kids:
-                height[i] = 1 + max(map(height.__getitem__, kids))
-                levels.setdefault(height[i], []).append(i)
-        return tuple(np.array(levels[h], dtype=np.intp) for h in sorted(levels))
+        height = np.zeros(self.n_nodes, dtype=np.intp)
+        # Deepest level first, so each node's height is final before its parent reads it.
+        for nodes, parents in reversed(self.depth_levels):
+            np.maximum.at(height, parents, height[nodes] + 1)
+        return _group_by(height, np.flatnonzero(height))
 
     @cached_property
     def depth_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -148,13 +182,19 @@ class Tree:
         A top-down sweep can finish one group at a time: every parent lies in
         an earlier group or is the root.
         """
-        parents = self.parents.tolist()
-        depth = [0] * self.n_nodes
-        levels: dict[int, list[int]] = {}
-        for i in range(self.n_nodes - 2, -1, -1):
-            depth[i] = depth[parents[i]] + 1
-            levels.setdefault(depth[i], []).append(i)
-        groups = (np.array(levels[d][::-1], dtype=np.intp) for d in sorted(levels))
+        # Pointer doubling: ``up`` jumps 1, 2, 4, ... edges towards the root
+        # (stopping there) and ``depth`` counts the edges jumped.
+        up = self.parents.copy()
+        up[self.root] = self.root
+        depth = np.ones(self.n_nodes, dtype=np.intp)
+        depth[self.root] = 0
+        while True:
+            further = up[up]
+            if np.array_equal(further, up):
+                break
+            depth += depth[up]
+            up = further
+        groups = _group_by(depth, np.arange(self.root))
         return tuple((nodes, self.parents[nodes]) for nodes in groups)
 
     @cached_property
@@ -170,6 +210,16 @@ class Tree:
             and self.labels == other.labels
             and np.array_equal(self.lengths, other.lengths)
         )
+
+
+def _group_by(key: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``nodes`` grouped by ``key[nodes]`` (small positive ints without gaps), in
+    ascending key order and ascending index order within a group."""
+    if not len(nodes):
+        return ()
+    order = nodes[np.argsort(key[nodes], kind="stable")]
+    ends = np.cumsum(np.bincount(key[nodes])[1:]).tolist()
+    return tuple(map(order.__getitem__, map(slice, [0, *ends[:-1]], ends)))
 
 
 @dataclass(frozen=True)
@@ -373,9 +423,11 @@ def _check_duplicate_tips(root: _PNode) -> None:
         seen[node.label] = node.offset
 
 
-def read_newick_file(path: str | Path) -> Tree:
-    """Read one UTF-8 Newick tree from a file."""
-    return parse_newick(Path(path).read_text(encoding="utf-8"))
+def read_newick_file(source: str | Path | IO[str]) -> Tree:
+    """Read one UTF-8 Newick tree from a file path or an open text stream."""
+    if isinstance(source, (str, Path)):
+        return parse_newick(Path(source).read_text(encoding="utf-8"))
+    return parse_newick(source.read())
 
 
 # -- serialization ---------------------------------------------------------
@@ -421,6 +473,9 @@ def prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
     order is ``tree``'s postorder restricted to the survivors, so the kept
     tips keep their relative order. A surviving node heading a spliced
     chain takes its own length plus each spliced ancestor's, added bottom-up.
+    Every step is a numpy operation over all nodes, or over one depth level
+    at a time, and the result is not validated again: a pruning of a valid
+    tree is valid.
     """
     keep = set(keep)
     unknown = keep.difference(tree.tip_labels)
@@ -429,40 +484,45 @@ def prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
     if len(keep) < 2:
         raise TreeError(f"need >= 2 taxa, got {len(keep)}")
 
-    root = tree.root
-    lengths = tree.lengths.tolist()
-    # head[i]: the pruned index of the node that stands for i's subtree, -1 if it is empty.
-    head = [-1] * tree.n_nodes
-    parents: list[int] = []
-    children: list[tuple[int, ...]] = []
-    kept_lengths: list[float] = []
-    labels: list[str | None] = []
-    for i, kids in enumerate(tree.children):
-        if kids:
-            live = [head[c] for c in kids if head[c] >= 0]
-            if not live:
-                continue
-            if len(live) == 1 and i != root:
-                # Splice out the unary node; the child edge absorbs this edge.
-                kept_lengths[live[0]] += lengths[i]
-                head[i] = live[0]
-                continue
-        elif tree.labels[i] in keep:
-            live = []
-        else:
-            continue
-        head[i] = len(labels)
-        for c in live:
-            parents[c] = head[i]
-        parents.append(-1)
-        children.append(tuple(live))
-        kept_lengths.append(lengths[i])
-        labels.append(tree.labels[i])
-    return Tree(
-        np.array(parents, dtype=np.intp),
-        tuple(children),
-        np.array(kept_lengths),
-        tuple(labels),
+    n, parents, levels = tree.n_nodes, tree.parents, tree.depth_levels
+    # live: the node's subtree holds a kept tip; filled bottom-up.
+    live = np.zeros(n, dtype=bool)
+    live[tree.tip_indices] = np.fromiter(map(keep.__contains__, tree.tip_labels), bool)
+    for nodes, ups in reversed(levels):
+        live[ups[live[nodes]]] = True
+    # A live node survives unless it is a non-root node with one live child.
+    survives = live & (np.bincount(parents[:-1][live[:-1]], minlength=n) != 1)
+    survives[-1] = True
+    # anchor: the nearest surviving ancestor-or-self; top: the ancestor-or-self
+    # just below the nearest surviving proper ancestor, so a spliced chain and
+    # the survivor at its foot share a top. Both by pointer jumping.
+    nodes = np.arange(n)
+    anchor = np.where(survives, nodes, parents)
+    top = np.where(survives[parents], nodes, parents)
+    for pointer in (anchor, top):
+        while True:
+            further = pointer[pointer]
+            if np.array_equal(further, pointer):
+                break
+            pointer[:] = further
+    kept = np.flatnonzero(survives)
+    new_index = np.empty(n, dtype=np.intp)
+    new_index[kept] = np.arange(len(kept))
+    kids = kept[:-1]
+    new_parents = np.append(new_index[anchor[parents[kids]]], -1)
+    # Each spliced node's length goes onto the survivor at the foot of its
+    # chain; np.add.at adds in index order, which is bottom-up along a chain.
+    foot = np.empty(n, dtype=np.intp)
+    foot[top[kids]] = np.arange(len(kids))
+    spliced = np.flatnonzero(live & ~survives)
+    new_lengths = tree.lengths[kept]
+    np.add.at(new_lengths, foot[top[spliced]], tree.lengths[spliced])
+    # A node's children, in the stored order of the chains' tops.
+    order = np.lexsort((tree._sibling_rank[top[kids]], new_parents[:-1])).tolist()
+    ends = np.cumsum(np.bincount(new_parents[:-1], minlength=len(kept))).tolist()
+    children = tuple(map(tuple, map(order.__getitem__, map(slice, [0, *ends[:-1]], ends))))
+    return Tree._unchecked(
+        new_parents, children, new_lengths, tuple(map(tree.labels.__getitem__, kept.tolist()))
     )
 
 

@@ -1,8 +1,10 @@
 import argparse
 import collections
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -898,3 +900,90 @@ def test_each_flag_means_the_same_in_every_subcommand():
                     action.metavar, action.help)
             other, other_spec = first_seen.setdefault(action.dest, (command, spec))
             assert spec == other_spec, (action.dest, command, other)
+
+
+def test_rank_opens_each_input_once(tmp_path, monkeypatch):
+    """rank parses and hashes the same bytes of each input, read once."""
+    opens = collections.Counter()
+    original = Path.open
+
+    def counting(self, *args, **kwargs):
+        opens[self.name] += 1
+        return original(self, *args, **kwargs)
+
+    tree_path, cognates_path = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(Path, "open", counting)
+    assert main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                 "--seed", "2", "--reps", "5", "--k", "3", "--out", str(out)]) == 0
+    assert (opens["tree.nwk"], opens["cognates.csv"]) == (1, 1)
+    inputs = json.loads((out / "report.json").read_text("utf-8"))["run"]["inputs"]
+    for name, path in (("tree", tree_path), ("cognates", cognates_path)):
+        assert inputs[name]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def bundled_ranked(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundled") / "out"
+    assert main(["rank", "--tree", str(BUNDLED / "tree.nwk"),
+                 "--cognates", str(BUNDLED / "cognates.csv"),
+                 "--seed", "3", "--reps", "30", "--out", str(out)]) == 0
+    return out
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside a JSON document, containers included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield (*path, key)
+        if isinstance(item, (dict, list)):
+            yield from _json_paths(item, (*path, key))
+
+
+def _json_kind(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+# A value of every JSON type; an integer and a non-integer number count as
+# two types, since the schema tells them apart.
+_JSON_VALUES = {
+    "NoneType": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-3, 3),
+    "float": st.floats(-2, 2, allow_nan=False),
+    "str": st.text(max_size=3),
+    "list": st.lists(st.integers(0, 2), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_retyped_metrics_field_is_an_error_or_a_valid_report(
+    bundled_ranked, tmp_path_factory, data
+):
+    """Any one field of metrics.json set to a value of another JSON type: the
+    restage cycle stops with an error line and exit 1, or every stage exits 0
+    and the report validates against the shipped schema."""
+    import jsonschema
+
+    from lexiphylo.report import report_schema
+
+    doc = json.loads((bundled_ranked / "metrics.json").read_text("utf-8"))
+    path = data.draw(st.sampled_from(sorted(_json_paths(doc), key=repr)), label="path")
+    *parents, key = path
+    target = functools.reduce(lambda node, part: node[part], parents, doc)
+    kind = _json_kind(target[key])
+    # A number field given an integer keeps its JSON type.
+    others = [k for k in _JSON_VALUES if k != kind and not (kind == "float" and k == "int")]
+    target[key] = data.draw(st.one_of([_JSON_VALUES[k] for k in others]), label="value")
+    work = tmp_path_factory.mktemp("retyped")
+    shutil.copytree(bundled_ranked, work, dirs_exist_ok=True)
+    (work / "metrics.json").write_text(to_json(doc), "utf-8")
+    for argv in (["pca"], ["cluster", "--seed", "3"], ["report"]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--out", str(work)])
+        if code:
+            assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+            return
+    jsonschema.validate(json.loads((work / "report.json").read_text("utf-8")), report_schema())

@@ -20,8 +20,9 @@ from lexiphylo.comparative import (
     threshold_at_prevalence,
 )
 from lexiphylo.cognates import binary_trait, load_cognates
-from lexiphylo.tree import parse_newick, read_newick_file
-from lexiphylo._rng import stream
+from lexiphylo.metrics import DStatConfig, compute_metrics
+from lexiphylo.tree import parse_newick, prune_to_taxa, read_newick_file
+from lexiphylo._rng import rekey, stream
 from util import (
     SMALL_TREE_NEWICKS,
     TIE_TREE,
@@ -85,6 +86,11 @@ class TestNodalEstimates:
         est = nodal_estimates(balanced4, [1, 1, 0, 0])
         # postorder: A, B, AB, C, D, CD, root
         assert est.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5]
+
+    def test_one_node_and_unary_trees(self):
+        # Trees without a branching node: nothing to sweep, or one level.
+        assert nodal_estimates(parse_newick("A;"), [0.5]).tolist() == [0.5]
+        assert nodal_estimates(parse_newick("(A:1);"), [0.5]).tolist() == [0.5, 0.5]
 
     def test_constant_tips(self, balanced4):
         est = nodal_estimates(balanced4, [2.5] * 4)
@@ -171,7 +177,7 @@ class TestDSum:
             benchmark_corpus_newick(),
         ):
             tree = parse_newick(newick)
-            assert tree.n_nodes - 1 > 2 * comparative._EDGE_BLOCK
+            assert tree.n_nodes - 1 > 2 * comparative._NODE_BLOCK
             for trait in sample_binary_traits(tree.n_tips, 4, seed=tree.n_tips):
                 assert d_sum(tree, trait) == oracle_d_sum(tree, trait)
 
@@ -434,15 +440,15 @@ def test_threads_calling_d_statistic_at_once_match_serial():
 
 
 def test_warm_d_call_reuses_its_buffers_and_allocates_less_than_one_replicate_array():
-    # A warm call of the same shape reuses the workspace: its two buffers
-    # (the rows; the BM values and draw block) are the same objects
-    # afterwards, and what the call does allocate (its temporaries, which
-    # tracemalloc sees through numpy) peaks below one (n_nodes x n_reps)
-    # float64 array.
+    # A warm call of the same shape reuses the workspace: its three buffers
+    # (the rows; the BM values and draw block; the sweeps' level gathers)
+    # are the same objects afterwards, and what the call does allocate (its
+    # temporaries, which tracemalloc sees through numpy) peaks below one
+    # (n_nodes x n_reps) float64 array.
     tree, presence, mask = _bundled_water()
     d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
     before = dict(comparative._WORKSPACE.buffers)
-    n_nodes = comparative._pruned_sweeps(tree, mask.astype(bool).tobytes()).tree.n_nodes
+    n_nodes = prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept}).n_nodes
     tracemalloc.start()
     try:
         d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
@@ -450,7 +456,7 @@ def test_warm_d_call_reuses_its_buffers_and_allocates_less_than_one_replicate_ar
     finally:
         tracemalloc.stop()
     after = comparative._WORKSPACE.buffers
-    assert sorted(after) == sorted(before) == ["rows", "values"]
+    assert sorted(after) == sorted(before) == ["level", "rows", "values"]
     assert all(after[name] is before[name] for name in before)
     assert peak < n_nodes * DEFAULT_N_REPS * 8
 
@@ -465,3 +471,150 @@ def test_impossible_replicate_count_is_a_memory_error_and_workspace_survives():
         d_statistic(tree, presence, mask, 10**12, seed=2)
     assert d_statistic(tree, presence, mask, 30, seed=2) == expected
     assert expected == _oracle_d(tree, presence, mask, 30, 2)
+
+
+def _assert_stack_matches_oracle(tree, presences, mask, n_reps, seeds):
+    """Each trait of a stacked call against the one-replicate-at-a-time oracle."""
+    batch = d_statistic(tree, np.array(presences), mask, n_reps, seed=seeds)
+    assert batch.n_reps == n_reps and len(batch.results) == len(presences)
+    used = np.asarray(mask).astype(bool)
+    for presence, seed, result in zip(presences, seeds, batch.results):
+        if np.ptp(np.asarray(presence)[used]) == 0:
+            assert result == "no variation in trait"
+            continue
+        try:
+            expected = _oracle_d(tree, presence, mask, n_reps, seed)
+        except ValueError as exc:
+            expected = str(exc)
+        assert result == expected
+
+
+def _stack(tree, rng):
+    """A mask and a stack of traits on it: each prevalence once, a constant
+    trait among them, and a seed per trait."""
+    n = tree.n_tips
+    mask = np.ones(n, dtype=int)
+    if n > MIN_TIPS_FOR_D:
+        mask[rng.integers(n)] = 0
+    used = np.flatnonzero(mask)
+    presences = []
+    for m in range(1, len(used)):
+        presence = np.zeros(n, dtype=int)
+        presence[rng.choice(used, m, replace=False)] = 1
+        presences.append(presence)
+    presences.insert(len(presences) // 2, mask.copy())
+    seeds = rng.integers(0, 2**63, len(presences)).tolist()
+    return presences, mask, seeds
+
+
+@pytest.mark.parametrize("stack_rows", [comparative._STACK_ROWS, 50])
+@pytest.mark.parametrize(
+    "newick",
+    [nwk for nwk in SMALL_TREE_NEWICKS if parse_newick(nwk).n_tips >= MIN_TIPS_FOR_D]
+    + [TIE_TREE],
+)
+def test_stacked_d_statistic_matches_replicate_oracle_per_class(newick, stack_rows, monkeypatch):
+    # Every trait of a stack, each with its own seed, has the bits of the
+    # oracle. The row budget cuts the stacks: at 10 reps a stack holds 6
+    # traits (2 at a budget of 50), and from 63 reps each trait is alone.
+    # On TIE_TREE the BM values tie at the cut, so tie keys are replayed
+    # for traits of different seeds within one stack.
+    monkeypatch.setattr(comparative, "_STACK_ROWS", stack_rows)
+    replays = []
+
+    def counting_rekey(g, seed, r):
+        replays.append(1)
+        rekey(g, seed, r)
+
+    monkeypatch.setattr(comparative, "rekey", counting_rekey)
+    tree = parse_newick(newick)
+    rng = np.random.default_rng(len(newick) + stack_rows)
+    presences, mask, seeds = _stack(tree, rng)
+    for n_reps in (1, 10, 63, 64, 65) + ((500,) if newick == TIE_TREE else ()):
+        replays.clear()
+        _assert_stack_matches_oracle(tree, presences, mask, n_reps, seeds)
+        if newick == TIE_TREE and n_reps >= 10:
+            assert len(replays) > (len(presences) - 1) * n_reps  # draws, then replays
+
+
+def test_stacked_d_statistic_matches_replicate_oracle_on_the_benchmark_tree():
+    tree = parse_newick(benchmark_corpus_newick())
+    rng = np.random.default_rng(401)
+    mask = (rng.random(tree.n_tips) < 0.9).astype(int)
+    presences = [mask * (rng.random(tree.n_tips) < p) for p in (0.1, 0.4)]
+    presences.insert(1, mask.copy())
+    for n_reps in (1, 10, 63, 64, 65):
+        _assert_stack_matches_oracle(tree, presences, mask, n_reps, [n_reps, 7, 2**40 + n_reps])
+
+
+def test_stacked_call_raises_shared_input_errors_like_a_one_trait_call():
+    tree = parse_newick("((A:1,B:1):1,(C:1,D:1):1);")
+    ones = np.ones(4, dtype=int)
+    presences = np.array([[1, 0, 0, 0], [1, 1, 0, 0]])
+    cases = [
+        (presences[:, :3], ones, 10, [1, 2], "align with the tree tips"),
+        (presences, ones, 10, [1], "one seed per trait"),
+        (presences, np.array([0, 1, 1, 1]), 10, [1, 2], "presence must be 0"),
+        (presences, ones, 0, [1, 2], "n_reps must be >= 1"),
+        (presences * [1, 0, 1, 0], np.array([1, 0, 1, 0]), 10, [1, 2], "fewer than 4 usable"),
+    ]
+    for presence, mask, n_reps, seeds, message in cases:
+        with pytest.raises(ValueError, match=message):
+            d_statistic(tree, presence, mask, n_reps, seed=seeds)
+        if len(seeds) == len(presence):
+            with pytest.raises(ValueError, match=message):
+                d_statistic(tree, presence[0], mask, n_reps, seed=seeds[0])
+
+
+def test_compute_metrics_equals_a_loop_of_one_trait_calls():
+    # One stacked D call per concept gives, field for field and in the same
+    # order, what one call per class gave: results, and skip texts.
+    tree = read_newick_file(BUNDLED / "tree.nwk")
+    matrix, _ = load_cognates(BUNDLED / "cognates.csv")
+    config = DStatConfig(seed=5, n_reps=10)
+    for concept in sorted(matrix.concepts):
+        metrics = compute_metrics(matrix, tree, concept, config)
+        attested = matrix.languages_for(concept) & set(tree.tip_labels)
+        expected = []
+        for cls, langs in sorted(matrix.classes_for(concept).items()):
+            size = len(langs & set(tree.tip_labels))
+            if not size:
+                continue
+            if len(attested) < MIN_TIPS_FOR_D:
+                expected.append((cls, f"fewer than {MIN_TIPS_FOR_D} usable tips"))
+                continue
+            if size == len(attested):
+                expected.append((cls, "constant trait (attested by every usable language)"))
+                continue
+            presence, mask = binary_trait(matrix, concept, cls, tree.tip_labels)
+            try:
+                seed = config.class_seed(concept, cls)
+                expected.append((cls, d_statistic(tree, presence, mask, 10, seed=seed)))
+            except ValueError as exc:
+                expected.append((cls, str(exc)))
+        assert list(metrics.class_results.items()) == [
+            (cls, r) for cls, r in expected if not isinstance(r, str)
+        ]
+        assert list(metrics.class_skips.items()) == [
+            (cls, r) for cls, r in expected if isinstance(r, str)
+        ]
+
+
+def test_warm_stacked_call_allocates_less_than_one_nodes_by_rows_array():
+    # A warm stacked call on the 400-tip tree at 10 reps takes every array it
+    # needs from the workspace: what it allocates on top peaks below one
+    # (n_nodes x stacked rows) float64 array.
+    tree = parse_newick(benchmark_corpus_newick())
+    rng = np.random.default_rng(402)
+    mask = (rng.random(tree.n_tips) < 0.9).astype(int)
+    presences = np.array([mask * (rng.random(tree.n_tips) < p) for p in (0.1, 0.2, 0.3, 0.5, 0.7)])
+    seeds = list(range(len(presences)))
+    d_statistic(tree, presences, mask, 10, seed=seeds)
+    n_nodes = prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept}).n_nodes
+    tracemalloc.start()
+    try:
+        d_statistic(tree, presences, mask, 10, seed=seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_nodes * len(presences) * (2 * 10 + 1) * 8

@@ -2,19 +2,17 @@
 
 The four pipeline stages (metrics, pca, cluster, report) are one function
 each: it takes the upstream stages' caches, writes its own JSON cache to the
-output directory and returns it. A cache is its document and the SHA-256 of
-the bytes the stage wrote or read, so no file is read twice: ``rank`` chains
-the stages in memory, and the pca, cluster and report subcommands read the
-upstream caches back once each, so the cheap stages re-run without
-recomputing the D statistics. ``features.csv`` is an export nothing reads.
-``pca.json`` and ``clusters.json`` record the digest of the upstream cache
-they were built from, and the report stage refuses a stale link. A cache
-that is not JSON or lacks or mistypes a field is an error naming the file
-and the stage to re-run, not a traceback. Each flag is declared once, in
-``_FLAGS``, so it means the same in every subcommand that takes it. Every
-stochastic subcommand takes and requires an explicit --seed; there is no
-wall-clock fallback, so a command line plus its inputs fully determines the
-output bytes.
+output directory and returns it. A cache is a record of the type declared
+for its file and the SHA-256 of the bytes written or read: ``rank`` chains
+the stages' records in memory, and the pca, cluster and report subcommands
+read each upstream cache once, through ``_read_cache``, which checks every
+field against the record type. A cache that is not JSON or lacks or mistypes
+a field is an error naming the file, the field and the stage to re-run.
+``pca.json`` and ``clusters.json`` record the digest of the upstream cache,
+and the report stage refuses a stale link. Each flag is declared once, in
+``_FLAGS``. Every stochastic subcommand requires an explicit --seed; there is
+no wall-clock fallback, so a command line plus its inputs fully determines
+the output bytes.
 
 Exit codes: 0 success, 1 domain error (parse/validation/statistics, a
 failed numerical invariant in the pca or cluster stage, or a --reps too
@@ -31,10 +29,10 @@ import hashlib
 import io
 import json
 import math
+import reprlib
 import sys
 import typing
 import warnings as _warnings
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +48,6 @@ from .cognates import (
 from .comparative import (
     DEFAULT_N_REPS,
     BmParams,
-    DStatResult,
     ReplicateMemoryError,
     d_statistic,
     release_workspace,
@@ -154,76 +151,103 @@ def _compute_all_metrics(
     return results
 
 
-# -- stages and their cache documents ----------------------------------------
-
-# A stage cache: its document and the SHA-256 of the bytes it was written or read as.
-Cache = tuple[dict, str]
+# -- stage caches: one declared record type each -------------------------------
 
 
-@contextlib.contextmanager
-def _malformed(path: Path, stage: str):
-    """Turn a cache document that is not JSON or lacks or mistypes a field into a located error."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CliError(f"{path} is malformed ({exc!r}); re-run the {stage} stage") from exc
+class _Mistyped(TypeError):
+    """A JSON value that does not fit its declared type; ``path`` locates it, innermost first."""
+
+    MISSING = object()  # the value of a required key that a JSON object lacks
+
+    def __init__(self, expected: str, value: object, at: str = "") -> None:
+        super().__init__(expected, value)
+        self.path: list[str] = [at] if at else []
+
+    def __str__(self) -> str:
+        expected, value = self.args
+        where = "".join(reversed(self.path)).lstrip(".")
+        got = "nothing" if value is self.MISSING else reprlib.repr(value)
+        return f"{where + ': ' if where else ''}expected {expected}, got {got}"
 
 
-def _write_cache(out: Path, name: str, doc: dict) -> Cache:
-    """Write ``doc`` as the cache ``name`` in ``out``, with the schema version all caches share."""
-    doc = {"schema_version": 1, **doc}
-    data = to_json(doc).encode("utf-8")
-    (out / name).write_bytes(data)
-    return doc, hashlib.sha256(data).hexdigest()
+_InputDigest = typing.TypedDict("_InputDigest", {"path": str, "sha256": str})
 
 
-def _read_cache(out: Path, name: str, stage: str) -> Cache:
-    """The cache ``name`` in ``out``, read once; ``stage`` is the one that writes it."""
-    path = out / name
-    if not path.exists():
-        raise CliError(f"{path} not found; run the {stage} stage first")
-    data = path.read_bytes()
-    with _malformed(path, stage):
-        doc = json.loads(data.decode("utf-8"))
-        if not isinstance(doc, dict):
-            raise TypeError("not a JSON object")
-        if name == "metrics.json":
-            _check_metrics(doc)
-    return doc, hashlib.sha256(data).hexdigest()
+@dataclasses.dataclass(frozen=True)
+class _MetricsCache:
+    """``metrics.json``: the run's D config, input digests, warnings and concept records."""
 
-
-class _InputDigest(typing.TypedDict):
-    path: str
-    sha256: str
-
-
-class _RunConfig(typing.TypedDict):
-    seed: int
-    n_reps: int
-
-
-class _MetricsCache(typing.TypedDict):
-    """The fields of ``metrics.json`` that the pca and report stages read."""
-
-    config: _RunConfig
+    config: DStatConfig
     inputs: dict[str, _InputDigest]
     warnings: list[str]
     concepts: list[MeaningClassMetrics]
 
-
-class _Mistyped(TypeError):
-    """A JSON value of the wrong type; ``path`` locates it, innermost part first."""
-
-    def __init__(self, expected: str, value: object) -> None:
-        super().__init__(expected, value)
-        self.path: list[str] = []
-
-    def __str__(self) -> str:
-        expected, value = self.args
-        return f"{''.join(reversed(self.path)).lstrip('.')}: expected {expected}, got {value!r}"
+    def __post_init__(self) -> None:
+        for i, m in enumerate(self.concepts):
+            # mean_D averages the class results, so it is null exactly when there are none.
+            if (m.mean_d is None) != (not m.class_results):
+                expected = "null exactly when there are no class results"
+                raise _Mistyped(expected, m.mean_d, f".concepts[{i}].mean_d")
 
 
-# The JSON types that a field annotation stands for; no bool is a number.
+@dataclasses.dataclass(frozen=True)
+class _PcaCache(PcaResult):
+    """``pca.json``: the PCA of the features of the ``metrics.json`` with ``upstream_sha256``."""
+
+    upstream_sha256: str
+    warnings: list[str]
+
+    def __post_init__(self) -> None:
+        p, n = len(self.variables), len(self.row_labels)
+        for name, shape in (("eigenvalues", (p,)), ("explained_variance", (p,)),
+                            ("loadings", (p, p)), ("contributions", (p, p)), ("scores", (n, p))):
+            if getattr(self, name).shape != shape:
+                got = getattr(self, name).shape
+                raise _Mistyped(f"an array of shape {shape}", got, f".{name}")
+
+
+@dataclasses.dataclass(frozen=True)
+class _PcaScores:
+    """The fields of ``pca.json`` that the cluster stage reads."""
+
+    scores: np.ndarray
+    row_labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.row_labels)
+        if self.scores.ndim != 2 or len(self.scores) != n or self.scores.shape[1] < 2:
+            raise _Mistyped(f"{n} rows of at least 2 numbers", self.scores.shape, ".scores")
+
+
+class _Selection(typing.TypedDict("_Selection", {"mode": str, "warnings": list[str]}),
+                 total=False):
+    """How k was chosen; ``range``, the k range searched, is there in auto mode only."""
+
+    range: list[int]
+
+
+@dataclasses.dataclass(frozen=True)
+class _ClustersCache:
+    """``clusters.json``: a ``ClusterAssignment`` with its labels keyed by concept."""
+
+    upstream_sha256: str
+    labels: dict[str, int]
+    centroids: np.ndarray
+    wcss: float
+    k: int
+    seed: int
+    n_restarts: int
+    selection: _Selection
+
+    def __post_init__(self) -> None:
+        if self.centroids.shape != (self.k, 2):
+            raise _Mistyped(f"an array of shape {(self.k, 2)}", self.centroids.shape, ".centroids")
+        for concept, label in self.labels.items():
+            if not 0 <= label < self.k:
+                raise _Mistyped(f"a cluster in 0..{self.k - 1}", label, f".labels[{concept!r}]")
+
+
+# The JSON types that a scalar annotation stands for; no bool is a number.
 _JSON_TYPES = {
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
@@ -233,114 +257,110 @@ _JSON_TYPES = {
 
 
 @functools.cache
-def _json_check(hint) -> typing.Callable[[object], None]:
-    """A test that raises ``_Mistyped`` unless a JSON value has the type ``hint`` annotates.
-
-    A dataclass or TypedDict is an object with (at least) its fields,
-    ``dict[str, T]`` an object of ``T``, ``list[T]`` an array of ``T``, and
-    ``T | None`` a ``T`` or null.
-    """
+def _decoder(hint) -> tuple[str, typing.Callable[[object], typing.Any]]:
+    """What a JSON value of type ``hint`` must be, and a function that checks a parsed value
+    field by field and returns it as that type, or raises ``_Mistyped``: a dataclass is
+    built from an object with (at least) its fields, a TypedDict from one with its required
+    keys; ``dict[str, T]`` is an object of ``T``, ``list[T]`` and ``tuple[T, ...]`` an array
+    of ``T``, ``np.ndarray`` one of numbers or of such arrays, ``T | None`` a ``T`` or null."""
     if dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
-        members = [(name, _json_check(h)) for name, h in typing.get_type_hints(hint).items()]
+        optional = getattr(hint, "__optional_keys__", ())
+        members = [(name, *_decoder(h)) for name, h in typing.get_type_hints(hint).items()]
+        build = dict if typing.is_typeddict(hint) else hint
 
-        def check(value: object) -> None:
+        def decode(value: object):
             if type(value) is not dict:
                 raise _Mistyped("an object", value)
-            for name, check_member in members:
+            values = {}
+            for name, expected, decode_member in members:
                 try:
-                    check_member(value[name])
-                except KeyError:
-                    raise KeyError(name) from None
+                    if name in value:
+                        values[name] = decode_member(value[name])
+                    elif name not in optional:
+                        raise _Mistyped(expected, _Mistyped.MISSING)
                 except _Mistyped as exc:
                     exc.path.append(f".{name}")
                     raise
+            return build(**values)
 
-        return check
+        return "an object", decode
+    if hint is np.ndarray:
+        def decode(value: object) -> np.ndarray:
+            nested = type(value) is list and value and type(value[0]) is list
+            items = _decoder(list[list[float]] if nested else list[float])[1](value)
+            try:
+                return np.array(items, dtype=float)
+            except (ValueError, OverflowError):  # ragged, or an integer beyond a double
+                raise _Mistyped("a rectangular array of numbers", value) from None
+
+        return "an array of numbers", decode
     container = typing.get_origin(hint)
-    if container in (dict, list):
-        check_item = _json_check(typing.get_args(hint)[-1])
-        kind = "an object" if container is dict else "an array"
+    if container in (dict, list, tuple):
+        json_type, expected = (dict, "an object") if container is dict else (list, "an array")
+        _, decode_item = _decoder(typing.get_args(hint)[container is dict])
 
-        def check(value: object) -> None:
-            if type(value) is not container:
-                raise _Mistyped(kind, value)
-            for key, item in value.items() if container is dict else enumerate(value):
+        def decode(value: object):
+            if type(value) is not json_type:
+                raise _Mistyped(expected, value)
+            decoded = {}
+            for key, item in value.items() if json_type is dict else enumerate(value):
                 try:
-                    check_item(item)
+                    decoded[key] = decode_item(item)
                 except _Mistyped as exc:
                     exc.path.append(f"[{key!r}]")
                     raise
+            return decoded if container is dict else container(decoded.values())
 
-        return check
+        return expected, decode
     kinds = [_JSON_TYPES[arg] for arg in typing.get_args(hint) or (hint,)]
     expected = " or ".join(name for name, _ in kinds)
     allowed = tuple(t for _, types in kinds for t in types)
 
-    def check(value: object) -> None:
+    def decode(value: object):
         if type(value) not in allowed:
             raise _Mistyped(expected, value)
+        return value
 
-    return check
+    return expected, decode
 
 
-def _check_metrics(doc: dict) -> None:
-    """Raise TypeError, KeyError or ValueError at the first field of a metrics
-    document that does not have the type the later stages read it as."""
+def _malformed(path: Path, stage: str, problem: object) -> CliError:
+    return CliError(f"{path} is malformed ({problem}); re-run the {stage} stage")
+
+
+def _write_cache(out: Path, name: str, record) -> tuple[typing.Any, str]:
+    """Write ``record`` as the cache ``name`` in ``out``; returns it and the bytes' SHA-256."""
+    data = to_json({"schema_version": 1, **dataclasses.asdict(record)}).encode("utf-8")
+    (out / name).write_bytes(data)
+    return record, hashlib.sha256(data).hexdigest()
+
+
+def _read_cache(out: Path, name: str, stage: str, record: type) -> tuple[typing.Any, str]:
+    """The cache ``name`` in ``out`` read once and decoded as ``record``, and the
+    SHA-256 of its bytes; ``stage`` is the one that writes it."""
+    path = out / name
+    if not path.exists():
+        raise CliError(f"{path} not found; run the {stage} stage first")
+    data = path.read_bytes()
     try:
-        _json_check(_MetricsCache)(doc)
+        value = _decoder(record)[1](json.loads(data.decode("utf-8")))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise _malformed(path, stage, f"not JSON: {exc}") from exc
     except _Mistyped as exc:
-        raise TypeError(str(exc)) from None
-    for i, m in enumerate(doc["concepts"]):
-        # mean_D averages the class results, so it is null exactly when there are none.
-        if (m["mean_d"] is None) != (not m["class_results"]):
-            raise ValueError(
-                f"concepts[{i}].mean_d must be null exactly when it has no class results"
-            )
+        raise _malformed(path, stage, exc) from None
+    return value, hashlib.sha256(data).hexdigest()
 
 
-def _rebuild(cls, doc: dict, **overrides):
-    """Dataclass ``cls`` from its cache document, the inverse of ``asdict``.
-
-    JSON keeps only lists: ndarray fields get their array back and tuple
-    fields their tuple. ``overrides`` supplies fields the document stores
-    in another shape.
-    """
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        value = doc[f.name]
-        if hints[f.name] is np.ndarray:
-            value = np.array(value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        values[f.name] = value
-    return cls(**{**values, **overrides})
-
-
-def _metrics_from_doc(doc: dict, with_classes: bool = True) -> list[MeaningClassMetrics]:
-    """The concept records of a metrics document.
-
-    Without ``with_classes`` the records carry no per-class D results:
-    the feature table needs only the concept-level fields.
-    """
-    metrics = []
-    for m in doc["concepts"]:
-        results = m["class_results"] if with_classes else {}
-        results = {cls: DStatResult(**res) for cls, res in results.items()}
-        metrics.append(MeaningClassMetrics(**{**m, "class_results": results}))
-    return metrics
-
-
-def _read_input(path: Path) -> tuple[typing.TextIO, dict]:
+def _read_input(path: Path) -> tuple[typing.TextIO, _InputDigest]:
     """An input file, read once: a UTF-8 text stream over its bytes, which
     decodes them as ``Path.read_text`` does, and its path and the SHA-256 of
     those bytes, as ``metrics.json`` records them."""
     data = path.read_bytes()
-    digest = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    digest = _InputDigest(path=str(path), sha256=hashlib.sha256(data).hexdigest())
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), digest
 
 
-def _metrics_stage(args: argparse.Namespace) -> Cache:
+def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
     """Compute and write the metrics cache.
 
     A subcommand that takes --k (rank) has it checked against the usable
@@ -359,16 +379,13 @@ def _metrics_stage(args: argparse.Namespace) -> Cache:
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
     metrics = _compute_all_metrics(matrix, tree, usable, config, args.workers)
     table = build_feature_table(metrics)
-    doc = {
-        "config": {"seed": args.seed, "n_reps": args.reps},
-        "inputs": {"tree": tree_input, "cognates": cognates_input},
-        "warnings": sorted(skip_warnings + [issue.message for issue in load_issues]),
-        "concepts": [asdict(m) for m in metrics],
-    }
+    inputs = {"tree": tree_input, "cognates": cognates_input}
+    warned = sorted(skip_warnings + [issue.message for issue in load_issues])
+    record = _MetricsCache(config=config, inputs=inputs, warnings=warned, concepts=metrics)
     out.mkdir(parents=True, exist_ok=True)
     # An export for other tools; nothing reads it back.
     (out / "features.csv").write_text(feature_table_to_csv(table), "utf-8")
-    return _write_cache(out, "metrics.json", doc)
+    return _write_cache(out, "metrics.json", record)
 
 
 @contextlib.contextmanager
@@ -385,41 +402,39 @@ def _stage_invariants(stage: str):
 
 
 @_stage_invariants("pca")
-def _pca_stage(args: argparse.Namespace, metrics: Cache) -> Cache:
-    metrics_doc, metrics_sha256 = metrics
-    with _malformed(Path(args.out) / "metrics.json", "metrics"):
-        table = build_feature_table(_metrics_from_doc(metrics_doc, with_classes=False))
+def _pca_stage(
+    args: argparse.Namespace, metrics: tuple[_MetricsCache, str]
+) -> tuple[_PcaCache, str]:
+    record, metrics_sha256 = metrics
+    table = build_feature_table(record.concepts)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         result = run_pca(standardize(table))
-    doc = {
-        "upstream_sha256": metrics_sha256,
-        **asdict(result),
-        "warnings": sorted(str(w.message) for w in caught),
-    }
-    return _write_cache(Path(args.out), "pca.json", doc)
+    warned = sorted(str(w.message) for w in caught)
+    pca = _PcaCache(**vars(result), upstream_sha256=metrics_sha256, warnings=warned)
+    return _write_cache(Path(args.out), "pca.json", pca)
 
 
 @_stage_invariants("cluster")
-def _cluster_stage(args: argparse.Namespace, pca: Cache) -> Cache:
+def _cluster_stage(
+    args: argparse.Namespace, pca: tuple[_PcaScores | _PcaCache, str]
+) -> tuple[_ClustersCache, str]:
     """k-means over PC1/PC2, with k fixed or chosen by silhouette over 2..6.
 
     k may not exceed the number of distinct PC1/PC2 rows: k-means cannot
     fill more clusters than there are distinct points, so a larger
     ``--kmeans-k`` is an error and the auto range stops there.
     """
-    pca_doc, pca_sha256 = pca
+    record, pca_sha256 = pca
     pca_path = Path(args.out) / "pca.json"
-    with _malformed(pca_path, "pca"):
-        scores2 = np.array(pca_doc["scores"], dtype=float)[:, :2]
-        row_labels = list(pca_doc["row_labels"])
+    scores2 = record.scores[:, :2]
     n_distinct = len(set(map(tuple, scores2.tolist())))
     kmeans_k = args.kmeans_k
     if kmeans_k is not None and kmeans_k > n_distinct:
         raise CliError(
             f"--kmeans-k {kmeans_k} exceeds the {n_distinct} distinct PC1/PC2 rows in {pca_path}"
         )
-    meta: dict = {"mode": "fixed", "warnings": []}
+    selection = _Selection(mode="fixed", warnings=[])
     if kmeans_k is None:
         k_hi = min(6, len(scores2) - 1, n_distinct)
         if k_hi < 2:
@@ -430,64 +445,46 @@ def _cluster_stage(args: argparse.Namespace, pca: Cache) -> Cache:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             kmeans_k = choose_k(scores2, range(2, k_hi + 1), args.seed, args.restarts)
-        meta = {
-            "mode": "auto",
-            "range": [2, k_hi],
-            "warnings": sorted(str(w.message) for w in caught),
-        }
+        warned = sorted(str(w.message) for w in caught)
+        selection = _Selection(mode="auto", range=[2, k_hi], warnings=warned)
     assignment = kmeans(scores2, kmeans_k, seed=args.seed, n_restarts=args.restarts)
-    doc = {
-        "upstream_sha256": pca_sha256,
-        **asdict(assignment),
-        "labels": dict(zip(row_labels, assignment.labels.tolist())),
-        "selection": meta,
-    }
-    return _write_cache(Path(args.out), "clusters.json", doc)
+    labels = dict(zip(record.row_labels, assignment.labels.tolist()))
+    clusters = _ClustersCache(
+        **{**vars(assignment), "labels": labels}, upstream_sha256=pca_sha256, selection=selection
+    )
+    return _write_cache(Path(args.out), "clusters.json", clusters)
 
 
 def _report_stage(
-    args: argparse.Namespace, metrics: Cache, pca: Cache, clusters: Cache
+    args: argparse.Namespace, metrics: tuple[_MetricsCache, str], pca: tuple[_PcaCache, str],
+    clusters: tuple[_ClustersCache, str],
 ) -> WordlistSelection:
     out = Path(args.out)
-    metrics_doc, metrics_sha256 = metrics
-    pca_doc, pca_sha256 = pca
-    clusters_doc, _ = clusters
-    with _malformed(out / "metrics.json", "metrics"):
-        records = _metrics_from_doc(metrics_doc)
+    (metrics, metrics_sha256), (pca, pca_sha256), (clusters, _) = metrics, pca, clusters
     # Each cache records the digest of the upstream cache it was built from.
-    for name, doc, upstream, upstream_sha256, stage in (
-        ("pca.json", pca_doc, "metrics.json", metrics_sha256, "pca"),
-        ("clusters.json", clusters_doc, "pca.json", pca_sha256, "cluster"),
+    for name, record, upstream, upstream_sha256, stage in (
+        ("pca.json", pca, "metrics.json", metrics_sha256, "pca"),
+        ("clusters.json", clusters, "pca.json", pca_sha256, "cluster"),
     ):
-        if doc.get("upstream_sha256") != upstream_sha256:
+        if record.upstream_sha256 != upstream_sha256:
             raise CliError(
                 f"{out / name} was not built from the current {upstream}; "
                 f"re-run the {stage} stage"
             )
-    with _malformed(out / "pca.json", "pca"):
-        oriented = orient_axes(_rebuild(PcaResult, pca_doc))
-        stage_warnings = list(pca_doc["warnings"])
-    with _malformed(out / "clusters.json", "cluster"):
-        labels = clusters_doc["labels"]
-        assignment = _rebuild(
-            ClusterAssignment,
-            clusters_doc,
-            labels=np.array([labels[concept] for concept in oriented.row_labels]),
-        )
-        cluster_meta = clusters_doc["selection"]
-        stage_warnings += cluster_meta["warnings"]
-    with _malformed(out / "metrics.json", "metrics"):
-        config = metrics_doc["config"]
-        run_metadata = {
-            "seed": config["seed"],
-            "n_reps": config["n_reps"],
-            "inputs": metrics_doc["inputs"],
-            "warnings": sorted(metrics_doc["warnings"] + stage_warnings),
-        }
+    oriented = orient_axes(pca)
+    try:
+        labels = np.array([clusters.labels[concept] for concept in oriented.row_labels])
+    except KeyError as exc:
+        missing = _Mistyped("an integer", _Mistyped.MISSING, f"labels[{exc.args[0]!r}]")
+        raise _malformed(out / "clusters.json", "cluster", missing) from None
+    kept = {f.name: getattr(clusters, f.name) for f in dataclasses.fields(ClusterAssignment)}
+    assignment = ClusterAssignment(**{**kept, "labels": labels})
     ranking = suitability_rank(oriented, assignment)
     selection = select_wordlist(ranking, k=args.k, threshold=args.theta)
     run_block = {
-        **run_metadata,
+        **dataclasses.asdict(metrics.config),
+        "inputs": metrics.inputs,
+        "warnings": sorted(metrics.warnings + pca.warnings + clusters.selection["warnings"]),
         "wordlist_size": args.k,
         "stability_threshold": args.theta,
         "suitability_score": "PC1 - PC2 (oriented axes)",
@@ -497,12 +494,12 @@ def _report_stage(
             "seed": assignment.seed,
             "algorithm": "kmeans++ seeding, Lloyd iterations, best-of-restarts",
             "space": "first two PC scores",
-            **cluster_meta,
+            **clusters.selection,
         },
     }
     artifacts = {
         "report.json": emit_report(
-            records, oriented, assignment, ranking, selection, run_block
+            metrics.concepts, oriented, assignment, ranking, selection, run_block
         ),
         "ranking.csv": ranking_to_csv(ranking),
         "scatter.svg": emit_scatter(oriented, assignment, ranking),
@@ -545,11 +542,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    doc, _ = _metrics_stage(args)
-    for message in doc["warnings"]:
+    record, _ = _metrics_stage(args)
+    for message in record.warnings:
         print(f"warning: {message}", file=sys.stderr)
     out = Path(args.out)
-    print(f"computed metrics for {len(doc['concepts'])} concepts -> {out / 'metrics.json'}")
+    print(f"computed metrics for {len(record.concepts)} concepts -> {out / 'metrics.json'}")
     print(f"feature table -> {out / 'features.csv'}")
     return 0
 
@@ -562,24 +559,24 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
     seed = DStatConfig(args.seed, args.reps).class_seed(args.concept, args.cognate_class)
     result = d_statistic(tree, presence, mask, n_reps=args.reps, seed=seed)
     print(f"concept={args.concept} cognate_class={args.cognate_class}")
-    for name, value in asdict(result).items():
+    for name, value in dataclasses.asdict(result).items():
         print(f"{name}={value}")
     return 0
 
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    doc, _ = _pca_stage(args, _read_cache(out, "metrics.json", "metrics"))
-    explained = ", ".join(f"{100 * v:.1f}%" for v in doc["explained_variance"][:2])
-    print(f"pca over {len(doc['row_labels'])} concepts (PC1, PC2 explain {explained})")
+    record, _ = _pca_stage(args, _read_cache(out, "metrics.json", "metrics", _MetricsCache))
+    explained = ", ".join(f"{100 * v:.1f}%" for v in record.explained_variance[:2])
+    print(f"pca over {len(record.row_labels)} concepts (PC1, PC2 explain {explained})")
     print(f"pca results -> {out / 'pca.json'}")
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    doc, _ = _cluster_stage(args, _read_cache(out, "pca.json", "pca"))
-    print(f"k-means: k={doc['k']}, wcss={doc['wcss']:.4f}")
+    record, _ = _cluster_stage(args, _read_cache(out, "pca.json", "pca", _PcaScores))
+    print(f"k-means: k={record.k}, wcss={record.wcss:.4f}")
     print(f"clusters -> {out / 'clusters.json'}")
     return 0
 
@@ -596,9 +593,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    metrics = _read_cache(out, "metrics.json", "metrics")
-    pca = _read_cache(out, "pca.json", "pca")
-    _report_stage(args, metrics, pca, _read_cache(out, "clusters.json", "cluster"))
+    metrics = _read_cache(out, "metrics.json", "metrics", _MetricsCache)
+    pca = _read_cache(out, "pca.json", "pca", _PcaCache)
+    _report_stage(args, metrics, pca, _read_cache(out, "clusters.json", "cluster", _ClustersCache))
     return 0
 
 

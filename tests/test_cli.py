@@ -376,6 +376,23 @@ class TestRankPipeline:
         assert "k out of range" in capsys.readouterr().err
 
 
+def test_report_with_an_imputed_concept_is_schema_valid(tmp_path):
+    """A concept whose every class is skipped reports a null mean_D, which the schema allows."""
+    import jsonschema
+    from lexiphylo.report import report_schema
+
+    tree_path, cognates_path = write_inputs(tmp_path)
+    with cognates_path.open("a", encoding="utf-8") as f:
+        f.writelines(f"L{i:03d},sun,S0,0\n" for i in range(16))
+    out = tmp_path / "out"
+    assert main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                 "--seed", "3", "--reps", "10", "--k", "3", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text("utf-8"))
+    sun = next(c for c in report["concepts"] if c["concept"] == "sun")
+    assert (sun["mean_D"], sun["mean_D_status"]) == (None, "imputed")
+    jsonschema.validate(report, report_schema())
+
+
 class TestFailFast:
     """A bad flag is refused before any D statistic is computed."""
 
@@ -577,38 +594,65 @@ def _drop_first_n_loans(text):
     return to_json(doc)
 
 
-def _non_numeric_mean_d(text):
-    doc = json.loads(text)
-    doc["concepts"][0]["mean_d"] = "abc"
-    return to_json(doc)
-
-
 def _drop_first_label(text):
     doc = json.loads(text)
     del doc["labels"][sorted(doc["labels"])[0]]
     return to_json(doc)
 
 
-def _non_numeric_score(text):
-    doc = json.loads(text)
-    doc["scores"][0][0] = {"x": 1}
-    return to_json(doc)
+def _set(*path_and_value):
+    """An edit that sets the field at ``path`` of a cache document to ``value``."""
+    *parents, key, value = path_and_value
+
+    def edit(text):
+        doc = json.loads(text)
+        functools.reduce(lambda node, part: node[part], parents, doc)[key] = value
+        return to_json(doc)
+
+    return edit
 
 
 @pytest.mark.parametrize(
-    "name, edit, stage, argv",
+    "name, edit, stage, argv, problem",
     [
-        ("metrics.json", _drop_first_n_loans, "metrics", ["pca"]),
-        ("metrics.json", _drop_first_n_loans, "metrics", ["report", "--k", "3"]),
-        ("metrics.json", lambda text: "[1, 2]\n", "metrics", ["pca"]),
-        ("clusters.json", _drop_first_label, "cluster", ["report", "--k", "3"]),
-        ("pca.json", lambda text: text[: len(text) // 2], "pca", ["cluster", "--seed", "7"]),
-        ("pca.json", lambda text: text[: len(text) // 2], "pca", ["report", "--k", "3"]),
-        ("pca.json", _non_numeric_score, "pca", ["cluster", "--seed", "7"]),
-        ("metrics.json", _non_numeric_mean_d, "metrics", ["pca"]),
+        ("metrics.json", _drop_first_n_loans, "metrics", ["pca"],
+         "concepts[0].n_loans: expected an integer, got nothing"),
+        ("metrics.json", _drop_first_n_loans, "metrics", ["report", "--k", "3"],
+         "concepts[0].n_loans: expected an integer, got nothing"),
+        ("metrics.json", lambda text: "[1, 2]\n", "metrics", ["pca"],
+         "expected an object, got [1, 2]"),
+        ("clusters.json", _drop_first_label, "cluster", ["report", "--k", "3"],
+         "labels['dog']: expected an integer, got nothing"),
+        ("pca.json", lambda text: text[: len(text) // 2], "pca", ["cluster", "--seed", "7"],
+         "not JSON: "),
+        ("pca.json", lambda text: text[: len(text) // 2], "pca", ["report", "--k", "3"],
+         "not JSON: "),
+        ("pca.json", _set("scores", 0, 0, {"x": 1}), "pca", ["cluster", "--seed", "7"],
+         "scores[0][0]: expected a number, got {'x': 1}"),
+        ("metrics.json", _set("concepts", 0, "mean_d", "abc"), "metrics", ["pca"],
+         "concepts[0].mean_d: expected a number or null, got 'abc'"),
+        ("metrics.json", _set("config", "seed", "7"), "metrics", ["report", "--k", "3"],
+         "config.seed: expected an integer, got '7'"),
+        ("clusters.json", _set("labels", "dog", "x"), "cluster", ["report", "--k", "3"],
+         "labels['dog']: expected an integer, got 'x'"),
+        ("pca.json", _set("warnings", "oops"), "pca", ["report", "--k", "3"],
+         "warnings: expected an array, got 'oops'"),
+        ("pca.json", _set("eigenvalues", 1, True), "pca", ["report", "--k", "3"],
+         "eigenvalues[1]: expected a number, got True"),
+        ("clusters.json", _set("wcss", True), "cluster", ["report", "--k", "3"],
+         "wcss: expected a number, got True"),
+        ("clusters.json", _set("k", "3"), "cluster", ["report", "--k", "3"],
+         "k: expected an integer, got '3'"),
+        ("pca.json", _set("explained_variance", [0.5]), "pca", ["report", "--k", "3"],
+         "explained_variance: expected an array of shape (6,), got (1,)"),
+        ("pca.json", _set("scores", [[1.0, 2.0], [3.0]]), "pca", ["cluster", "--seed", "7"],
+         "scores: expected a rectangular array of numbers, got [[1.0, 2.0], [3.0]]"),
     ],
 )
-def test_malformed_cache_is_a_located_error(ranked, tmp_path, capsys, name, edit, stage, argv):
+def test_malformed_cache_is_a_located_error(
+    ranked, tmp_path, capsys, name, edit, stage, argv, problem
+):
+    """The error names the file, the field and what it holds, and the stage to re-run."""
     _, _, _, out = ranked
     work = tmp_path / "work"
     shutil.copytree(out, work)
@@ -617,8 +661,8 @@ def test_malformed_cache_is_a_located_error(ranked, tmp_path, capsys, name, edit
     capsys.readouterr()
     assert main([*argv, "--out", str(work)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path} ")
-    assert f"re-run the {stage} stage" in err
+    assert err.startswith(f"error: {path} is malformed ({problem}"), err
+    assert err.endswith(f"); re-run the {stage} stage\n"), err
 
 
 def test_config_defaults_do_not_outlive_the_call(tmp_path):
@@ -957,19 +1001,20 @@ _JSON_VALUES = {
 }
 
 
+@pytest.mark.parametrize("cache", CACHES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_retyped_metrics_field_is_an_error_or_a_valid_report(
-    bundled_ranked, tmp_path_factory, data
+def test_retyped_cache_field_is_an_error_or_a_valid_report(
+    bundled_ranked, tmp_path_factory, cache, data
 ):
-    """Any one field of metrics.json set to a value of another JSON type: the
-    restage cycle stops with an error line and exit 1, or every stage exits 0
-    and the report validates against the shipped schema."""
+    """Any one field of a stage cache set to a value of another JSON type: the
+    stages downstream of the cache stop with an error line and exit 1, or each
+    exits 0 and the report validates against the shipped schema."""
     import jsonschema
 
     from lexiphylo.report import report_schema
 
-    doc = json.loads((bundled_ranked / "metrics.json").read_text("utf-8"))
+    doc = json.loads((bundled_ranked / cache).read_text("utf-8"))
     path = data.draw(st.sampled_from(sorted(_json_paths(doc), key=repr)), label="path")
     *parents, key = path
     target = functools.reduce(lambda node, part: node[part], parents, doc)
@@ -979,8 +1024,9 @@ def test_retyped_metrics_field_is_an_error_or_a_valid_report(
     target[key] = data.draw(st.one_of([_JSON_VALUES[k] for k in others]), label="value")
     work = tmp_path_factory.mktemp("retyped")
     shutil.copytree(bundled_ranked, work, dirs_exist_ok=True)
-    (work / "metrics.json").write_text(to_json(doc), "utf-8")
-    for argv in (["pca"], ["cluster", "--seed", "3"], ["report"]):
+    (work / cache).write_text(to_json(doc), "utf-8")
+    stages = (["pca"], ["cluster", "--seed", "3"], ["report"])
+    for argv in stages[CACHES.index(cache):]:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*argv, "--out", str(work)])
         if code:

@@ -15,6 +15,7 @@ from .cognates import (
     ConceptSummary,
     ValidationIssue,
     binary_trait,
+    binary_traits,
     concept_summary,
     load_cognates,
     write_cognates,
@@ -96,6 +97,7 @@ __all__ = [
     "WordlistSelection",
     "ZeroVarianceWarning",
     "binary_trait",
+    "binary_traits",
     "build_feature_table",
     "choose_k",
     "compute_metrics",

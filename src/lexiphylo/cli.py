@@ -55,6 +55,7 @@ from .comparative import (
 )
 from .metrics import (
     DStatConfig,
+    FeatureTable,
     MeaningClassMetrics,
     build_feature_table,
     compute_metrics,
@@ -188,6 +189,12 @@ class _MetricsCache:
             if (m.mean_d is None) != (not m.class_results):
                 expected = "null exactly when there are no class results"
                 raise _Mistyped(expected, m.mean_d, f".concepts[{i}].mean_d")
+        self.table  # a record whose concepts make no feature table raises ValueError here
+
+    @functools.cached_property
+    def table(self) -> FeatureTable:
+        """The concepts' feature table, built once per record; ``asdict`` leaves it out."""
+        return build_feature_table(self.concepts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,10 +350,12 @@ def _read_cache(out: Path, name: str, stage: str, record: type) -> tuple[typing.
         raise CliError(f"{path} not found; run the {stage} stage first")
     data = path.read_bytes()
     try:
-        value = _decoder(record)[1](json.loads(data.decode("utf-8")))
+        document = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
         raise _malformed(path, stage, f"not JSON: {exc}") from exc
-    except _Mistyped as exc:
+    try:
+        value = _decoder(record)[1](document)
+    except (_Mistyped, ValueError) as exc:  # a ValueError is a record's own check
         raise _malformed(path, stage, exc) from None
     return value, hashlib.sha256(data).hexdigest()
 
@@ -378,13 +387,12 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
         )
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
     metrics = _compute_all_metrics(matrix, tree, usable, config, args.workers)
-    table = build_feature_table(metrics)
     inputs = {"tree": tree_input, "cognates": cognates_input}
     warned = sorted(skip_warnings + [issue.message for issue in load_issues])
     record = _MetricsCache(config=config, inputs=inputs, warnings=warned, concepts=metrics)
     out.mkdir(parents=True, exist_ok=True)
     # An export for other tools; nothing reads it back.
-    (out / "features.csv").write_text(feature_table_to_csv(table), "utf-8")
+    (out / "features.csv").write_text(feature_table_to_csv(record.table), "utf-8")
     return _write_cache(out, "metrics.json", record)
 
 
@@ -406,10 +414,9 @@ def _pca_stage(
     args: argparse.Namespace, metrics: tuple[_MetricsCache, str]
 ) -> tuple[_PcaCache, str]:
     record, metrics_sha256 = metrics
-    table = build_feature_table(record.concepts)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        result = run_pca(standardize(table))
+        result = run_pca(standardize(record.table))
     warned = sorted(str(w.message) for w in caught)
     pca = _PcaCache(**vars(result), upstream_sha256=metrics_sha256, warnings=warned)
     return _write_cache(Path(args.out), "pca.json", pca)
@@ -471,6 +478,13 @@ def _report_stage(
                 f"{out / name} was not built from the current {upstream}; "
                 f"re-run the {stage} stage"
             )
+    # ... and the PCA is of that cache's feature table: its variables and concepts.
+    for name, expected in (("variables", metrics.table.columns),
+                           ("row_labels", metrics.table.row_labels)):
+        if getattr(pca, name) != expected:
+            problem = _Mistyped(f"the {name} of the metrics.json feature table",
+                                getattr(pca, name), f".{name}")
+            raise _malformed(out / "pca.json", "pca", problem)
     oriented = orient_axes(pca)
     try:
         labels = np.array([clusters.labels[concept] for concept in oriented.row_labels])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -233,42 +233,42 @@ def binary_trait(
     taxon with no rows at all. Missing taxa are to be excluded downstream,
     never read as absence.
     """
-    classes, attested, _ = matrix._lookup(concept)
-    if cognate_class not in classes:
-        raise ValueError(
-            f"unknown cognate class {cognate_class!r} for concept {concept!r}"
-        )
-    taxa = tuple(taxa)
-    positions, mask = _taxon_positions(attested, taxa)
-    presence = np.zeros(len(taxa), dtype=np.int8)
-    presence[[i for taxon in classes[cognate_class] for i in positions.get(taxon, ())]] = 1
-    return presence, mask.copy()
+    presence, mask = binary_traits(matrix, concept, (cognate_class,), taxa)
+    return presence[0], mask
 
 
-@lru_cache(maxsize=1)
-def _taxon_positions(
-    attested: frozenset[str], taxa: tuple[str, ...]
-) -> tuple[dict[str, list[int]], np.ndarray]:
-    """Where each taxon sits in ``taxa``, and the attested mask over ``taxa``.
+def binary_traits(
+    matrix: CognateMatrix,
+    concept: str,
+    classes: Iterable[str],
+    taxa: Iterable[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Presence/absence of each of ``classes`` over ``taxa``, plus attested mask.
 
-    Built once per concept and shared by its classes, so a class costs
-    work in proportion to its own size; the positions are built once per
-    ``taxa``. Both keys hash and compare in C: a frozenset caches its hash,
-    and a repeated argument compares by identity.
+    ``presence[j, i]`` is 1 iff taxon i attests the j-th class under
+    ``concept``; ``mask`` is ``binary_trait``'s, which every class of the
+    concept shares. The taxa's positions are found in one pass, so a class
+    costs work in proportion to its own size.
     """
-    positions = _positions(taxa)
-    mask = np.zeros(len(taxa), dtype=np.int8)
-    mask[[i for taxon in attested for i in positions.get(taxon, ())]] = 1
-    return positions, mask
-
-
-@lru_cache(maxsize=1)
-def _positions(taxa: tuple[str, ...]) -> dict[str, list[int]]:
-    """Each taxon's positions in ``taxa``."""
+    known, attested, _ = matrix._lookup(concept)
+    classes = tuple(classes)
+    for cls in classes:
+        if cls not in known:
+            raise ValueError(f"unknown cognate class {cls!r} for concept {concept!r}")
+    taxa = tuple(taxa)
     positions: dict[str, list[int]] = {}
     for i, taxon in enumerate(taxa):
         positions.setdefault(taxon, []).append(i)
-    return positions
+
+    def where(languages: frozenset[str]) -> list[int]:
+        return [i for lang in languages for i in positions.get(lang, ())]
+
+    presence = np.zeros((len(classes), len(taxa)), dtype=np.int8)
+    for row, cls in zip(presence, classes):
+        row[where(known[cls])] = 1
+    mask = np.zeros(len(taxa), dtype=np.int8)
+    mask[where(attested)] = 1
+    return presence, mask
 
 
 def concept_summary(matrix: CognateMatrix, concept: str) -> ConceptSummary:

@@ -165,17 +165,18 @@ def _epsilon(tree: Tree) -> float:
 class _Sweeps:
     """Inverse-length weights and the sweep schedules of one tree.
 
-    ``up`` follows ``tree.height_levels``, each level cut into blocks of at
-    most ``_NODE_BLOCK`` nodes: per block, its nodes, their weight totals,
-    and per child slot ``k`` the k-th children, their weights and the
-    positions of the block's nodes that have a k-th child. Weight totals
+    Both sweeps follow ``tree.depth_levels``. ``up`` takes each level's
+    internal nodes, deepest level first and the root last, cut into blocks
+    of at most ``_NODE_BLOCK`` nodes: per block, its nodes, their weight
+    totals, and per child slot ``k`` the k-th children, their weights and
+    the positions of the block's nodes that have a k-th child. Weight totals
     accumulate over children in stored order, so a naive recursion
-    reproduces them bit for bit. ``down`` follows ``tree.depth_levels`` in
-    blocks likewise: per block, its nodes and their parents. ``sd`` is each
-    node's standard deviation (the square root of its length) for a BM
-    sweep at rate 1, as an (n_nodes, 1) column. ``edges`` splits the
-    non-root nodes into runs of at most ``_NODE_BLOCK`` consecutive
-    indices, each with its nodes' parents.
+    reproduces them bit for bit. ``down`` takes the levels shallowest
+    first, in blocks likewise: per block, its nodes and their parents.
+    ``sd`` is each node's standard deviation (the square root of its
+    length) for a BM sweep at rate 1, as an (n_nodes, 1) column. ``edges``
+    splits the non-root nodes into runs of at most ``_NODE_BLOCK``
+    consecutive indices, each with its nodes' parents.
     """
 
     def __init__(self, tree: Tree) -> None:
@@ -185,8 +186,10 @@ class _Sweeps:
         w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
         flat, counts, starts = tree.child_table
         # The internal nodes block after block, so each slot is gathered for
-        # all blocks at once and then split by block.
-        blocks = _blocks(tree.height_levels)
+        # all blocks at once and then split by block. Deepest level first,
+        # then the root: every child of a node is a tip or in an earlier block.
+        levels = [*(nodes for nodes, _ in reversed(tree.depth_levels)), np.array([tree.root])]
+        blocks = _blocks(nodes[counts[nodes] > 0] for nodes in levels)
         sizes = [len(nodes) for nodes in blocks]
         bounds = np.cumsum(sizes)
         internal = np.concatenate([np.empty(0, np.intp), *blocks])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derived_seed
-from .cognates import CognateMatrix, binary_trait
+from .cognates import CognateMatrix, binary_traits
 from .comparative import DEFAULT_N_REPS, MIN_TIPS_FOR_D, DStatResult, d_statistic
 from .tree import Tree
 
@@ -79,44 +79,34 @@ def compute_metrics(
     ``class_skips`` with a reason. ``mean_d`` averages the analyzable
     classes only, and is None when there are none.
     """
-    tree_languages = set(tree.tip_labels)
-    attested = matrix.languages_for(concept) & tree_languages
-    if not attested:
+    classes = sorted(matrix.classes_for(concept))
+    presence, mask = binary_traits(matrix, concept, classes, tree.tip_labels)
+    n_attested = int(np.count_nonzero(mask))
+    if not n_attested:
         raise ValueError(f"concept {concept!r} has no attestations among tree languages")
 
-    classes = {
-        cls: langs & tree_languages
-        for cls, langs in matrix.classes_for(concept).items()
-    }
-    classes = {cls: langs for cls, langs in classes.items() if langs}
-    sizes = {cls: len(langs) for cls, langs in classes.items()}
+    # A class attested only off the tree is left out, like its languages.
+    sizes = presence.sum(axis=1)
+    on_tree = sizes > 0
+    classes = [cls for cls, kept in zip(classes, on_tree.tolist()) if kept]
+    presence, sizes = presence[on_tree], sizes[on_tree].tolist()
     # A loan triple is also an entry, so a tree language's loan lies in ``classes``.
+    tree_languages = set(tree.tip_labels)
     n_loans = sum(1 for (lang, _, _) in matrix.loans_for(concept) if lang in tree_languages)
 
     # Every class of the concept shares its attested mask, so the analysable
     # ones go to the D statistic as one stack, each with its own seed.
-    reasons: dict[str, DStatResult | str | None] = {}
-    for cls in sorted(classes):
-        if len(attested) < MIN_TIPS_FOR_D:
-            reasons[cls] = f"fewer than {MIN_TIPS_FOR_D} usable tips"
-        elif sizes[cls] == len(attested):
-            reasons[cls] = "constant trait (attested by every usable language)"
-        else:
-            reasons[cls] = None
-    stacked = [cls for cls, reason in reasons.items() if reason is None]
+    reasons: dict[str, DStatResult | str | None] = {
+        cls: f"fewer than {MIN_TIPS_FOR_D} usable tips" if n_attested < MIN_TIPS_FOR_D
+        else "constant trait (attested by every usable language)" if size == n_attested
+        else None
+        for cls, size in zip(classes, sizes)
+    }
+    stacked = [j for j, reason in enumerate(reasons.values()) if reason is None]
     if stacked:
-        traits = [binary_trait(matrix, concept, cls, tree.tip_labels) for cls in stacked]
-        try:
-            outcomes = d_statistic(
-                tree,
-                np.array([presence for presence, _ in traits]),
-                traits[0][1],
-                n_reps=config.n_reps,
-                seed=[config.class_seed(concept, cls) for cls in stacked],
-            ).results
-        except ValueError as exc:  # an input every class shares, so each would raise it
-            outcomes = (str(exc),) * len(stacked)
-        reasons.update(zip(stacked, outcomes))
+        seeds = [config.class_seed(concept, classes[j]) for j in stacked]
+        batch = d_statistic(tree, presence[stacked], mask, n_reps=config.n_reps, seed=seeds)
+        reasons.update(zip([classes[j] for j in stacked], batch.results))
     class_results = {cls: r for cls, r in reasons.items() if isinstance(r, DStatResult)}
     class_skips = {cls: r for cls, r in reasons.items() if isinstance(r, str)}
 
@@ -125,15 +115,14 @@ def compute_metrics(
         if class_results
         else None
     )
-    size_values = list(sizes.values())
     return MeaningClassMetrics(
         concept=concept,
         n_loans=n_loans,
         mean_d=mean_d,
-        n_singletons=sum(1 for s in size_values if s == 1),
-        missing_fraction=1.0 - len(attested) / len(tree_languages),
-        mean_class_size=float(np.mean(size_values)),
-        max_class_size=max(size_values),
+        n_singletons=sizes.count(1),
+        missing_fraction=1.0 - n_attested / len(tree_languages),
+        mean_class_size=float(np.mean(sizes)),
+        max_class_size=max(sizes),
         n_classes=len(classes),
         class_results=class_results,
         class_skips=class_skips,

@@ -2,10 +2,11 @@
 
 Nodes are stored in postorder: every child index is smaller than its
 parent's, and the root is always the last node, so index order is a
-bottom-up and reversed index order a top-down traversal. ``height_levels``
-and ``depth_levels`` group the nodes for sweeps that process a whole level
-at a time. A pruned tree keeps its parent's postorder restricted to the
-surviving nodes, so the kept tips keep their relative order.
+bottom-up and reversed index order a top-down traversal. ``depth_levels``
+groups the nodes for sweeps that process a whole level at a time, top-down
+shallowest level first and bottom-up deepest level first. A pruned tree
+keeps its parent's postorder restricted to the surviving nodes, so the kept
+tips keep their relative order.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -160,19 +161,6 @@ class Tree:
         for nodes, parents in self.depth_levels:
             dist[nodes] = dist[parents] + self.lengths[nodes]
         return dist
-
-    @cached_property
-    def height_levels(self) -> tuple[np.ndarray, ...]:
-        """Internal nodes grouped by height (edges down to the deepest tip), lowest first.
-
-        A bottom-up sweep can finish one group at a time: every child of a
-        node lies in an earlier group or is a tip.
-        """
-        height = np.zeros(self.n_nodes, dtype=np.intp)
-        # Deepest level first, so each node's height is final before its parent reads it.
-        for nodes, parents in reversed(self.depth_levels):
-            np.maximum.at(height, parents, height[nodes] + 1)
-        return _group_by(height, np.flatnonzero(height))
 
     @cached_property
     def depth_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -612,6 +612,10 @@ def _set(*path_and_value):
     return edit
 
 
+# Re-running cluster on an edited pca.json links clusters.json to it again.
+RECLUSTER = ["cluster", "--seed", "7"]
+
+
 @pytest.mark.parametrize(
     "name, edit, stage, argv, problem",
     [
@@ -647,17 +651,29 @@ def _set(*path_and_value):
          "explained_variance: expected an array of shape (6,), got (1,)"),
         ("pca.json", _set("scores", [[1.0, 2.0], [3.0]]), "pca", ["cluster", "--seed", "7"],
          "scores: expected a rectangular array of numbers, got [[1.0, 2.0], [3.0]]"),
+        ("metrics.json", _set("concepts", slice(2, None), []), "metrics", ["pca"],
+         "need >= 3 concepts for a feature table, got 2"),
+        ("pca.json", _set("variables", 3, "missing"), "pca", [RECLUSTER, ["report", "--k", "3"]],
+         "variables: expected the variables of the metrics.json feature table, got ("),
+        ("pca.json", _set("row_labels", 0, "I"), "pca", [RECLUSTER, ["report", "--k", "3"]],
+         "row_labels: expected the row_labels of the metrics.json feature table, got ('I', "),
     ],
 )
 def test_malformed_cache_is_a_located_error(
     ranked, tmp_path, capsys, name, edit, stage, argv, problem
 ):
-    """The error names the file, the field and what it holds, and the stage to re-run."""
+    """The error names the file, the field and what it holds, and the stage to re-run.
+
+    ``argv`` is one command, or a list of commands of which all but the last succeed.
+    """
     _, _, _, out = ranked
     work = tmp_path / "work"
     shutil.copytree(out, work)
     path = work / name
     path.write_text(edit(path.read_text("utf-8")), "utf-8")
+    *earlier, argv = argv if isinstance(argv[0], list) else [argv]
+    for command in earlier:
+        assert main([*command, "--out", str(work)]) == 0
     capsys.readouterr()
     assert main([*argv, "--out", str(work)]) == 1
     err = capsys.readouterr().err
@@ -919,6 +935,32 @@ def test_each_stage_cache_is_read_once(ranked, tmp_path, cache_reads):
     assert main(["cluster", "--out", str(work), "--seed", "7"]) == 0
     assert main(["report", "--out", str(work), "--k", "3"]) == 0
     assert cache_reads == {"metrics.json": 2, "pca.json": 2, "clusters.json": 1}
+
+
+def test_rank_builds_the_feature_table_once(tmp_path, monkeypatch):
+    """features.csv and the PCA share the metrics record's one feature table."""
+    tree_path, cognates_path = write_inputs(tmp_path)
+    calls = []
+    build = cli.build_feature_table
+    monkeypatch.setattr(cli, "build_feature_table", lambda metrics: calls.append(1) or build(metrics))
+    assert main(
+        ["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+         "--seed", "7", "--reps", "10", "--k", "3", "--out", str(tmp_path / "rank")]
+    ) == 0
+    assert len(calls) == 1
+
+
+def test_too_few_concepts_to_write_is_a_plain_error(tmp_path, capsys):
+    """Only a cache that was read is named as malformed; a computed one is not."""
+    rows = ["language,concept,cognate_id,loan"] + [
+        f"L{i:03d},{concept},K{i % 2},0" for concept in ("eye", "hand") for i in range(16)
+    ]
+    tree_path, cognates_path = write_inputs(tmp_path, rows=rows)
+    assert main(
+        ["metrics", "--tree", str(tree_path), "--cognates", str(cognates_path),
+         "--seed", "7", "--reps", "10", "--out", str(tmp_path / "out")]
+    ) == 1
+    assert capsys.readouterr().err == "error: need >= 3 concepts for a feature table, got 2\n"
 
 
 def test_each_flag_means_the_same_in_every_subcommand():

@@ -4,6 +4,7 @@ import pytest
 from lexiphylo.cognates import (
     CognateFormatError,
     binary_trait,
+    binary_traits,
     concept_summary,
     load_cognates,
     write_cognates,
@@ -126,6 +127,8 @@ class TestBinaryTrait:
             binary_trait(matrix, "hand", "K1", ["L1"])
         with pytest.raises(ValueError, match="unknown cognate class"):
             binary_trait(matrix, "eye", "K9", ["L1"])
+        with pytest.raises(ValueError, match="unknown cognate class 'K9'"):
+            binary_traits(matrix, "eye", ["K1", "K9"], ["L1"])
 
     def test_presence_zero_wherever_mask_zero(self):
         rng = np.random.default_rng(1)
@@ -141,6 +144,21 @@ class TestBinaryTrait:
             for cls in matrix.classes_for(con):
                 presence, mask = binary_trait(matrix, con, cls, taxa)
                 assert np.all(presence[mask == 0] == 0)
+
+
+class TestBinaryTraits:
+    def test_each_row_is_the_one_class_trait(self):
+        # L2 attests two classes of eye, Martian has no rows, L1 comes twice.
+        matrix, _ = load_cognates(BASIC + "L3,eye,K3,0\nL3,hand,H1,0\n")
+        taxa = ["L2", "Martian", "L1", "L3", "L1"]
+        classes = ["K2", "K1", "K3"]
+        presence, mask = binary_traits(matrix, "eye", classes, taxa)
+        assert presence.dtype == mask.dtype == np.int8
+        assert presence.tolist() == [[1, 0, 0, 0, 0], [1, 0, 1, 0, 1], [0, 0, 0, 1, 0]]
+        for row, cls in zip(presence, classes):
+            one, one_mask = binary_trait(matrix, "eye", cls, taxa)
+            assert row.tolist() == one.tolist()
+            assert mask.tolist() == one_mask.tolist() == [1, 0, 1, 1, 1]
 
 
 class TestConceptSummary:

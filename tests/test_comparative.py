@@ -92,6 +92,23 @@ class TestNodalEstimates:
         assert nodal_estimates(parse_newick("A;"), [0.5]).tolist() == [0.5]
         assert nodal_estimates(parse_newick("(A:1);"), [0.5]).tolist() == [0.5, 0.5]
 
+    def test_up_sweep_schedules_each_internal_node_once_after_its_children(self):
+        trees = [
+            *map(parse_newick, SMALL_TREE_NEWICKS),
+            parse_newick(caterpillar_newick(100, branch=0.3)),
+            parse_newick(benchmark_corpus_newick()),
+            prune_to_taxa(parse_newick("((A:1,B:2):3,C:1);"), {"A", "B"}),  # a unary root
+            parse_newick("A;"),
+        ]
+        for tree in trees:
+            up = comparative._Sweeps(tree).up
+            block = {node: b for b, (nodes, _, _) in enumerate(up) for node in nodes.tolist()}
+            internal = [i for i in tree.postorder() if tree.children[i]]
+            assert sorted(block) == internal
+            assert sum(len(nodes) for nodes, _, _ in up) == len(internal)
+            for node in internal:
+                assert all(block[kid] < block[node] for kid in tree.children[node] if kid in block)
+
     def test_constant_tips(self, balanced4):
         est = nodal_estimates(balanced4, [2.5] * 4)
         assert np.all(est == 2.5)
@@ -566,12 +583,33 @@ def test_stacked_call_raises_shared_input_errors_like_a_one_trait_call():
                 d_statistic(tree, presence[0], mask, n_reps, seed=seeds[0])
 
 
+# E attests two classes of eye; Z is off the tree, and eye's K9 and sun's
+# S2 are attested only by Z; hand has too few tips and sun's S1 is constant.
+SYNONYMS_OFF_THE_TREE = (
+    "((A:1,B:1):1,((C:1,D:1):1,(E:1,F:2):1):1);",
+    "language,concept,cognate_id,loan\n"
+    "A,eye,K1,0\nB,eye,K1,1\nC,eye,K2,0\nD,eye,K2,0\nE,eye,K1,0\nE,eye,K2,0\n"
+    "F,eye,K3,0\nZ,eye,K1,0\nZ,eye,K9,1\n"
+    "A,hand,H1,0\nB,hand,H2,0\nC,hand,H1,0\n"
+    "A,ear,R1,0\nB,ear,R1,0\nC,ear,R1,0\nD,ear,R1,0\nE,ear,R2,0\nZ,ear,R2,0\n"
+    + "".join(f"{lang},sun,S1,0\n" for lang in "ABCDEF") + "Z,sun,S2,0\n",
+)
+
+
 def test_compute_metrics_equals_a_loop_of_one_trait_calls():
     # One stacked D call per concept gives, field for field and in the same
     # order, what one call per class gave: results, and skip texts.
-    tree = read_newick_file(BUNDLED / "tree.nwk")
-    matrix, _ = load_cognates(BUNDLED / "cognates.csv")
+    newick, table = SYNONYMS_OFF_THE_TREE
+    inputs = [
+        (read_newick_file(BUNDLED / "tree.nwk"), load_cognates(BUNDLED / "cognates.csv")[0]),
+        (parse_newick(newick), load_cognates(table)[0]),
+    ]
     config = DStatConfig(seed=5, n_reps=10)
+    for tree, matrix in inputs:
+        _assert_metrics_equal_one_trait_calls(tree, matrix, config)
+
+
+def _assert_metrics_equal_one_trait_calls(tree, matrix, config):
     for concept in sorted(matrix.concepts):
         metrics = compute_metrics(matrix, tree, concept, config)
         attested = matrix.languages_for(concept) & set(tree.tip_labels)
@@ -598,6 +636,7 @@ def test_compute_metrics_equals_a_loop_of_one_trait_calls():
         assert list(metrics.class_skips.items()) == [
             (cls, r) for cls, r in expected if isinstance(r, str)
         ]
+        assert metrics.n_classes == len(expected)
 
 
 def test_warm_stacked_call_allocates_less_than_one_nodes_by_rows_array():

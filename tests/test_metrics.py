@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from lexiphylo.metrics import (
     compute_metrics,
     feature_table_to_csv,
 )
-from lexiphylo.tree import parse_newick
+from lexiphylo.tree import parse_newick, read_newick_file
+
+BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
 # Six languages; L6 never attests 'eye'.
 SIX_TREE = "(((L1:1,L2:1):1,(L3:1,L4:1):1):1,(L5:2,L6:2):1);"
@@ -96,6 +99,13 @@ class TestComputeMetrics:
         first = compute_metrics(make_matrix(), tree, "eye", config)
         second = compute_metrics(make_matrix(), tree, "eye", config)
         assert first.class_results == second.class_results
+
+    def test_bad_reps_raise_rather_than_skip_every_class(self):
+        # Every class would be refused alike: that is an error, not a skip reason.
+        tree = read_newick_file(BUNDLED / "tree.nwk")
+        matrix, _ = load_cognates(BUNDLED / "cognates.csv")
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            compute_metrics(matrix, tree, "water", DStatConfig(seed=1, n_reps=0))
 
 
 def _metrics_set(tree, config):

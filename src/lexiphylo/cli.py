@@ -342,6 +342,11 @@ def _write_cache(out: Path, name: str, record) -> tuple[typing.Any, str]:
     return record, hashlib.sha256(data).hexdigest()
 
 
+def _not_json(token: str) -> typing.NoReturn:
+    """``json.loads`` accepts ``NaN``, ``Infinity`` and ``-Infinity``; JSON does not."""
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _read_cache(out: Path, name: str, stage: str, record: type) -> tuple[typing.Any, str]:
     """The cache ``name`` in ``out`` read once and decoded as ``record``, and the
     SHA-256 of its bytes; ``stage`` is the one that writes it."""
@@ -350,7 +355,7 @@ def _read_cache(out: Path, name: str, stage: str, record: type) -> tuple[typing.
         raise CliError(f"{path} not found; run the {stage} stage first")
     data = path.read_bytes()
     try:
-        document = json.loads(data.decode("utf-8"))
+        document = json.loads(data.decode("utf-8"), parse_constant=_not_json)
     except ValueError as exc:  # not UTF-8 or not JSON
         raise _malformed(path, stage, f"not JSON: {exc}") from exc
     try:
@@ -491,6 +496,11 @@ def _report_stage(
     except KeyError as exc:
         missing = _Mistyped("an integer", _Mistyped.MISSING, f"labels[{exc.args[0]!r}]")
         raise _malformed(out / "clusters.json", "cluster", missing) from None
+    extra = sorted(clusters.labels.keys() - set(oriented.row_labels))
+    if extra:
+        problem = _Mistyped("no label for a concept outside pca.json",
+                            clusters.labels[extra[0]], f"labels[{extra[0]!r}]")
+        raise _malformed(out / "clusters.json", "cluster", problem)
     kept = {f.name: getattr(clusters, f.name) for f in dataclasses.fields(ClusterAssignment)}
     assignment = ClusterAssignment(**{**kept, "labels": labels})
     ranking = suitability_rank(oriented, assignment)
@@ -530,6 +540,9 @@ def _report_stage(
 def _cmd_validate(args: argparse.Namespace) -> int:
     issues: list[ValidationIssue] = []
     tree = read_newick_file(Path(args.tree))
+    if tree.defaulted:
+        message = f"tree has {len(tree.defaulted)} absent branch length(s), set to 1.0"
+        issues.append(ValidationIssue("warning", None, message))
     matrix, load_warnings = load_cognates(Path(args.cognates))
     issues.extend(load_warnings)
 

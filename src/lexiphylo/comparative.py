@@ -28,7 +28,7 @@ classes of a concept), so the pruned tree, its sweep schedules and the
 generator are built once per call. The kernel is batched over traits and
 replicates and sweeps the tree level by level, but every value sees the
 IEEE operations of the naive per-node recursion: children are accumulated
-in stored order and the edge sum runs in node order. Each trait's observed
+in index order and the edge sum runs in node order. Each trait's observed
 score and its two nulls are 2 * n_reps + 1 stacked rows, and the rows of
 several traits share one BM sweep and one change-score sweep, each trait
 thresholded at its own prevalence. Rows never mix, so each score has the
@@ -170,7 +170,7 @@ class _Sweeps:
     of at most ``_NODE_BLOCK`` nodes: per block, its nodes, their weight
     totals, and per child slot ``k`` the k-th children, their weights and
     the positions of the block's nodes that have a k-th child. Weight totals
-    accumulate over children in stored order, so a naive recursion
+    accumulate over children in index order, so a naive recursion
     reproduces them bit for bit. ``down`` takes the levels shallowest
     first, in blocks likewise: per block, its nodes and their parents.
     ``sd`` is each node's standard deviation (the square root of its
@@ -264,7 +264,7 @@ def _nodal_estimates_batch(
     ``tip_values`` has shape (batch, n_tips) in ``tree.tip_indices`` order;
     the result has shape (n_nodes, batch) with tips carrying their inputs,
     written to ``out`` if given. Each node accumulates
-    ``w[child] * est[child]`` over its children in stored order,
+    ``w[child] * est[child]`` over its children in index order,
     sequentially, as a naive recursion does.
     """
     tree = sweeps.tree

@@ -4,9 +4,15 @@ Nodes are stored in postorder: every child index is smaller than its
 parent's, and the root is always the last node, so index order is a
 bottom-up and reversed index order a top-down traversal. ``depth_levels``
 groups the nodes for sweeps that process a whole level at a time, top-down
-shallowest level first and bottom-up deepest level first. A pruned tree
-keeps its parent's postorder restricted to the surviving nodes, so the kept
-tips keep their relative order.
+shallowest level first and bottom-up deepest level first.
+
+The ``parents`` array is the one stored topology, and a node's children
+are its children in ascending index order. Every tree the package builds
+numbers sibling subtrees left to right, so that is also their left-to-right
+order: parsing numbers a Newick statement in left-to-right postorder, and a
+pruned tree keeps its parent's postorder restricted to the surviving nodes,
+so the kept tips, and each node's surviving children, keep their relative
+order.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -15,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import IO
 
@@ -44,9 +49,8 @@ class Tree:
 
     Attributes
     ----------
-    parents : int ndarray, -1 for the root
-    children : per-node tuple of child indices (empty for tips), in the
-        left-to-right order of the source Newick
+    parents : int ndarray, each node's parent, -1 for the root; the tree's
+        one stored topology, from which ``child_table`` and ``children`` derive
     lengths : float ndarray, branch length to the parent (0.0 at the root)
     labels : per-node label, ``None`` where absent; tips always carry one
     defaulted : node indices whose branch length was absent in the source
@@ -54,7 +58,6 @@ class Tree:
     """
 
     parents: np.ndarray
-    children: tuple[tuple[int, ...], ...]
     lengths: np.ndarray
     labels: tuple[str | None, ...]
     defaulted: frozenset[int] = field(default_factory=frozenset)
@@ -63,48 +66,23 @@ class Tree:
         n = len(self.labels)
         if n == 0:
             raise TreeError("tree has no nodes")
-        if not (len(self.parents) == len(self.children) == len(self.lengths) == n):
+        if not len(self.parents) == len(self.lengths) == n:
             raise TreeError("per-node arrays disagree in length")
-        roots = np.flatnonzero(self.parents < 0)
-        if len(roots) != 1:
-            raise TreeError(f"expected exactly one root, found {len(roots)}")
-        if roots[0] != n - 1:
-            raise TreeError("root must be the last node (postorder numbering)")
-        parents = self.parents.tolist()
-        seen = 0
-        for i, kids in enumerate(self.children):
-            for c in kids:
-                if c >= i:
-                    raise TreeError("child index must precede its parent")
-                if parents[c] != i:
-                    raise TreeError("children and parents arrays disagree")
-            seen += len(kids)
-        if seen != n - 1:
-            raise TreeError("tree is not connected")
+        if self.parents.dtype.kind != "i":
+            raise TreeError("parents must be an integer array")
+        if self.parents[-1] != -1:
+            raise TreeError("the last node must be the root, with parent -1")
+        # A parent after its child, within the tree: every chain of parents
+        # climbs to the last node, so the tree is connected with one root.
+        ups = self.parents[:-1]
+        if not np.all((np.arange(n - 1) < ups) & (ups < n)):
+            raise TreeError("every other node's parent must be a later node (postorder numbering)")
         if not np.all(np.isfinite(self.lengths)) or np.any(self.lengths < 0):
             raise TreeError("branch lengths must be finite and non-negative")
-        tip_labels = [lab for lab, kids in zip(self.labels, self.children) if not kids]
-        if any(lab is None or lab == "" for lab in tip_labels):
+        if any(lab is None or lab == "" for lab in self.tip_labels):
             raise TreeError("every tip must be labeled")
-        if len(set(tip_labels)) != len(tip_labels):
+        if len(set(self.tip_labels)) != len(self.tip_labels):
             raise TreeError("tip labels must be unique")
-
-    @classmethod
-    def _unchecked(
-        cls,
-        parents: np.ndarray,
-        children: tuple[tuple[int, ...], ...],
-        lengths: np.ndarray,
-        labels: tuple[str | None, ...],
-    ) -> "Tree":
-        """A tree from fields that pass ``__post_init__`` by construction
-        (a pruning of a valid tree), without checking them again."""
-        tree = object.__new__(cls)
-        tree.__dict__.update(
-            parents=parents, children=children, lengths=lengths, labels=labels,
-            defaulted=frozenset(),
-        )
-        return tree
 
     # -- derived views ---------------------------------------------------
 
@@ -122,14 +100,14 @@ class Tree:
 
     @cached_property
     def tip_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, kids in zip(self.labels, self.children) if not kids)  # type: ignore[misc]
+        return tuple(map(self.labels.__getitem__, self.tip_indices.tolist()))  # type: ignore[arg-type]
 
     @property
     def n_tips(self) -> int:
         return len(self.tip_indices)
 
     def is_tip(self, i: int) -> bool:
-        return not self.children[i]
+        return bool(self.child_table[1][i] == 0)
 
     def postorder(self) -> range:
         """Node indices in postorder (the storage order)."""
@@ -138,19 +116,18 @@ class Tree:
     @cached_property
     def child_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every node's children as flat arrays: the children of node 0, then of
-        node 1, ..., each in stored order; each node's child count; and the
-        offset of each node's first child."""
-        counts = np.fromiter(map(len, self.children), dtype=np.intp, count=self.n_nodes)
-        flat = np.fromiter(chain.from_iterable(self.children), dtype=np.intp)
-        return flat, counts, np.cumsum(counts) - counts
+        node 1, ..., each in ascending index order; each node's child count; and
+        the offset of each node's first child."""
+        ups = self.parents[:-1]
+        counts = np.bincount(ups, minlength=self.n_nodes)
+        return np.argsort(ups, kind="stable"), counts, np.cumsum(counts) - counts
 
     @cached_property
-    def _sibling_rank(self) -> np.ndarray:
-        """Each node's position among its parent's children (0 at the root)."""
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children (empty for a tip), in ascending index order."""
         flat, counts, starts = self.child_table
-        rank = np.zeros(self.n_nodes, dtype=np.intp)
-        rank[flat] = np.arange(len(flat)) - np.repeat(starts, counts)
-        return rank
+        flat, ends = flat.tolist(), (starts + counts).tolist()
+        return tuple(map(tuple, map(flat.__getitem__, map(slice, starts.tolist(), ends))))
 
     @cached_property
     def root_distances(self) -> np.ndarray:
@@ -194,7 +171,7 @@ class Tree:
         """Exact equality of topology, labels, and branch lengths."""
         return (
             self.n_nodes == other.n_nodes
-            and self.children == other.children
+            and np.array_equal(self.parents, other.parents)
             and self.labels == other.labels
             and np.array_equal(self.lengths, other.lengths)
         )
@@ -248,22 +225,16 @@ def _flatten(root: _PNode) -> Tree:
             for child in reversed(node.children):
                 stack.append((child, False))
     index = {id(node): i for i, node in enumerate(order)}
-    n = len(order)
-    parents = np.full(n, -1, dtype=np.intp)
-    children: list[tuple[int, ...]] = []
-    lengths = np.zeros(n)
-    labels: list[str | None] = []
-    defaulted = set()
+    parents = [-1] * len(order)
     for i, node in enumerate(order):
-        kids = tuple(index[id(c)] for c in node.children)
-        children.append(kids)
-        for c in kids:
-            parents[c] = i
-        lengths[i] = node.length
-        labels.append(node.label)
-        if node.defaulted:
-            defaulted.add(i)
-    return Tree(parents, tuple(children), lengths, tuple(labels), frozenset(defaulted))
+        for child in node.children:
+            parents[index[id(child)]] = i
+    return Tree(
+        np.array(parents, dtype=np.intp),
+        np.array([node.length for node in order], dtype=float),
+        tuple(node.label for node in order),
+        frozenset(i for i, node in enumerate(order) if node.defaulted),
+    )
 
 
 def _strip_comments(text: str) -> str:
@@ -430,7 +401,7 @@ def _format_length(x: float) -> str:
 
 
 def write_newick(tree: Tree) -> str:
-    """Serialize canonically: stored child order, shortest round-trip lengths."""
+    """Serialize canonically: children in index order, shortest round-trip lengths."""
     parts: dict[int, str] = {}
     for i in tree.postorder():
         label = tree.labels[i] or ""
@@ -462,8 +433,8 @@ def prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
     tips keep their relative order. A surviving node heading a spliced
     chain takes its own length plus each spliced ancestor's, added bottom-up.
     Every step is a numpy operation over all nodes, or over one depth level
-    at a time, and the result is not validated again: a pruning of a valid
-    tree is valid.
+    at a time. Each node's surviving children keep their order, since
+    sibling subtrees occupy ascending index ranges.
     """
     keep = set(keep)
     unknown = keep.difference(tree.tip_labels)
@@ -505,26 +476,17 @@ def prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
     spliced = np.flatnonzero(live & ~survives)
     new_lengths = tree.lengths[kept]
     np.add.at(new_lengths, foot[top[spliced]], tree.lengths[spliced])
-    # A node's children, in the stored order of the chains' tops.
-    order = np.lexsort((tree._sibling_rank[top[kids]], new_parents[:-1])).tolist()
-    ends = np.cumsum(np.bincount(new_parents[:-1], minlength=len(kept))).tolist()
-    children = tuple(map(tuple, map(order.__getitem__, map(slice, [0, *ends[:-1]], ends))))
-    return Tree._unchecked(
-        new_parents, children, new_lengths, tuple(map(tree.labels.__getitem__, kept.tolist()))
-    )
+    return Tree(new_parents, new_lengths, tuple(map(tree.labels.__getitem__, kept.tolist())))
 
 
 def tree_summary(tree: Tree) -> TreeSummary:
     """Tip/node counts, height, binarity, and polytomy count."""
-    internal = [i for i in tree.postorder() if not tree.is_tip(i)]
-    polytomies = sum(1 for i in internal if len(tree.children[i]) > 2)
-    is_binary = bool(internal) and all(len(tree.children[i]) == 2 for i in internal)
-    if tree.n_nodes == 1:
-        is_binary = False
+    counts = tree.child_table[1]
+    internal = counts[counts > 0]
     return TreeSummary(
         tip_count=tree.n_tips,
         node_count=tree.n_nodes,
         height=tree.height,
-        is_binary=is_binary,
-        polytomy_count=polytomies,
+        is_binary=bool(len(internal)) and bool(np.all(internal == 2)),
+        polytomy_count=int(np.count_nonzero(internal > 2)),
     )

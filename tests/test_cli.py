@@ -94,6 +94,17 @@ class TestValidate:
         assert code == 0
         assert "0 errors, 0 warnings" in capsys.readouterr().out
 
+    def test_absent_branch_lengths_warn(self, tmp_path, capsys):
+        rows = ["language,concept,cognate_id,loan"] + [f"{t},eye,K1,0" for t in "ABCD"]
+        tree_path, cognates_path = write_inputs(
+            tmp_path, tree_text="((A,B):1,(C:1,D:1):1);", rows=rows
+        )
+        code = main(["validate", "--tree", str(tree_path), "--cognates", str(cognates_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "warning -: tree has 2 absent branch length(s), set to 1.0\n" in out
+        assert out.endswith("0 errors, 1 warnings\n")
+
     def test_unreadable_file_exit_two(self, tmp_path, capsys):
         code = main(
             ["validate", "--tree", str(tmp_path / "missing.nwk"), "--cognates", "x"]
@@ -657,6 +668,17 @@ RECLUSTER = ["cluster", "--seed", "7"]
          "variables: expected the variables of the metrics.json feature table, got ("),
         ("pca.json", _set("row_labels", 0, "I"), "pca", [RECLUSTER, ["report", "--k", "3"]],
          "row_labels: expected the row_labels of the metrics.json feature table, got ('I', "),
+        ("clusters.json", _set("labels", "zzz-extra", 0), "cluster", ["report", "--k", "3"],
+         "labels['zzz-extra']: expected no label for a concept outside pca.json, got 0"),
+        # Python's json reads NaN and +-Infinity, which JSON does not have.
+        ("pca.json", _set("scores", 0, 0, float("nan")), "pca", ["cluster", "--seed", "7"],
+         "not JSON: NaN is not a JSON value"),
+        ("metrics.json", _set("concepts", 0, "missing_fraction", float("inf")), "metrics", ["pca"],
+         "not JSON: Infinity is not a JSON value"),
+        ("metrics.json", _set("concepts", 0, "mean_d", float("-inf")), "metrics",
+         ["report", "--k", "3"], "not JSON: -Infinity is not a JSON value"),
+        ("clusters.json", _set("wcss", float("nan")), "cluster", ["report", "--k", "3"],
+         "not JSON: NaN is not a JSON value"),
     ],
 )
 def test_malformed_cache_is_a_located_error(

@@ -251,6 +251,52 @@ class TestSummary:
         assert s.height == 6.0
 
 
+def _ints(*values):
+    return np.array(values, dtype=np.intp)
+
+
+class TestConstructor:
+    """``Tree(parents, lengths, labels)`` checks the parents array it stores."""
+
+    def test_children_derive_from_parents(self):
+        tree = Tree(_ints(3, 2, 3, -1), np.array([1.0, 2.0, 0.5, 0.0]), ("A", "B", None, "R"))
+        assert tree.children == ((), (), (1,), (0, 2))
+        assert tree.tip_labels == ("A", "B")
+        assert tree.is_tip(1) and not tree.is_tip(2)
+        assert tree.defaulted == frozenset()
+        assert write_newick(tree) == "(A:1,(B:2):0.5)R:0;"
+
+    @pytest.mark.parametrize(
+        "parents, lengths, labels, message",
+        [
+            (_ints(), np.zeros(0), (), "tree has no nodes"),
+            (_ints(2, 2, -1), np.zeros(2), ("A", "B", None), "per-node arrays disagree in length"),
+            (np.array([2.0, 2.0, -1.0]), np.zeros(3), ("A", "B", None),
+             "parents must be an integer array"),
+            (_ints(2, -1, 1), np.zeros(3), ("A", "B", None),
+             "the last node must be the root, with parent -1"),
+            # A second root, a parent before its child, a parent past the last node.
+            (_ints(2, -1, -1), np.zeros(3), ("A", "B", None),
+             "every other node's parent must be a later node (postorder numbering)"),
+            (_ints(2, 0, 3, -1), np.zeros(4), ("A", "B", None, None),
+             "every other node's parent must be a later node (postorder numbering)"),
+            (_ints(2, 5, -1), np.zeros(3), ("A", "B", None),
+             "every other node's parent must be a later node (postorder numbering)"),
+            (_ints(2, 2, -1), np.array([1.0, -1.0, 0.0]), ("A", "B", None),
+             "branch lengths must be finite and non-negative"),
+            (_ints(2, 2, -1), np.array([np.nan, 1.0, 0.0]), ("A", "B", None),
+             "branch lengths must be finite and non-negative"),
+            (_ints(2, 2, -1), np.zeros(3), ("A", "", None), "every tip must be labeled"),
+            (_ints(2, 2, -1), np.zeros(3), ("A", None, "R"), "every tip must be labeled"),
+            (_ints(2, 2, -1), np.zeros(3), ("A", "A", None), "tip labels must be unique"),
+        ],
+    )
+    def test_errors(self, parents, lengths, labels, message):
+        with pytest.raises(TreeError) as caught:
+            Tree(parents, lengths, labels)
+        assert str(caught.value) == message
+
+
 class TestInvariants:
     def test_postorder_child_precedes_parent(self):
         tree = parse_newick("((A:1,(B:1,C:1):1):1,(D:1,E:1):1);")
@@ -293,3 +339,5 @@ def test_parse_write_roundtrip_property(newick):
     for i in tree.postorder():
         for child in tree.children[i]:
             assert child < i
+    # Each node's children, in Newick order, are in ascending index order.
+    assert tree.child_table[0].tolist() == np.argsort(tree.parents[:-1], kind="stable").tolist()

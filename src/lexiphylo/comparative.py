@@ -407,29 +407,18 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
     return float(_d_sum_batch(_Sweeps(tree), tip_values[None, :] - 0.5)[0])
 
 
-def _resolve_polytomies(tree: Tree, seed: int) -> Tree:
-    """Randomly resolve multifurcations into binary nodes with 0-length branches."""
-    from .tree import _flatten, _PNode  # deferred: shares the builder
-
-    rng = stream(seed, 0)
-    nodes: dict[int, _PNode] = {}
-    for i in tree.postorder():
-        kids = [nodes[c] for c in tree.children[i]]
-        while len(kids) > 2:
-            first, second = sorted(rng.choice(len(kids), size=2, replace=False))
-            merged = _PNode(None, 0.0, [kids[first], kids[second]], False)
-            kids = [k for j, k in enumerate(kids) if j not in (first, second)]
-            kids.append(merged)
-        nodes[i] = _PNode(tree.labels[i], float(tree.lengths[i]), kids, False)
-    return _flatten(nodes[tree.root])
-
-
 def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
     """BM rate estimate: mean of squared standardized independent contrasts.
 
-    Polytomies are first resolved at random (stream ``(seed, 0)``) with
-    zero-length inserted branches, which the epsilon rule then handles.
-    Raises on a constant trait ("zero variance").
+    Felsenstein (1985) contrasts in one postorder pass: each node passes up a
+    value and a rate-scaled length, and zero lengths count as epsilon. A
+    polytomy is resolved inline, as that pass reaches it: while it has more
+    than two children, two drawn from stream ``(seed, 0)`` merge into one
+    behind a zero-length branch. ``tip_values`` aligns with
+    ``tree.tip_indices``. Before inline resolution, estimates on polytomous
+    trees placed each tip value by a re-numbered copy of the tree, so they
+    were wrong whenever resolution moved a subtree; binary trees give the
+    same bits as then. Raises on a constant trait ("zero variance").
     """
     tip_values = np.asarray(tip_values, dtype=float)
     if tip_values.shape != (tree.n_tips,):
@@ -439,31 +428,31 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
     if np.ptp(tip_values) == 0:
         raise ValueError("zero variance: all tip values equal")
 
-    if any(len(tree.children[i]) > 2 for i in tree.postorder()):
-        tree = _resolve_polytomies(tree, seed)
     eps = _epsilon(tree)
-
-    # Felsenstein contrasts: values and rate-scaled edge lengths percolate up.
-    value = np.zeros(tree.n_nodes)
-    value[tree.tip_indices] = tip_values
-    adj_len = np.array(
-        [length if length != 0.0 else eps for length in map(float, tree.lengths)]
-    )
+    lengths = np.where(tree.lengths != 0.0, tree.lengths, eps).tolist()
+    tips = iter(tip_values.tolist())
+    rng = stream(seed, 0)
     contrasts: list[float] = []
-    for i in tree.postorder():
-        kids = tree.children[i]
-        if not kids:
-            continue
-        if len(kids) == 1:  # unary chain (pruned root): pass through
-            (c,) = kids
-            value[i] = value[c]
-            adj_len[i] += adj_len[c]
-            continue
-        a, b = kids
-        va, vb = adj_len[a], adj_len[b]
-        contrasts.append((value[a] - value[b]) / np.sqrt(va + vb))
-        value[i] = (value[a] / va + value[b] / vb) / (1.0 / va + 1.0 / vb)
-        adj_len[i] += va * vb / (va + vb)
+
+    def join(a: tuple[float, float], b: tuple[float, float], length: float) -> tuple[float, float]:
+        (xa, va), (xb, vb) = a, b
+        contrasts.append((xa - xb) / math.sqrt(va + vb))
+        return (xa / va + xb / vb) / (1.0 / va + 1.0 / vb), length + va * vb / (va + vb)
+
+    # (value, rate-scaled length) of every node, in postorder.
+    up: list[tuple[float, float]] = []
+    for i, kids in enumerate(tree.children):
+        pending = [up[c] for c in kids]
+        while len(pending) > 2:
+            first, second = sorted(rng.choice(len(pending), size=2, replace=False))
+            pending.append(join(pending.pop(first), pending.pop(second - 1), eps))
+        if not pending:
+            up.append((next(tips), lengths[i]))
+        elif len(pending) == 1:  # unary chain (pruned root): pass through
+            ((value, length),) = pending
+            up.append((value, lengths[i] + length))
+        else:
+            up.append(join(*pending, lengths[i]))
 
     estimate = float(np.mean(np.square(contrasts)))
     if estimate == 0.0:

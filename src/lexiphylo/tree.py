@@ -7,18 +7,22 @@ groups the nodes for sweeps that process a whole level at a time, top-down
 shallowest level first and bottom-up deepest level first.
 
 The ``parents`` array is the one stored topology, and a node's children
-are its children in ascending index order. Every tree the package builds
-numbers sibling subtrees left to right, so that is also their left-to-right
-order: parsing numbers a Newick statement in left-to-right postorder, and a
-pruned tree keeps its parent's postorder restricted to the surviving nodes,
-so the kept tips, and each node's surviving children, keep their relative
-order.
+are its children in ascending index order, which is their left-to-right
+order: the constructor requires each node's subtree to be the index range
+ending at that node, so the numbering is a left-to-right postorder, and it
+requires every label to be one ``write_newick`` can write back. So every
+valid ``Tree`` round-trips through ``write_newick`` and ``parse_newick``.
+Parsing numbers a Newick statement in left-to-right postorder as it scans,
+and a pruned tree keeps its parent's postorder restricted to the surviving
+nodes, so the kept tips, and each node's surviving children, keep their
+relative order.
 
 Trees are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +45,9 @@ class TreeError(ValueError):
 
 # Characters that end a label or a branch-length token.
 _TOKEN_END = set("(),:;")
+# What a label cannot hold and still be written back as itself: a character
+# that ends a token, whitespace, or "[", which opens a comment.
+_UNWRITABLE = re.compile(r"[(),:;\s\[]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +90,19 @@ class Tree:
             raise TreeError("every tip must be labeled")
         if len(set(self.tip_labels)) != len(self.tip_labels):
             raise TreeError("tip labels must be unique")
+        # Each node's subtree must be the index range ending at that node: the
+        # sizes, summed bottom-up, give each range's start, and a child's range
+        # must start inside its parent's. Then the numbering is the one
+        # parse_newick gives the Newick that write_newick writes.
+        size = np.ones(n, dtype=np.intp)
+        for nodes, above in reversed(self.depth_levels):
+            np.add.at(size, above, size[nodes])
+        start = np.arange(n) - size + 1
+        if not np.all(start[ups] <= start[:-1]):
+            raise TreeError("every subtree must be the index range ending at its root "
+                            "(left-to-right postorder numbering)")
+        if "" in self.labels or _UNWRITABLE.search("\0".join(filter(None, self.labels))):
+            raise TreeError("labels must be non-empty and hold no whitespace or any of ( ) , : ; [")
 
     # -- derived views ---------------------------------------------------
 
@@ -199,44 +219,6 @@ class TreeSummary:
 # -- construction ----------------------------------------------------------
 
 
-class _PNode:
-    """Mutable node used while parsing/pruning, before postorder flattening."""
-
-    __slots__ = ("label", "length", "children", "defaulted", "offset")
-
-    def __init__(self, label, length, children, defaulted, offset=0):
-        self.label = label
-        self.length = length
-        self.children = children
-        self.defaulted = defaulted
-        self.offset = offset
-
-
-def _flatten(root: _PNode) -> Tree:
-    """Assign postorder indices to a nested node structure and build a Tree."""
-    order: list[_PNode] = []
-    stack: list[tuple[_PNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        else:
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
-    index = {id(node): i for i, node in enumerate(order)}
-    parents = [-1] * len(order)
-    for i, node in enumerate(order):
-        for child in node.children:
-            parents[index[id(child)]] = i
-    return Tree(
-        np.array(parents, dtype=np.intp),
-        np.array([node.length for node in order], dtype=float),
-        tuple(node.label for node in order),
-        frozenset(i for i, node in enumerate(order) if node.defaulted),
-    )
-
-
 def _strip_comments(text: str) -> str:
     """Remove square-bracket comments (nesting allowed)."""
     out = []
@@ -263,65 +245,65 @@ def parse_newick(text: str) -> Tree:
     root length becomes 0.0 (the root has no parent edge) and is not
     flagged.
 
+    One left-to-right scan writes the tree's arrays: a node is appended when
+    it closes (a tip once its label and length are read, an internal node at
+    its ``)``), which numbers the nodes in left-to-right postorder, and its
+    children's parent entries are set then. The scan is iterative, so nesting
+    depth is bounded by memory rather than by the recursion limit.
+
     Raises
     ------
     NewickError
         On empty input, unbalanced parentheses, missing or duplicate tip
         labels, negative or non-numeric branch lengths, a missing ``;``,
-        or trailing content. Each error carries the character offset.
+        or trailing content. Each error carries the character offset; a
+        duplicate tip is reported at the later occurrence of the first label
+        seen twice, after every other check.
     """
     s = _strip_comments(text)
     pos = _skip_ws(s, 0)
     if pos >= len(s):
         raise NewickError("empty input", 0)
 
-    node, pos = _parse_subtree(s, pos)
-    pos = _skip_ws(s, pos)
-    if pos >= len(s) or s[pos] != ";":
-        if pos < len(s) and s[pos] == ")":
-            raise NewickError("unbalanced parentheses", pos)
-        raise NewickError("missing ';' terminator", pos)
-    pos = _skip_ws(s, pos + 1)
-    if pos < len(s):
-        raise NewickError("trailing content after ';'", pos)
+    parents: list[int] = []
+    lengths: list[float] = []
+    labels: list[str | None] = []
+    defaulted: list[int] = []
 
-    # Root branch length: absent means "no parent edge", not a default.
-    if node.defaulted:
-        node.length = 0.0
-        node.defaulted = False
+    def close(label: str | None, children: list[int], pos: int) -> tuple[int, int]:
+        length, absent, pos = _read_length(s, pos)
+        node = len(labels)
+        for child in children:
+            parents[child] = node
+        parents.append(-1)
+        lengths.append(length)
+        labels.append(label)
+        if absent:
+            defaulted.append(node)
+        return node, pos
 
-    _check_duplicate_tips(node)
-    return _flatten(node)
-
-
-def _skip_ws(s: str, pos: int) -> int:
-    while pos < len(s) and s[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_subtree(s: str, pos: int) -> tuple[_PNode, int]:
-    # Iterative, so nesting depth is bounded by memory rather than by the
-    # interpreter's recursion limit: each open group is (offset, children).
-    open_groups: list[tuple[int, list[_PNode]]] = []
+    seen: set[str] = set()
+    duplicate: NewickError | None = None
+    groups: list[list[int]] = []  # the closed children of each open "("
     while True:
         pos = _skip_ws(s, pos)
         if pos < len(s) and s[pos] == "(":
-            open_groups.append((pos, []))
+            groups.append([])
             pos += 1
             continue
         if pos < len(s) and s[pos] == ")":
             raise NewickError("unbalanced parentheses", pos)
-        label_offset = pos
+        offset = pos
         label, pos = _read_label(s, pos)
         if label is None:
-            raise NewickError("missing tip label", label_offset)
-        length, defaulted, pos = _read_length(s, pos)
-        node = _PNode(label, length, [], defaulted, label_offset)
-        # Attach the finished node to its group; a ")" finishes that group too.
-        while open_groups:
-            open_offset, children = open_groups[-1]
-            children.append(node)
+            raise NewickError("missing tip label", offset)
+        if label in seen and duplicate is None:
+            duplicate = NewickError(f"duplicate tip label {label!r}", offset)
+        seen.add(label)
+        node, pos = close(label, [], pos)
+        # Add the closed node to its group; a ")" closes that group too.
+        while groups:
+            groups[-1].append(node)
             pos = _skip_ws(s, pos)
             if pos >= len(s):
                 raise NewickError("unbalanced parentheses", len(s))
@@ -330,12 +312,38 @@ def _parse_subtree(s: str, pos: int) -> tuple[_PNode, int]:
                 break
             if s[pos] != ")":
                 raise NewickError(f"unexpected character {s[pos]!r}", pos)
-            open_groups.pop()
             label, pos = _read_label(s, pos + 1)
-            length, defaulted, pos = _read_length(s, pos)
-            node = _PNode(label, length, children, defaulted, open_offset)
-        if not open_groups:
-            return node, pos
+            node, pos = close(label, groups.pop(), pos)
+        if not groups:
+            break
+
+    pos = _skip_ws(s, pos)
+    if pos >= len(s) or s[pos] != ";":
+        if pos < len(s) and s[pos] == ")":
+            raise NewickError("unbalanced parentheses", pos)
+        raise NewickError("missing ';' terminator", pos)
+    pos = _skip_ws(s, pos + 1)
+    if pos < len(s):
+        raise NewickError("trailing content after ';'", pos)
+    if duplicate is not None:
+        raise duplicate
+
+    # Root branch length: absent means "no parent edge", not a default.
+    if defaulted and defaulted[-1] == node:
+        lengths[node] = 0.0
+        defaulted.pop()
+    return Tree(
+        np.array(parents, dtype=np.intp),
+        np.array(lengths, dtype=float),
+        tuple(labels),
+        frozenset(defaulted),
+    )
+
+
+def _skip_ws(s: str, pos: int) -> int:
+    while pos < len(s) and s[pos].isspace():
+        pos += 1
+    return pos
 
 
 def _read_label(s: str, pos: int) -> tuple[str | None, int]:
@@ -365,21 +373,6 @@ def _read_length(s: str, pos: int) -> tuple[float, bool, int]:
     if value < 0:
         raise NewickError(f"negative branch length {raw!r}", start)
     return value, False, pos
-
-
-def _check_duplicate_tips(root: _PNode) -> None:
-    seen: dict[str, int] = {}
-    stack = [root]
-    order: list[_PNode] = []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    # Report the *later* occurrence, scanning tips in input order.
-    for node in sorted((n for n in order if not n.children), key=lambda n: n.offset):
-        if node.label in seen:
-            raise NewickError(f"duplicate tip label {node.label!r}", node.offset)
-        seen[node.label] = node.offset
 
 
 def read_newick_file(source: str | Path | IO[str]) -> Tree:

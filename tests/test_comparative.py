@@ -129,6 +129,23 @@ class TestNodalEstimates:
                 assert np.all(est <= tips.max() + 1e-12)
 
 
+def _binary_resolution(tree, seed: int) -> str:
+    """The binary tree that ``estimate_sigma2`` resolves ``tree`` into, as Newick:
+    the same ``stream(seed, 0)`` draws, node by node in postorder, each merged
+    pair behind a zero-length branch after the remaining children."""
+    rng = stream(seed, 0)
+    text: dict[int, str] = {}
+    for i in tree.postorder():
+        kids = [text[c] for c in tree.children[i]]
+        while len(kids) > 2:
+            first, second = sorted(rng.choice(len(kids), size=2, replace=False))
+            merged = f"({kids[first]},{kids[second]}):0"
+            kids = [kid for j, kid in enumerate(kids) if j not in (first, second)] + [merged]
+        body = f"({','.join(kids)})" if kids else ""
+        text[i] = f"{body}{tree.labels[i] or ''}:{float(tree.lengths[i])!r}"
+    return text[tree.root] + ";"
+
+
 class TestEstimateSigma2:
     def test_two_tip_hand_value(self):
         tree = parse_newick("(A:1,B:1);")
@@ -144,6 +161,33 @@ class TestEstimateSigma2:
         tips = [0.0, 1.0, 3.0, 6.0]
         first = estimate_sigma2(tree, tips, seed=5)
         assert estimate_sigma2(tree, tips, seed=5) == first
+
+    @pytest.mark.parametrize(
+        "newick",
+        [
+            "(A:1,B:2,C:0.5,D:1);",
+            "((A:1,B:0.5,C:2,D:1):1,(E:1,F:2):0.5,(G:0.3,(H:1,I:0):1,J:1.5,K:0.2):2,L:1);",
+        ],
+    )
+    def test_polytomy_matches_its_binary_resolution(self, newick):
+        # The estimate equals the one on the binary tree that the resolution
+        # draws, with zero-length inserted branches and the values matched
+        # by label; only the summation order of the contrasts may differ.
+        tree = parse_newick(newick)
+        values = dict(zip(tree.tip_labels, 2.0 ** np.arange(tree.n_tips)))
+        for seed in range(6):
+            binary = parse_newick(_binary_resolution(tree, seed))
+            assert all(len(kids) in (0, 2) for kids in binary.children)
+            want = estimate_sigma2(binary, [values[label] for label in binary.tip_labels])
+            got = estimate_sigma2(tree, [values[label] for label in tree.tip_labels], seed=seed)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_polytomy_hand_value(self):
+        # Seed 0 resolves the root into ((A,D),(B,C)): up to epsilon, the
+        # contrasts are 7/sqrt(2), 2/sqrt(2.5) and 0.9/sqrt(0.9), mean square 9.
+        tree = parse_newick("(A:1,B:2,C:0.5,D:1);")
+        assert _binary_resolution(tree, 0) == "((A:1.0,D:1.0):0,(B:2.0,C:0.5):0):0.0;"
+        assert estimate_sigma2(tree, [1.0, 2.0, 4.0, 8.0], seed=0) == pytest.approx(9.0, rel=1e-8)
 
     def test_monte_carlo_consistency_quick(self):
         # Smaller sibling of the acceptance check: 64 tips, 100 replicates.

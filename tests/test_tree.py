@@ -50,8 +50,23 @@ class TestParse:
             parse_newick("   ")
 
     def test_duplicate_tip_label(self):
-        with pytest.raises(NewickError, match="duplicate tip label 'A'"):
+        with pytest.raises(NewickError, match="duplicate tip label 'A'") as err:
             parse_newick("(A:1,(B:1,A:2):1);")
+        assert err.value.offset == 10
+
+    def test_duplicate_reported_at_later_occurrence_of_first_repeat(self):
+        # A repeats before B does, so A is reported, at its second occurrence.
+        text = "(B:1,(A:1,(C:1,(A:1,B:1):1):1):1);"
+        with pytest.raises(NewickError) as err:
+            parse_newick(text)
+        assert str(err.value) == "duplicate tip label 'A' at offset 16"
+        assert text[16] == "A" and text.index("A") < 16
+
+    def test_duplicate_reported_after_syntax_errors(self):
+        with pytest.raises(NewickError, match="missing ';' terminator"):
+            parse_newick("(A:1,(B:1,A:2):1)")
+        with pytest.raises(NewickError, match="trailing content"):
+            parse_newick("(A:1,A:2); x")
 
     def test_negative_branch_length(self):
         with pytest.raises(NewickError, match="negative branch length"):
@@ -255,6 +270,10 @@ def _ints(*values):
     return np.array(values, dtype=np.intp)
 
 
+_NUMBERING = "every subtree must be the index range ending at its root (left-to-right postorder numbering)"
+_LABELS = "labels must be non-empty and hold no whitespace or any of ( ) , : ; ["
+
+
 class TestConstructor:
     """``Tree(parents, lengths, labels)`` checks the parents array it stores."""
 
@@ -289,12 +308,88 @@ class TestConstructor:
             (_ints(2, 2, -1), np.zeros(3), ("A", "", None), "every tip must be labeled"),
             (_ints(2, 2, -1), np.zeros(3), ("A", None, "R"), "every tip must be labeled"),
             (_ints(2, 2, -1), np.zeros(3), ("A", "A", None), "tip labels must be unique"),
+            # B's subtree is not the range just below it: written back, B
+            # would come first.
+            (_ints(2, 3, 3, -1), np.ones(4), ("A", "B", None, "R"), _NUMBERING),
+            (_ints(3, 4, 3, 4, -1), np.ones(5), ("A", "B", "C", None, None), _NUMBERING),
+            (_ints(2, 2, -1), np.zeros(3), ("A", "B", ""), _LABELS),
+            (_ints(2, 2, -1), np.zeros(3), ("A B", "B", None), _LABELS),
+            (_ints(2, 2, -1), np.zeros(3), ("A", "B", "R\u2003"), _LABELS),
+            *((_ints(2, 2, -1), np.zeros(3), ("A", f"B{ch}", None), _LABELS) for ch in "(),:;["),
         ],
     )
     def test_errors(self, parents, lengths, labels, message):
         with pytest.raises(TreeError) as caught:
             Tree(parents, lengths, labels)
         assert str(caught.value) == message
+
+    def test_lone_bracket_and_quotes_are_writable(self):
+        tree = parse_newick("(A],B)x'y;")
+        assert tree.labels == ("A]", "B", "x'y")
+        again = Tree(tree.parents, tree.lengths, tree.labels)
+        assert parse_newick(write_newick(again)).structurally_equal(again)
+
+
+def _newick_from_arrays(parents, lengths, labels) -> str:
+    """Newick for raw per-node arrays, each node's children in ascending index
+    order, written without building a Tree (so without its checks)."""
+    children = [[] for _ in labels]
+    for child, parent in enumerate(parents[:-1]):
+        children[parent].append(child)
+
+    def text(i):
+        inner = f"({','.join(map(text, children[i]))})" if children[i] else ""
+        return f"{inner}{labels[i] or ''}:{lengths[i]!r}"
+
+    return text(len(labels) - 1) + ";"
+
+
+def _random_arrays(rng: np.random.Generator):
+    n = int(rng.integers(1, 9))
+    parents = np.array([*(rng.integers(i + 1, n) for i in range(n - 1)), -1], dtype=np.intp)
+    lengths = rng.integers(0, 8, size=n) / 4
+    is_parent = np.zeros(n, dtype=bool)
+    is_parent[parents[:-1]] = True
+    labels = []
+    for i in range(n):
+        if is_parent[i] and rng.random() < 0.6:
+            labels.append(None)
+        elif rng.random() < 0.1:
+            labels.append(str(rng.choice(["", "a b", "a(", "a)", "a,", "a:", "a;", "a[", "a]", "'a", "t0"])))
+        else:
+            labels.append(f"t{i}")
+    return parents, lengths, tuple(labels)
+
+
+def test_built_tree_accepted_iff_it_roundtrips():
+    """Every Tree the constructor accepts round-trips through write_newick, and
+    the arrays it refuses do not: written out as they stand, they parse into
+    different arrays or not at all."""
+    rng = np.random.default_rng(20)
+    accepted = 0
+    for _ in range(3000):
+        parents, lengths, labels = _random_arrays(rng)
+        text = _newick_from_arrays(parents.tolist(), lengths.tolist(), labels)
+        try:
+            again = parse_newick(text)
+        except NewickError:
+            roundtrips = False
+        else:
+            roundtrips = (
+                again.parents.tolist() == parents.tolist()
+                and again.labels == labels
+                and again.lengths.tolist() == lengths.tolist()
+            )
+        try:
+            tree = Tree(parents, lengths, labels)
+        except TreeError:
+            assert not roundtrips, text
+            continue
+        accepted += 1
+        assert roundtrips, text
+        assert write_newick(tree) == write_newick(again)
+        assert parse_newick(write_newick(tree)).structurally_equal(tree)
+    assert 300 < accepted < 2700
 
 
 class TestInvariants:

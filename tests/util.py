@@ -18,7 +18,7 @@ import numpy as np
 from lexiphylo._rng import stream
 from lexiphylo.comparative import DStatResult
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
-from lexiphylo.tree import Tree, TreeError, _flatten, _PNode
+from lexiphylo.tree import Tree, TreeError
 
 
 def balanced_newick(depth: int, branch: float = 1.0, prefix: str = "T") -> str:
@@ -87,11 +87,12 @@ def oracle_prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
     if len(keep) < 2:
         raise TreeError(f"need >= 2 taxa, got {len(keep)}")
 
-    built: dict[int, _PNode | None] = {}
+    # A nested node is [label, length, children]; None is a pruned-away subtree.
+    built: dict[int, list | None] = {}
     for i in tree.postorder():
         if tree.is_tip(i):
             if tree.labels[i] in keep:
-                built[i] = _PNode(tree.labels[i], float(tree.lengths[i]), [], False)
+                built[i] = [tree.labels[i], float(tree.lengths[i]), []]
             else:
                 built[i] = None
             continue
@@ -100,14 +101,36 @@ def oracle_prune_to_taxa(tree: Tree, keep: set[str] | frozenset[str]) -> Tree:
             built[i] = None
         elif len(kids) == 1 and i != tree.root:
             # Splice out the unary node; child edge absorbs this edge.
-            kids[0].length += float(tree.lengths[i])
+            kids[0][1] += float(tree.lengths[i])
             built[i] = kids[0]
         else:
-            built[i] = _PNode(tree.labels[i], float(tree.lengths[i]), kids, False)
+            built[i] = [tree.labels[i], float(tree.lengths[i]), kids]
 
     root = built[tree.root]
     assert root is not None
-    return _flatten(root)
+    return _number_in_postorder(root)
+
+
+def _number_in_postorder(root: list) -> Tree:
+    """Number nested ``[label, length, children]`` nodes children first, left
+    to right, and build the Tree of that numbering."""
+    parents: list[int] = []
+    lengths: list[float] = []
+    labels: list[str | None] = []
+
+    def number(node: list) -> int:
+        label, length, children = node
+        kids = [number(child) for child in children]
+        index = len(parents)
+        parents.append(-1)
+        lengths.append(length)
+        labels.append(label)
+        for kid in kids:
+            parents[kid] = index
+        return index
+
+    number(root)
+    return Tree(np.array(parents, dtype=np.intp), np.array(lengths), tuple(labels))
 
 
 def oracle_root_distances(tree: Tree) -> dict[int, float]:

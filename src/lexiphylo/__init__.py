@@ -14,7 +14,6 @@ from .cognates import (
     CognateMatrix,
     ConceptSummary,
     ValidationIssue,
-    binary_trait,
     binary_traits,
     concept_summary,
     load_cognates,
@@ -33,11 +32,13 @@ from .comparative import (
 )
 from .metrics import (
     FEATURE_COLUMNS,
+    ConceptPlan,
     DStatConfig,
     FeatureTable,
     MeaningClassMetrics,
     build_feature_table,
     compute_metrics,
+    plan,
 )
 from .multivariate import (
     ClusterAssignment,
@@ -78,6 +79,7 @@ __all__ = [
     "ClusterAssignment",
     "CognateFormatError",
     "CognateMatrix",
+    "ConceptPlan",
     "ConceptSummary",
     "DStatBatch",
     "DStatConfig",
@@ -96,7 +98,6 @@ __all__ = [
     "ValidationIssue",
     "WordlistSelection",
     "ZeroVarianceWarning",
-    "binary_trait",
     "binary_traits",
     "build_feature_table",
     "choose_k",
@@ -113,6 +114,7 @@ __all__ = [
     "orient_axes",
     "parse_newick",
     "pca",
+    "plan",
     "prune_to_taxa",
     "read_newick_file",
     "report_schema",

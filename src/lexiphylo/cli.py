@@ -40,9 +40,7 @@ import numpy as np
 from ._version import __version__
 from .cognates import (
     CognateFormatError,
-    CognateMatrix,
     ValidationIssue,
-    binary_trait,
     load_cognates,
 )
 from .comparative import (
@@ -54,12 +52,15 @@ from .comparative import (
     simulate_bm,
 )
 from .metrics import (
+    MIN_CONCEPTS,
+    ConceptPlan,
     DStatConfig,
     FeatureTable,
     MeaningClassMetrics,
     build_feature_table,
     compute_metrics,
     feature_table_to_csv,
+    plan,
 )
 from .multivariate import (
     DEFAULT_RESTARTS,
@@ -92,42 +93,19 @@ class CliError(Exception):
 _POOL_STATE: dict = {}
 
 
-def _pool_init(tree: Tree, matrix: CognateMatrix, config: DStatConfig) -> None:
-    _POOL_STATE["args"] = (tree, matrix, config)
+def _pool_init(tree: Tree, n_reps: int) -> None:
+    _POOL_STATE["args"] = (tree, n_reps)
 
 
-def _pool_task(concept: str) -> MeaningClassMetrics:
-    tree, matrix, config = _POOL_STATE["args"]
-    return compute_metrics(matrix, tree, concept, config)
-
-
-def _usable_concepts(matrix: CognateMatrix, tree: Tree) -> tuple[list[str], list[str]]:
-    """Concepts attested among the tree languages, sorted, and skip warnings for the rest.
-
-    A concept with no such attestation is skipped with a warning rather
-    than aborting the run.
-    """
-    tree_languages = set(tree.tip_labels)
-    usable: list[str] = []
-    skipped: list[str] = []
-    for concept in sorted(matrix.concepts):
-        if matrix.languages_for(concept) & tree_languages:
-            usable.append(concept)
-        else:
-            skipped.append(
-                f"concept {concept!r} skipped: no attestations among tree languages"
-            )
-    return usable, skipped
+def _pool_task(planned: ConceptPlan) -> MeaningClassMetrics:
+    tree, n_reps = _POOL_STATE["args"]
+    return compute_metrics(tree, planned, n_reps)
 
 
 def _compute_all_metrics(
-    matrix: CognateMatrix,
-    tree: Tree,
-    usable: list[str],
-    config: DStatConfig,
-    workers: int,
+    tree: Tree, plans: list[ConceptPlan], n_reps: int, workers: int
 ) -> list[MeaningClassMetrics]:
-    """Metrics for the ``usable`` concepts, in their order.
+    """Metrics for the planned concepts, in their order.
 
     The result is independent of the worker count: per-class seeds are
     hash-derived and assembly keeps the input order. A pool starts all its
@@ -135,10 +113,10 @@ def _compute_all_metrics(
     worker runs in this process, which frees the D statistic's buffers when
     it is done: the later stages need none of them.
     """
-    workers = min(workers, len(usable))
+    workers = min(workers, len(plans))
     if workers <= 1:
         try:
-            results = [compute_metrics(matrix, tree, c, config) for c in usable]
+            results = [compute_metrics(tree, planned, n_reps) for planned in plans]
         finally:
             release_workspace()
     else:
@@ -146,9 +124,9 @@ def _compute_all_metrics(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(tree, matrix, config)
+            max_workers=workers, initializer=_pool_init, initargs=(tree, n_reps)
         ) as pool:
-            results = list(pool.map(_pool_task, usable, chunksize=4))
+            results = list(pool.map(_pool_task, plans, chunksize=4))
     return results
 
 
@@ -206,24 +184,14 @@ class _PcaCache(PcaResult):
 
     def __post_init__(self) -> None:
         p, n = len(self.variables), len(self.row_labels)
+        # The cluster stage reads the first two score columns.
+        if self.scores.ndim != 2 or len(self.scores) != n or self.scores.shape[1] < 2:
+            raise _Mistyped(f"{n} rows of at least 2 numbers", self.scores.shape, ".scores")
         for name, shape in (("eigenvalues", (p,)), ("explained_variance", (p,)),
                             ("loadings", (p, p)), ("contributions", (p, p)), ("scores", (n, p))):
             if getattr(self, name).shape != shape:
                 got = getattr(self, name).shape
                 raise _Mistyped(f"an array of shape {shape}", got, f".{name}")
-
-
-@dataclasses.dataclass(frozen=True)
-class _PcaScores:
-    """The fields of ``pca.json`` that the cluster stage reads."""
-
-    scores: np.ndarray
-    row_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.row_labels)
-        if self.scores.ndim != 2 or len(self.scores) != n or self.scores.shape[1] < 2:
-            raise _Mistyped(f"{n} rows of at least 2 numbers", self.scores.shape, ".scores")
 
 
 class _Selection(typing.TypedDict("_Selection", {"mode": str, "warnings": list[str]}),
@@ -377,23 +345,31 @@ def _read_input(path: Path) -> tuple[typing.TextIO, _InputDigest]:
 def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
     """Compute and write the metrics cache.
 
-    A subcommand that takes --k (rank) has it checked against the usable
-    concepts before any D statistic is computed.
+    Every concept's D work is planned before any draw, so a corpus that can
+    make no feature table, and a --k (rank) above the planned concepts, are
+    refused before any D statistic is computed.
     """
     out = Path(args.out)
     tree_text, tree_input = _read_input(Path(args.tree))
     tree = read_newick_file(tree_text)
     cognates_text, cognates_input = _read_input(Path(args.cognates))
     matrix, load_issues = load_cognates(cognates_text)
-    usable, skip_warnings = _usable_concepts(matrix, tree)
-    if "k" in args and args.k > len(usable):
-        raise CliError(
-            f"k out of range: need 1 <= k <= {len(usable)} usable concepts, got {args.k}"
-        )
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
-    metrics = _compute_all_metrics(matrix, tree, usable, config, args.workers)
+    plans, skipped = plan(matrix, tree, config)
+    if len(plans) < MIN_CONCEPTS:
+        raise CliError(
+            f"{args.cognates}: need >= {MIN_CONCEPTS} concepts attested among the tree "
+            f"languages for a feature table, got {len(plans)}"
+        )
+    if all(isinstance(work, str) for planned in plans for work in planned.classes.values()):
+        raise CliError(f"{args.cognates}: no cognate class has a D statistic to compute")
+    if "k" in args and args.k > len(plans):
+        raise CliError(
+            f"k out of range: need 1 <= k <= {len(plans)} usable concepts, got {args.k}"
+        )
+    metrics = _compute_all_metrics(tree, plans, config.n_reps, args.workers)
     inputs = {"tree": tree_input, "cognates": cognates_input}
-    warned = sorted(skip_warnings + [issue.message for issue in load_issues])
+    warned = sorted([*skipped.values(), *(issue.message for issue in load_issues)])
     record = _MetricsCache(config=config, inputs=inputs, warnings=warned, concepts=metrics)
     out.mkdir(parents=True, exist_ok=True)
     # An export for other tools; nothing reads it back.
@@ -429,7 +405,7 @@ def _pca_stage(
 
 @_stage_invariants("cluster")
 def _cluster_stage(
-    args: argparse.Namespace, pca: tuple[_PcaScores | _PcaCache, str]
+    args: argparse.Namespace, pca: tuple[_PcaCache, str]
 ) -> tuple[_ClustersCache, str]:
     """k-means over PC1/PC2, with k fixed or chosen by silhouette over 2..6.
 
@@ -581,11 +557,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_dstat(args: argparse.Namespace) -> int:
     tree = read_newick_file(Path(args.tree))
     matrix, _ = load_cognates(Path(args.cognates))
-    presence, mask = binary_trait(matrix, args.concept, args.cognate_class, tree.tip_labels)
-    # The same per-class seed as the metrics stage, so this reproduces the report's entry.
-    seed = DStatConfig(args.seed, args.reps).class_seed(args.concept, args.cognate_class)
-    result = d_statistic(tree, presence, mask, n_reps=args.reps, seed=seed)
-    print(f"concept={args.concept} cognate_class={args.cognate_class}")
+    concept, cls = args.concept, args.cognate_class
+    if cls not in matrix.classes_for(concept):
+        raise CliError(f"unknown cognate class {cls!r} for concept {concept!r}")
+    # The metrics stage's plan, so this prints the class's report entry or skip reason.
+    plans, skipped = plan(matrix, tree, DStatConfig(args.seed, args.reps))
+    planned = next((p for p in plans if p.concept == concept), None)
+    seed = skipped[concept] if planned is None else planned.work(cls)
+    if isinstance(seed, str):
+        raise CliError(seed)
+    row = list(planned.classes).index(cls)
+    result = d_statistic(tree, planned.presence[row], planned.mask, n_reps=args.reps, seed=seed)
+    print(f"concept={concept} cognate_class={cls}")
     for name, value in dataclasses.asdict(result).items():
         print(f"{name}={value}")
     return 0
@@ -602,7 +585,7 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    record, _ = _cluster_stage(args, _read_cache(out, "pca.json", "pca", _PcaScores))
+    record, _ = _cluster_stage(args, _read_cache(out, "pca.json", "pca", _PcaCache))
     print(f"k-means: k={record.k}, wcss={record.wcss:.4f}")
     print(f"clusters -> {out / 'clusters.json'}")
     return 0

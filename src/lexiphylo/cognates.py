@@ -220,23 +220,6 @@ def write_cognates(matrix: CognateMatrix) -> str:
     return buf.getvalue()
 
 
-def binary_trait(
-    matrix: CognateMatrix,
-    concept: str,
-    cognate_class: str,
-    taxa: Iterable[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Presence/absence of one cognate class over ``taxa``, plus attested mask.
-
-    ``presence[i]`` is 1 iff taxon i attests the class under ``concept``;
-    ``mask[i]`` is 0 iff (taxon i, concept) is missing, which includes a
-    taxon with no rows at all. Missing taxa are to be excluded downstream,
-    never read as absence.
-    """
-    presence, mask = binary_traits(matrix, concept, (cognate_class,), taxa)
-    return presence[0], mask
-
-
 def binary_traits(
     matrix: CognateMatrix,
     concept: str,
@@ -246,9 +229,10 @@ def binary_traits(
     """Presence/absence of each of ``classes`` over ``taxa``, plus attested mask.
 
     ``presence[j, i]`` is 1 iff taxon i attests the j-th class under
-    ``concept``; ``mask`` is ``binary_trait``'s, which every class of the
-    concept shares. The taxa's positions are found in one pass, so a class
-    costs work in proportion to its own size.
+    ``concept``; ``mask[i]``, which every class shares, is 0 iff (taxon i,
+    concept) is missing, as for a taxon with no rows at all: such a taxon is
+    excluded downstream, never read as absence. The taxa's positions are
+    found in one pass, so a class costs work in proportion to its own size.
     """
     known, attested, _ = matrix._lookup(concept)
     classes = tuple(classes)

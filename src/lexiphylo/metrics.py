@@ -21,6 +21,8 @@ from .cognates import CognateMatrix, binary_traits
 from .comparative import DEFAULT_N_REPS, MIN_TIPS_FOR_D, DStatResult, d_statistic
 from .tree import Tree
 
+MIN_CONCEPTS = 3  # the fewest rows a feature table is built from
+
 FEATURE_COLUMNS = (
     "n_loans",
     "mean_D",
@@ -33,7 +35,7 @@ FEATURE_COLUMNS = (
 
 @dataclass(frozen=True)
 class DStatConfig:
-    """Knobs for the per-class D computations inside compute_metrics."""
+    """The master seed and replicate count of the metrics stage's D computations."""
 
     seed: int
     n_reps: int = DEFAULT_N_REPS
@@ -65,62 +67,88 @@ class FeatureTable:
     standardized: bool = False
 
 
-def compute_metrics(
-    matrix: CognateMatrix,
-    tree: Tree,
-    concept: str,
-    config: DStatConfig,
-) -> MeaningClassMetrics:
-    """All six variables for one concept, plus per-class D detail.
+@dataclass(frozen=True)
+class ConceptPlan:
+    """One concept's D work, decided before any draw.
 
-    A cognate class is analyzable when the concept has at least
-    ``MIN_TIPS_FOR_D`` attested tree languages and the class's
-    presence/absence trait varies among them; other classes are recorded in
-    ``class_skips`` with a reason. ``mean_d`` averages the analyzable
-    classes only, and is None when there are none.
+    ``classes`` maps each class attested among the tree languages, sorted,
+    to its seed, or to the reason it gets no D statistic; ``presence`` holds
+    their rows over the tree's tips, in that order, and ``mask`` marks the
+    tips that attest the concept at all.
     """
-    classes = sorted(matrix.classes_for(concept))
-    presence, mask = binary_traits(matrix, concept, classes, tree.tip_labels)
-    n_attested = int(np.count_nonzero(mask))
-    if not n_attested:
-        raise ValueError(f"concept {concept!r} has no attestations among tree languages")
 
-    # A class attested only off the tree is left out, like its languages.
-    sizes = presence.sum(axis=1)
-    on_tree = sizes > 0
-    classes = [cls for cls, kept in zip(classes, on_tree.tolist()) if kept]
-    presence, sizes = presence[on_tree], sizes[on_tree].tolist()
-    # A loan triple is also an entry, so a tree language's loan lies in ``classes``.
+    concept: str
+    classes: dict[str, int | str]
+    presence: np.ndarray
+    mask: np.ndarray
+    n_loans: int
+
+    def work(self, cognate_class: str) -> int | str:
+        """The seed of a class of the concept, or why it gets no D statistic."""
+        # A class attested only off the tree is left out, like its languages.
+        return self.classes.get(cognate_class, "attested only by languages off the tree")
+
+
+def plan(
+    matrix: CognateMatrix, tree: Tree, config: DStatConfig
+) -> tuple[list[ConceptPlan], dict[str, str]]:
+    """The D work of each concept attested among the tree languages, sorted,
+    and a skip warning for each other concept, by concept.
+
+    A class is analysable when the concept has at least ``MIN_TIPS_FOR_D``
+    attested tree languages and the class's presence/absence trait varies
+    among them; every other class gets its reason here.
+    """
     tree_languages = set(tree.tip_labels)
-    n_loans = sum(1 for (lang, _, _) in matrix.loans_for(concept) if lang in tree_languages)
+    plans: list[ConceptPlan] = []
+    skipped: dict[str, str] = {}
+    for concept in sorted(matrix.concepts):
+        if not matrix.languages_for(concept) & tree_languages:
+            skipped[concept] = f"concept {concept!r} skipped: no attestations among tree languages"
+            continue
+        classes = sorted(matrix.classes_for(concept))
+        presence, mask = binary_traits(matrix, concept, classes, tree.tip_labels)
+        sizes = presence.sum(axis=1)
+        n_attested = int(np.count_nonzero(mask))
+        on_tree = sizes > 0
+        classes = [cls for cls, kept in zip(classes, on_tree.tolist()) if kept]
+        # A loan triple is also an entry, so a tree language's loan lies in ``classes``.
+        n_loans = sum(1 for (lang, _, _) in matrix.loans_for(concept) if lang in tree_languages)
+        work = {
+            cls: f"fewer than {MIN_TIPS_FOR_D} usable tips" if n_attested < MIN_TIPS_FOR_D
+            else "constant trait (attested by every usable language)" if size == n_attested
+            else config.class_seed(concept, cls)
+            for cls, size in zip(classes, sizes[on_tree].tolist())
+        }
+        plans.append(ConceptPlan(concept, work, presence[on_tree], mask, n_loans))
+    return plans, skipped
 
-    # Every class of the concept shares its attested mask, so the analysable
-    # ones go to the D statistic as one stack, each with its own seed.
-    reasons: dict[str, DStatResult | str | None] = {
-        cls: f"fewer than {MIN_TIPS_FOR_D} usable tips" if n_attested < MIN_TIPS_FOR_D
-        else "constant trait (attested by every usable language)" if size == n_attested
-        else None
-        for cls, size in zip(classes, sizes)
-    }
-    stacked = [j for j, reason in enumerate(reasons.values()) if reason is None]
+
+def compute_metrics(tree: Tree, planned: ConceptPlan, n_reps: int) -> MeaningClassMetrics:
+    """All six variables for the concept of ``planned``, plus per-class D detail.
+
+    The classes with a seed go to the D statistic as one stack on the
+    concept's mask; a class whose nulls coincide is skipped with that
+    reason. ``mean_d`` averages the class results, and is None when there
+    are none.
+    """
+    classes, outcomes = list(planned.classes), list(planned.classes.values())
+    stacked = [j for j, work in enumerate(outcomes) if not isinstance(work, str)]
     if stacked:
-        seeds = [config.class_seed(concept, classes[j]) for j in stacked]
-        batch = d_statistic(tree, presence[stacked], mask, n_reps=config.n_reps, seed=seeds)
-        reasons.update(zip([classes[j] for j in stacked], batch.results))
-    class_results = {cls: r for cls, r in reasons.items() if isinstance(r, DStatResult)}
-    class_skips = {cls: r for cls, r in reasons.items() if isinstance(r, str)}
-
-    mean_d = (
-        float(np.mean([res.D for res in class_results.values()]))
-        if class_results
-        else None
-    )
+        seeds = [outcomes[j] for j in stacked]
+        batch = d_statistic(tree, planned.presence[stacked], planned.mask, n_reps, seed=seeds)
+        for j, result in zip(stacked, batch.results):
+            outcomes[j] = result
+    class_results = {cls: r for cls, r in zip(classes, outcomes) if isinstance(r, DStatResult)}
+    class_skips = {cls: r for cls, r in zip(classes, outcomes) if isinstance(r, str)}
+    sizes = planned.presence.sum(axis=1).tolist()
+    mean_d = float(np.mean([res.D for res in class_results.values()])) if class_results else None
     return MeaningClassMetrics(
-        concept=concept,
-        n_loans=n_loans,
+        concept=planned.concept,
+        n_loans=planned.n_loans,
         mean_d=mean_d,
         n_singletons=sizes.count(1),
-        missing_fraction=1.0 - n_attested / len(tree_languages),
+        missing_fraction=1.0 - int(np.count_nonzero(planned.mask)) / len(planned.mask),
         mean_class_size=float(np.mean(sizes)),
         max_class_size=max(sizes),
         n_classes=len(classes),
@@ -138,8 +166,8 @@ def build_feature_table(metrics: list[MeaningClassMetrics]) -> FeatureTable:
     cell was imputed, and which classes were skipped and why, is read from
     the MeaningClassMetrics records themselves.
     """
-    if len(metrics) < 3:
-        raise ValueError(f"need >= 3 concepts for a feature table, got {len(metrics)}")
+    if len(metrics) < MIN_CONCEPTS:
+        raise ValueError(f"need >= {MIN_CONCEPTS} concepts for a feature table, got {len(metrics)}")
     by_concept = {m.concept: m for m in metrics}
     if len(by_concept) != len(metrics):
         raise ValueError("duplicate concept in metrics list")

@@ -372,7 +372,7 @@ def _read_length(s: str, pos: int) -> tuple[float, bool, int]:
         raise NewickError(f"non-finite branch length {raw!r}", start)
     if value < 0:
         raise NewickError(f"negative branch length {raw!r}", start)
-    return value, False, pos
+    return abs(value), False, pos  # "-0" is +0.0, which write_newick writes back as "0"
 
 
 def read_newick_file(source: str | Path | IO[str]) -> Tree:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexiphylo import cli, comparative
+from lexiphylo import cli, comparative, metrics
 from lexiphylo.cli import main
 from lexiphylo.report import to_json
 from lexiphylo.tree import parse_newick
@@ -660,6 +660,10 @@ RECLUSTER = ["cluster", "--seed", "7"]
          "k: expected an integer, got '3'"),
         ("pca.json", _set("explained_variance", [0.5]), "pca", ["report", "--k", "3"],
          "explained_variance: expected an array of shape (6,), got (1,)"),
+        ("pca.json", _set("scores", [[0.0]] * 4), "pca", ["cluster", "--seed", "7"],
+         "scores: expected 4 rows of at least 2 numbers, got (4, 1)"),
+        ("pca.json", _set("loadings", "oops"), "pca", ["cluster", "--seed", "7"],
+         "loadings: expected an array, got 'oops'"),
         ("pca.json", _set("scores", [[1.0, 2.0], [3.0]]), "pca", ["cluster", "--seed", "7"],
          "scores: expected a rectangular array of numbers, got [[1.0, 2.0], [3.0]]"),
         ("metrics.json", _set("concepts", slice(2, None), []), "metrics", ["pca"],
@@ -764,7 +768,11 @@ class TestClusterDistinctRows:
         scores = [[x, y, 0.0] for x, y in points for _ in range(3)]
         # A -0.0 coordinate is the same point as 0.0.
         scores[1][0] = -0.0
-        doc = {"scores": scores, "row_labels": [f"c{i:02d}" for i in range(len(scores))]}
+        unit = [[float(i == j) for j in range(3)] for i in range(3)]
+        doc = {"scores": scores, "row_labels": [f"c{i:02d}" for i in range(len(scores))],
+               "variables": ["a", "b", "c"], "eigenvalues": [1.0] * 3,
+               "explained_variance": [1 / 3] * 3, "loadings": unit, "contributions": unit,
+               "upstream_sha256": "", "warnings": []}
         (tmp_path / "pca.json").write_text(json.dumps(doc), "utf-8")
         return tmp_path
 
@@ -865,9 +873,9 @@ def test_one_usable_concept_runs_without_a_pool(tmp_path, recording_pool):
     tree_path, cognates_path = write_inputs(tmp_path)
     tree = read_newick_file(tree_path)
     matrix, _ = load_cognates(cognates_path)
-    config = DStatConfig(seed=3, n_reps=10)
-    serial = cli._compute_all_metrics(matrix, tree, ["eye"], config, 1)
-    assert cli._compute_all_metrics(matrix, tree, ["eye"], config, 8) == serial
+    eye = [p for p in metrics.plan(matrix, tree, DStatConfig(seed=3))[0] if p.concept == "eye"]
+    serial = cli._compute_all_metrics(tree, eye, 10, 1)
+    assert cli._compute_all_metrics(tree, eye, 10, 8) == serial
     assert recording_pool == []
     # The in-process metrics stage frees its D buffers for the later stages.
     assert comparative._WORKSPACE.buffers == {}
@@ -903,12 +911,11 @@ def test_fork_pool_after_an_in_process_d_call_matches_serial():
 
     tree = read_newick_file(BUNDLED / "tree.nwk")
     matrix, _ = load_cognates(BUNDLED / "cognates.csv")
-    usable, _ = cli._usable_concepts(matrix, tree)
-    config = DStatConfig(seed=4, n_reps=20)
-    serial = cli._compute_all_metrics(matrix, tree, usable, config, 1)
+    plans, _ = metrics.plan(matrix, tree, DStatConfig(seed=4))
+    serial = cli._compute_all_metrics(tree, plans, 20, 1)
     presence = (np.random.default_rng(0).random(tree.n_tips) < 0.5).astype(int)
     comparative.d_statistic(tree, presence, np.ones(tree.n_tips, dtype=int), 200, seed=0)
-    assert cli._compute_all_metrics(matrix, tree, usable, config, 2) == serial
+    assert cli._compute_all_metrics(tree, plans, 20, 2) == serial
 
 
 def test_other_memory_errors_get_no_reps_hint(tmp_path, capsys, monkeypatch):
@@ -973,7 +980,8 @@ def test_rank_builds_the_feature_table_once(tmp_path, monkeypatch):
 
 
 def test_too_few_concepts_to_write_is_a_plain_error(tmp_path, capsys):
-    """Only a cache that was read is named as malformed; a computed one is not."""
+    """Only a cache that was read is named as malformed; a corpus that can make
+    no feature table is refused, naming the cognate table, before any draw."""
     rows = ["language,concept,cognate_id,loan"] + [
         f"L{i:03d},{concept},K{i % 2},0" for concept in ("eye", "hand") for i in range(16)
     ]
@@ -982,7 +990,78 @@ def test_too_few_concepts_to_write_is_a_plain_error(tmp_path, capsys):
         ["metrics", "--tree", str(tree_path), "--cognates", str(cognates_path),
          "--seed", "7", "--reps", "10", "--out", str(tmp_path / "out")]
     ) == 1
-    assert capsys.readouterr().err == "error: need >= 3 concepts for a feature table, got 2\n"
+    assert capsys.readouterr().err == (
+        f"error: {cognates_path}: need >= 3 concepts attested among the tree languages "
+        "for a feature table, got 2\n"
+    )
+
+
+def _water_and_dog(tmp_path):
+    """The bundled tree with only the water and dog rows of the bundled cognates."""
+    header, *rows = (BUNDLED / "cognates.csv").read_text("utf-8").splitlines()
+    kept = [row for row in rows if row.split(",")[1] in ("water", "dog")]
+    tree_text = (BUNDLED / "tree.nwk").read_text("utf-8").strip()
+    return write_inputs(tmp_path, tree_text, [header, *kept])
+
+
+def _nothing_analysable(tmp_path):
+    """Three concepts: one on 3 tips, two attested alike by every tip."""
+    rows = ["language,concept,cognate_id,loan"] + [f"L{i:03d},eye,K{i % 2},0" for i in range(3)]
+    rows += [f"L{i:03d},{concept},{concept}-1,0" for concept in ("hand", "sun") for i in range(16)]
+    return write_inputs(tmp_path, rows=rows)
+
+
+@pytest.mark.parametrize("corpus, problem", [
+    (_water_and_dog,
+     "need >= 3 concepts attested among the tree languages for a feature table, got 2"),
+    (_nothing_analysable, "no cognate class has a D statistic to compute"),
+])
+def test_corpus_without_a_feature_table_is_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch, corpus, problem
+):
+    calls = []
+    d_statistic = metrics.d_statistic
+    monkeypatch.setattr(metrics, "d_statistic",
+                        lambda *a, **kw: calls.append(a) or d_statistic(*a, **kw))
+    tree_path, cognates_path = corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                 "--seed", "7", "--k", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cognates_path}: {problem}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_dstat_prints_the_report_skip_reason(tmp_path, capsys):
+    """A constant class, a class attested only off the tree and a concept
+    attested only off it: dstat exits 1 with what report.json says of each."""
+    tips = [f"L{i:03d}" for i in range(8)]
+    rows = ["language,concept,cognate_id,loan", "X,eye,Z,0", "X,sun,S,0", "L000,eye,B,0",
+            "L001,eye,B,0"]
+    rows += [f"{lang},eye,A,0" for lang in tips]
+    rows += [f"{lang},{c},{c}-{i % k},0" for i, lang in enumerate(tips) for c, k in
+             (("hand", 2), ("water", 3))]
+    tree_path, cognates_path = write_inputs(tmp_path, balanced_newick(3, prefix="L"), rows)
+    inputs = ["--tree", str(tree_path), "--cognates", str(cognates_path), "--seed", "3",
+              "--reps", "10"]
+    out = tmp_path / "out"
+    assert main(["rank", *inputs, "--k", "3", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text("utf-8"))
+    eye = next(c for c in report["concepts"] if c["concept"] == "eye")
+    assert [e["cognate_class"] for e in eye["classes"]] == ["B"]
+    warning = "concept 'sun' skipped: no attestations among tree languages"
+    assert warning in report["run"]["warnings"]
+    expected = {
+        "A": eye["skipped_classes"][0]["reason"],
+        "Z": "attested only by languages off the tree",
+        "S": warning,
+    }
+    assert expected["A"] == "constant trait (attested by every usable language)"
+    for cls, reason in expected.items():
+        capsys.readouterr()
+        concept = "sun" if cls == "S" else "eye"
+        assert main(["dstat", *inputs, "--concept", concept, "--cognate-class", cls]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_each_flag_means_the_same_in_every_subcommand():

@@ -3,12 +3,12 @@ import pytest
 
 from lexiphylo.cognates import (
     CognateFormatError,
-    binary_trait,
     binary_traits,
     concept_summary,
     load_cognates,
     write_cognates,
 )
+from util import binary_trait
 
 BASIC = """language,concept,cognate_id,loan
 L1,eye,K1,0

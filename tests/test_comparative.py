@@ -19,8 +19,8 @@ from lexiphylo.comparative import (
     simulate_bm,
     threshold_at_prevalence,
 )
-from lexiphylo.cognates import binary_trait, load_cognates
-from lexiphylo.metrics import DStatConfig, compute_metrics
+from lexiphylo.cognates import load_cognates
+from lexiphylo.metrics import DStatConfig, compute_metrics, plan
 from lexiphylo.tree import parse_newick, prune_to_taxa, read_newick_file
 from lexiphylo._rng import rekey, stream
 from util import (
@@ -28,6 +28,7 @@ from util import (
     TIE_TREE,
     balanced_newick,
     benchmark_corpus_newick,
+    binary_trait,
     caterpillar_newick,
     oracle_d_from_scores,
     oracle_d_scores,
@@ -654,8 +655,9 @@ def test_compute_metrics_equals_a_loop_of_one_trait_calls():
 
 
 def _assert_metrics_equal_one_trait_calls(tree, matrix, config):
-    for concept in sorted(matrix.concepts):
-        metrics = compute_metrics(matrix, tree, concept, config)
+    for planned in plan(matrix, tree, config)[0]:
+        concept = planned.concept
+        metrics = compute_metrics(tree, planned, config.n_reps)
         attested = matrix.languages_for(concept) & set(tree.tip_labels)
         expected = []
         for cls, langs in sorted(matrix.classes_for(concept).items()):

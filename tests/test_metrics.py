@@ -5,15 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lexiphylo import metrics as metrics_module
 from lexiphylo.cognates import load_cognates
 from lexiphylo.metrics import (
     FEATURE_COLUMNS,
     DStatConfig,
     build_feature_table,
-    compute_metrics,
     feature_table_to_csv,
+    plan,
 )
 from lexiphylo.tree import parse_newick, read_newick_file
+from util import concept_metrics
 
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
@@ -45,7 +47,7 @@ def config():
 
 class TestComputeMetrics:
     def test_hand_counts(self, tree, config):
-        m = compute_metrics(make_matrix(), tree, "eye", config)
+        m = concept_metrics(make_matrix(), tree, "eye", config)
         assert m.n_classes == 3
         assert m.n_singletons == 1
         assert m.missing_fraction == pytest.approx(1 / 6)
@@ -56,13 +58,13 @@ class TestComputeMetrics:
 
     def test_loans_counted_as_triples(self, tree, config):
         matrix = make_matrix("L2,eye,K2,1\nL3,eye,K2,1\n")
-        m = compute_metrics(matrix, tree, "eye", config)
+        m = concept_metrics(matrix, tree, "eye", config)
         assert m.n_loans == 2
 
     def test_universal_class_skipped_and_counted(self, tree, config):
         rows = "".join(f"L{i},hand,H1,0\n" for i in range(1, 7))
         matrix = make_matrix(rows)
-        m = compute_metrics(matrix, tree, "hand", config)
+        m = concept_metrics(matrix, tree, "hand", config)
         assert m.mean_class_size == 6.0
         assert m.max_class_size == 6
         assert m.mean_d is None
@@ -71,19 +73,20 @@ class TestComputeMetrics:
     def test_all_singletons(self, tree, config):
         rows = "".join(f"L{i},word,W{i},0\n" for i in range(1, 7))
         matrix = make_matrix(rows)
-        m = compute_metrics(matrix, tree, "word", config)
+        m = concept_metrics(matrix, tree, "word", config)
         assert m.n_singletons == m.n_classes == 6
 
     def test_concept_without_tree_attestation(self, config):
+        # The plan leaves such a concept out with a warning, so no metrics record asks for it.
         matrix = make_matrix("X1,ear,E1,0\nX2,ear,E1,0\n")
-        small_tree = parse_newick(SIX_TREE)
-        with pytest.raises(ValueError, match="no attestations among tree languages"):
-            compute_metrics(matrix, small_tree, "ear", config)
+        plans, skipped = plan(matrix, parse_newick(SIX_TREE), config)
+        assert [p.concept for p in plans] == ["eye"]
+        assert skipped == {"ear": "concept 'ear' skipped: no attestations among tree languages"}
 
     def test_non_tree_languages_do_not_count(self, tree, config):
         # Same concept data plus rows from a language outside the tree.
-        base = compute_metrics(make_matrix(), tree, "eye", config)
-        extended = compute_metrics(
+        base = concept_metrics(make_matrix(), tree, "eye", config)
+        extended = concept_metrics(
             make_matrix("Zulu9,eye,K9,1\n"), tree, "eye", config
         )
         assert extended.n_classes == base.n_classes
@@ -91,13 +94,13 @@ class TestComputeMetrics:
         assert extended.missing_fraction == base.missing_fraction
 
     def test_missing_fraction_monotone_in_attestation(self, tree, config):
-        before = compute_metrics(make_matrix(), tree, "eye", config)
-        after = compute_metrics(make_matrix("L6,eye,K2,0\n"), tree, "eye", config)
+        before = concept_metrics(make_matrix(), tree, "eye", config)
+        after = concept_metrics(make_matrix("L6,eye,K2,0\n"), tree, "eye", config)
         assert after.missing_fraction < before.missing_fraction
 
     def test_deterministic_per_class_seeds(self, tree, config):
-        first = compute_metrics(make_matrix(), tree, "eye", config)
-        second = compute_metrics(make_matrix(), tree, "eye", config)
+        first = concept_metrics(make_matrix(), tree, "eye", config)
+        second = concept_metrics(make_matrix(), tree, "eye", config)
         assert first.class_results == second.class_results
 
     def test_bad_reps_raise_rather_than_skip_every_class(self):
@@ -105,7 +108,28 @@ class TestComputeMetrics:
         tree = read_newick_file(BUNDLED / "tree.nwk")
         matrix, _ = load_cognates(BUNDLED / "cognates.csv")
         with pytest.raises(ValueError, match="n_reps must be >= 1"):
-            compute_metrics(matrix, tree, "water", DStatConfig(seed=1, n_reps=0))
+            concept_metrics(matrix, tree, "water", DStatConfig(seed=1, n_reps=0))
+
+
+class TestPlan:
+    def test_each_class_gets_its_seed_or_reason_before_any_draw(self, tree, config, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("plan computed a D statistic")
+
+        monkeypatch.setattr(metrics_module, "d_statistic", no_draws)
+        rows = "".join(f"L{i},hand,H1,0\n" for i in range(1, 7)) + "Zulu9,eye,K9,1\nL1,ear,R1,0\n"
+        plans, skipped = plan(make_matrix(rows), tree, config)
+        assert skipped == {}
+        ear, eye, hand = plans
+        assert ear.classes == {"R1": "fewer than 4 usable tips"}
+        assert eye.classes == {cls: config.class_seed("eye", cls) for cls in ("K1", "K2", "K3")}
+        assert hand.classes == {"H1": "constant trait (attested by every usable language)"}
+        assert eye.presence.tolist() == [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0],
+                                         [1, 0, 0, 0, 0, 0]]
+        assert eye.mask.tolist() == [1, 1, 1, 1, 1, 0]
+        # K9 and its loan are attested only off the tree, and left out like its language.
+        assert (eye.n_loans, eye.work("K9")) == (0, "attested only by languages off the tree")
+        assert eye.work("K2") == eye.classes["K2"]
 
 
 def _metrics_set(tree, config):
@@ -115,7 +139,7 @@ def _metrics_set(tree, config):
     )
     matrix = make_matrix(rows)
     return [
-        compute_metrics(matrix, tree, concept, config)
+        concept_metrics(matrix, tree, concept, config)
         for concept in ("eye", "hand", "leaf")
     ]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexiphylo.cognates import load_cognates
-from lexiphylo.metrics import DStatConfig, build_feature_table, compute_metrics
+from lexiphylo.metrics import DStatConfig, build_feature_table, compute_metrics, plan
 from lexiphylo.multivariate import kmeans, pca, standardize
 from lexiphylo.ranking import orient_axes, select_wordlist, suitability_rank
 from lexiphylo.report import emit_report, emit_scatter, escape, report_schema
@@ -31,9 +31,7 @@ def pipeline():
             rows.append(f"{lang},{concept},K{(i // 4 + ci) % 3},{int(rng.random() < 0.05)}")
     matrix, _ = load_cognates("\n".join(rows) + "\n")
     config = DStatConfig(seed=21, n_reps=150)
-    metrics = [
-        compute_metrics(matrix, tree, c, config) for c in sorted(matrix.concepts)
-    ]
+    metrics = [compute_metrics(tree, p, config.n_reps) for p in plan(matrix, tree, config)[0]]
     table = build_feature_table(metrics)
     oriented = orient_axes(pca(standardize(table)))
     clusters = kmeans(oriented.scores[:, :2], 2, seed=21)

@@ -97,6 +97,12 @@ class TestParse:
         assert tree.lengths[tree.root] == 0.0
         assert tree.root not in tree.defaulted
 
+    @pytest.mark.parametrize("zero", ["-0", "-0.0", "-0e3"])
+    def test_negative_zero_length_is_stored_as_zero(self, zero):
+        # write_newick writes either zero as "0", which parses as +0.0.
+        tree = parse_newick(f"(A:{zero},B:1);")
+        assert not np.signbit(tree.lengths).any()
+
     def test_comments_stripped(self):
         tree = parse_newick("(A:1,[a comment, with comma]B:2);")
         assert tree.tip_labels == ("A", "B")
@@ -406,7 +412,11 @@ class TestInvariants:
             tree.lengths = np.zeros(3)
 
 
-# Random tree strategy: nested tuples of labels, converted to Newick.
+# Random tree strategy: nested tuples of labels, converted to Newick. Its
+# lengths are quarters, and zeros written with a minus sign.
+LENGTHS = [str(q / 4) for q in range(8)] + ["-0", "-0.0", "-0e3"]
+
+
 @st.composite
 def newick_trees(draw):
     n_tips = draw(st.integers(min_value=2, max_value=12))
@@ -414,14 +424,17 @@ def newick_trees(draw):
     rng_seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(rng_seed)
 
+    def length() -> str:
+        return LENGTHS[rng.integers(len(LENGTHS))]
+
     def build(group):
         if len(group) == 1:
-            return f"{group[0]}:{rng.integers(0, 8) / 4}"
+            return f"{group[0]}:{length()}"
         n_parts = int(rng.integers(2, min(4, len(group)) + 1))
         cuts = sorted(rng.choice(range(1, len(group)), size=n_parts - 1, replace=False).tolist())
         parts = np.split(np.array(group, dtype=object), cuts)
         inner = ",".join(build(list(p)) for p in parts if len(p))
-        return f"({inner}):{rng.integers(0, 8) / 4}"
+        return f"({inner}):{length()}"
 
     return build(labels).rsplit(":", 1)[0] + ";"
 
@@ -430,7 +443,9 @@ def newick_trees(draw):
 @given(newick_trees())
 def test_parse_write_roundtrip_property(newick):
     tree = parse_newick(newick)
-    assert parse_newick(write_newick(tree)).structurally_equal(tree)
+    again = parse_newick(write_newick(tree))
+    assert again.structurally_equal(tree)
+    assert np.array_equal(np.signbit(again.lengths), np.signbit(tree.lengths))
     for i in tree.postorder():
         for child in tree.children[i]:
             assert child < i

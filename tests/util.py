@@ -16,9 +16,23 @@ from pathlib import Path
 import numpy as np
 
 from lexiphylo._rng import stream
+from lexiphylo.cognates import binary_traits
 from lexiphylo.comparative import DStatResult
+from lexiphylo.metrics import compute_metrics, plan
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
 from lexiphylo.tree import Tree, TreeError
+
+
+def binary_trait(matrix, concept: str, cognate_class: str, taxa):
+    """One class's row of ``binary_traits`` over ``taxa``, and the concept's mask."""
+    presence, mask = binary_traits(matrix, concept, [cognate_class], taxa)
+    return presence[0], mask
+
+
+def concept_metrics(matrix, tree: Tree, concept: str, config):
+    """``compute_metrics`` for ``concept``, from the metrics stage's plan."""
+    planned = next(p for p in plan(matrix, tree, config)[0] if p.concept == concept)
+    return compute_metrics(tree, planned, config.n_reps)
 
 
 def balanced_newick(depth: int, branch: float = 1.0, prefix: str = "T") -> str:

@@ -347,7 +347,8 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
 
     Every concept's D work is planned before any draw, so a corpus that can
     make no feature table, and a --k (rank) above the planned concepts, are
-    refused before any D statistic is computed.
+    refused before any D statistic is computed. Only a corpus whose every
+    analysed class has coinciding nulls is refused after its draws.
     """
     out = Path(args.out)
     tree_text, tree_input = _read_input(Path(args.tree))
@@ -368,6 +369,11 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
             f"k out of range: need 1 <= k <= {len(plans)} usable concepts, got {args.k}"
         )
     metrics = _compute_all_metrics(tree, plans, config.n_reps, args.workers)
+    if all(concept.mean_d is None for concept in metrics):
+        raise CliError(
+            f"{args.cognates}: no cognate class has a D statistic: "
+            "the nulls of every analysed class coincide"
+        )
     inputs = {"tree": tree_input, "cognates": cognates_input}
     warned = sorted([*skipped.values(), *(issue.message for issue in load_issues)])
     record = _MetricsCache(config=config, inputs=inputs, warnings=warned, concepts=metrics)

@@ -42,8 +42,9 @@ one workspace of three flat float64 buffers that grow and never shrink:
 the stacked rows (by used tips); the node-major BM values followed by a
 draw block of ``_DRAW_BLOCK`` replicates, which once spent hold the
 threshold and then are the sweeps' work array (nodes by stacked rows); and
-two blocks of ``_NODE_BLOCK`` gathered rows for the level sweeps. A
-stacked call grows them for a full stack on the unpruned tree, so a run
+two blocks of ``_NODE_BLOCK`` gathered rows for the level sweeps.
+``d_statistic`` decides their size once per call, before its first stack:
+a full stack (one trait for a 1-D call) on the unpruned tree, so a run
 reaches its workspace at its first concept instead of in steps. A thread
 retains its buffers until it ends or calls ``release_workspace``. Each
 replicate's BM innovations are drawn, in stream order, into a row of the
@@ -129,17 +130,14 @@ class _Workspace(threading.local):
     def __init__(self) -> None:
         self.buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, *shape: int, reserve: int = 0) -> np.ndarray:
-        """A C-contiguous ``shape`` view of the head of buffer ``name``.
-
-        A buffer that must grow grows to at least ``reserve`` elements.
-        """
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the head of buffer ``name``."""
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
             self.buffers.pop(name, None)
             try:
-                buf = self.buffers[name] = np.empty(max(size, reserve))
+                buf = self.buffers[name] = np.empty(size)
             except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
                 raise ReplicateMemoryError(f"replicate arrays: {exc}") from exc
         return buf[:size].reshape(shape)
@@ -286,59 +284,42 @@ def _nodal_estimates_batch(
     return est
 
 
-def _d_sum_batch(
-    sweeps: _Sweeps, centered: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Change score for each row of ``centered``: sum of |edge differences|.
+def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
+    """Change score of each row of ``rows``: sum of |edge differences|.
 
     Each row is a 0/1 trait centered to +-0.5 (``trait - 0.5``, exact).
     That leaves every |child - parent| difference unchanged in exact
     arithmetic, and makes trait complementation a pure sign flip - exact in
     IEEE floating point - so d_sum(v) == d_sum(1 - v) holds bitwise, not
     just approximately.
-    The edge differences replace the estimates in node order, one block of
-    ``sweeps.edges`` at a time. Every parent has a larger index than its
-    children, and a block gathers its parents' estimates before it writes,
-    so each estimate is read before it is overwritten. ``out`` is an
-    optional (n_nodes, batch) work array. Edges are summed sequentially in
-    node order.
-    """
-    est = _nodal_estimates_batch(sweeps, centered, out)
-    buf, _ = _scratch(est.shape[1])
-    for block, parents in sweeps.edges:
-        edges = est[block]
-        np.subtract(edges, _gather(est, parents, buf), out=edges)
-        np.abs(edges, out=edges)
-    return _sum_rows(est[:-1])
 
-
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Column sums of a C-contiguous 2-D array, adding the rows in order.
-
-    Reducing over axis 0 adds whole rows one after another, but a single
-    column is the fast axis, which numpy sums pairwise; an accumulate is
-    sequential in every shape.
-    """
-    if x.shape[1] == 1:
-        return np.add.accumulate(x, axis=0)[-1]
-    return np.add.reduce(x, axis=0)
-
-
-def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
-    """``_d_sum_batch`` of every row of ``rows``, swept ``DEFAULT_N_REPS`` rows at a time.
-
-    Columns of a sweep never mix and ``_sum_rows`` adds each column's
-    edges in node order whatever the chunk width, so every score has the
-    same bits as a sweep of its row alone. Each chunk's (n_nodes, width)
-    work array is the head of the thread's ``values`` buffer.
+    The rows are swept ``DEFAULT_N_REPS`` at a time, each chunk in an
+    (n_nodes, width) work array at the head of the thread's ``values``
+    buffer. The edge differences replace the estimates in node order, one
+    block of ``sweeps.edges`` at a time. Every parent has a larger index
+    than its children, and a block gathers its parents' estimates before it
+    writes, so each estimate is read before it is overwritten. Columns never
+    mix and each column's edges are added in node order whatever the chunk
+    width, so every score has the same bits as a sweep of its row alone.
     """
     n_nodes = sweeps.tree.n_nodes
     width = _sweep_width(len(rows))
     scores = np.empty(len(rows))
     for start in range(0, len(rows), width):
         chunk = rows[start : start + width]
-        out = _WORKSPACE.take("values", n_nodes, len(chunk))
-        scores[start : start + len(chunk)] = _d_sum_batch(sweeps, chunk, out)
+        est = _nodal_estimates_batch(sweeps, chunk, _WORKSPACE.take("values", n_nodes, len(chunk)))
+        buf, _ = _scratch(len(chunk))
+        for block, parents in sweeps.edges:
+            edges = est[block]
+            np.subtract(edges, _gather(est, parents, buf), out=edges)
+            np.abs(edges, out=edges)
+        # Reducing over axis 0 adds whole rows one after another, but a
+        # single column is the fast axis, which numpy sums pairwise; an
+        # accumulate is sequential in every shape.
+        if len(chunk) == 1:
+            scores[start] = np.add.accumulate(est[:-1, 0])[-1]
+        else:
+            scores[start : start + len(chunk)] = np.add.reduce(est[:-1], axis=0)
     return scores
 
 
@@ -404,7 +385,7 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
         raise ValueError("tip values must be coded 0/1")
     if tip_values.min() == tip_values.max():
         raise ValueError("constant trait: d_sum undefined")
-    return float(_d_sum_batch(_Sweeps(tree), tip_values[None, :] - 0.5)[0])
+    return float(_d_sum_rows(_Sweeps(tree), tip_values[None, :] - 0.5)[0])
 
 
 def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
@@ -415,10 +396,7 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
     polytomy is resolved inline, as that pass reaches it: while it has more
     than two children, two drawn from stream ``(seed, 0)`` merge into one
     behind a zero-length branch. ``tip_values`` aligns with
-    ``tree.tip_indices``. Before inline resolution, estimates on polytomous
-    trees placed each tip value by a re-numbered copy of the tree, so they
-    were wrong whenever resolution moved a subtree; binary trees give the
-    same bits as then. Raises on a constant trait ("zero variance").
+    ``tree.tip_indices``. Raises on a constant trait ("zero variance").
     """
     tip_values = np.asarray(tip_values, dtype=float)
     if tip_values.shape != (tree.n_tips,):
@@ -559,14 +537,17 @@ def d_statistic(
     results: list = ["no variation in trait" if k in (0, n_used) else None for k in m.tolist()]
     live = [i for i, result in enumerate(results) if result is None]
     per_stack = max(1, _STACK_ROWS // (2 * n_reps + 1))
-    # A stacked call grows the workspace for a full stack on the unpruned
-    # tree, so over a run it reaches its size at once instead of in steps.
-    reserve = {} if single else _stack_sizes(per_stack, n_reps, tree.n_tips, tree.n_nodes)
+    if live:
+        # The workspace size, decided once: a full stack on the unpruned tree,
+        # which no stack below outgrows and a run reaches at its first call.
+        sizes = _stack_sizes(1 if single else per_stack, n_reps, tree.n_tips, tree.n_nodes)
+        for name, size in sizes.items():
+            _WORKSPACE.take(name, size)
     g = stream(seeds[live[0]], 0) if live else None
     for start in range(0, len(live), per_stack):
         stack = live[start : start + per_stack]
         stack_seeds = [seeds[i] for i in stack]
-        scores = _stack_scores(sweeps, traits[stack], m[stack], n_reps, stack_seeds, g, reserve)
+        scores = _stack_scores(sweeps, traits[stack], m[stack], n_reps, stack_seeds, g)
         for i, result in zip(stack, _d_results(scores, len(stack), n_reps, n_used)):
             results[i] = result
     if single:
@@ -627,15 +608,13 @@ def _stack_scores(
     n_reps: int,
     seeds: list[int],
     g: np.random.Generator,
-    reserve: dict[str, int],
 ) -> np.ndarray:
     """Every change score of a stack of traits on ``sweeps.tree``.
 
     ``traits`` holds the stack's 0/1 traits over the used tips, ``m`` their
     prevalences and ``seeds`` their seeds; ``g`` is re-keyed for every
-    replicate. A workspace buffer that must grow grows to at least its
-    size in ``reserve``. The scores come in the order of the stacked rows:
-    each trait's observed score, then each trait's ``n_reps`` shuffle-null
+    replicate. The scores come in the order of the stacked rows: each
+    trait's observed score, then each trait's ``n_reps`` shuffle-null
     scores, then each trait's ``n_reps`` BM-null scores.
     """
     n_traits, n_used = traits.shape
@@ -643,22 +622,18 @@ def _stack_scores(
     n_rows = n_traits + 2 * n_cols
     pruned = sweeps.tree
     n_nodes = pruned.n_nodes
-    sizes = _stack_sizes(n_traits, n_reps, n_used, n_nodes)
-    for name, size in sizes.items():
-        _WORKSPACE.take(name, size, reserve=reserve.get(name, 0))
-    # One stacked row per score, centered as _d_sum_batch takes it.
+    # One stacked row per score, centered as _d_sum_rows takes it.
     rows = _WORKSPACE.take("rows", n_rows, n_used)
     np.subtract(traits, 0.5, out=rows[:n_traits])
     shuffled = rows[n_traits : n_traits + n_cols]
     shuffled.reshape(n_traits, n_reps, n_used)[:] = rows[:n_traits, None]
     bm_rows = rows[n_traits + n_cols :]
     # The BM values, node-major, then the draw block; once both are spent,
-    # the buffer holds the threshold and then is the sweeps' work array, so
-    # it is sized for every use.
+    # the buffer holds the threshold and then is the sweeps' work array.
     n_block = min(_DRAW_BLOCK, n_cols)
-    buf = _WORKSPACE.take("values", sizes["values"])
+    buf = _WORKSPACE.take("values", n_nodes * (n_cols + n_block))
     values = buf[: n_nodes * n_cols].reshape(n_nodes, n_cols)
-    block = buf[n_nodes * n_cols : n_nodes * (n_cols + n_block)].reshape(n_block, n_nodes)
+    block = buf[n_nodes * n_cols :].reshape(n_block, n_nodes)
     col = 0
     for seed in seeds:
         for r in range(n_reps):

@@ -359,11 +359,9 @@ def _read_length(s: str, pos: int) -> tuple[float, bool, int]:
     pos = _skip_ws(s, pos)
     if pos >= len(s) or s[pos] != ":":
         return 1.0, True, pos
-    pos = _skip_ws(s, pos + 1)
-    start = pos
-    while pos < len(s) and s[pos] not in _TOKEN_END and not s[pos].isspace():
-        pos += 1
-    raw = s[start:pos]
+    start = _skip_ws(s, pos + 1)
+    token, pos = _read_label(s, start)
+    raw = token or ""
     try:
         value = float(raw)
     except ValueError:

@@ -18,7 +18,7 @@ from lexiphylo import cli, comparative, metrics
 from lexiphylo.cli import main
 from lexiphylo.report import to_json
 from lexiphylo.tree import parse_newick
-from util import balanced_newick, caterpillar_newick
+from util import balanced_newick, benchmark_corpus, caterpillar_newick
 
 TREE = balanced_newick(4, prefix="L")  # 16 tips: L000..L015
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -865,6 +865,36 @@ def test_workers_are_capped_at_usable_concepts(tmp_path, recording_pool, workers
     assert outputs[workers] == outputs["1"]
 
 
+@pytest.mark.parametrize("corpus, reps", [("bundled", 20), ("wide", 10)])
+def test_run_workspace_reaches_its_size_at_its_first_d_call(tmp_path, monkeypatch, corpus, reps):
+    """A one-worker run's workspace is sized for a full stack on the whole
+    tree by its first concept's D call, and no later call grows it."""
+    if corpus == "bundled":
+        tree_path, cognates_path = BUNDLED / "tree.nwk", BUNDLED / "cognates.csv"
+    else:
+        tree_path, cognates_path = tmp_path / "tree.nwk", tmp_path / "cognates.csv"
+        for path, text in zip((tree_path, cognates_path), benchmark_corpus()):
+            path.write_text(text, "utf-8")
+    monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
+    sizes = []
+    compute_metrics = cli.compute_metrics
+
+    def recording_compute_metrics(*args):
+        result = compute_metrics(*args)
+        sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
+        return result
+
+    monkeypatch.setattr(cli, "compute_metrics", recording_compute_metrics)
+    assert main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                 "--seed", "0", "--reps", str(reps), "--k", "12", "--workers", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    tree = parse_newick(tree_path.read_text("utf-8"))
+    per_stack = max(1, comparative._STACK_ROWS // (2 * reps + 1))
+    full_stack = comparative._stack_sizes(per_stack, reps, tree.n_tips, tree.n_nodes)
+    assert len(sizes) > 1
+    assert sizes == [full_stack] * len(sizes)
+
+
 def test_one_usable_concept_runs_without_a_pool(tmp_path, recording_pool):
     from lexiphylo.cognates import load_cognates
     from lexiphylo.metrics import DStatConfig
@@ -1030,6 +1060,36 @@ def test_corpus_without_a_feature_table_is_refused_before_any_draw(
     assert capsys.readouterr().err == f"error: {cognates_path}: {problem}\n"
     assert calls == []
     assert not out.exists()
+
+
+def test_corpus_whose_every_analysed_class_has_coinciding_nulls_names_the_cognates(
+    tmp_path, capsys
+):
+    """c0 is the one analysed concept, and on this tree, with its zero-length
+    branches, both of its classes have coinciding nulls; c1 and c2 are
+    attested by only 2 tips each."""
+    rows = ["language,concept,cognate_id,loan"] + [
+        f"{lang},{concept},{cls},0" for lang, concept, cls in (
+            ("T0", "c0", "k0-0"), ("T1", "c0", "k0-0"), ("T3", "c0", "k0-1"),
+            ("T4", "c0", "k0-1"), ("T0", "c1", "k1-0"), ("T1", "c1", "k1-0"),
+            ("T2", "c2", "k2-0"), ("T3", "c2", "k2-0"),
+        )
+    ]
+    tree_text = "(T0:0.5,T1:0.5,(T2:0,T3:0):0,T4):0;"
+    tree_path, cognates_path = write_inputs(tmp_path, tree_text, rows)
+    inputs = ["--tree", str(tree_path), "--cognates", str(cognates_path), "--seed", "1",
+              "--reps", "5"]
+    out = tmp_path / "out"
+    assert main(["rank", *inputs, "--k", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cognates_path}: no cognate class has a D statistic: "
+        "the nulls of every analysed class coincide\n"
+    )
+    assert not out.exists()
+    assert main(["dstat", *inputs, "--concept", "c0", "--cognate-class", "k0-0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: nulls indistinguishable: mean random and BM scores coincide\n"
+    )
 
 
 def test_dstat_prints_the_report_skip_reason(tmp_path, capsys):

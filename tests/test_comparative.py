@@ -368,22 +368,30 @@ def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
     # DEFAULT_N_REPS rows at a time: 499 reps fit one chunk, 500 leave a
     # 1-row chunk, whose edge sum must stay sequential. 63, 64 and 65 reps
     # end just short of, on and just past a block of _DRAW_BLOCK innovation
-    # draws. Every chunk's scores are recorded and compared with the
-    # oracle's, not only their means.
-    chunks: list[np.ndarray] = []
+    # draws. Every score is recorded and compared with the oracle's, not
+    # only their means, and so is the width of every chunk swept.
+    swept: list[np.ndarray] = []
+    widths_swept: list[int] = []
 
-    def recording_d_sum_batch(sweeps, centered, out=None):
-        scores = d_sum_batch(sweeps, centered, out)
-        chunks.append(scores.copy())
+    def recording_d_sum_rows(sweeps, rows):
+        scores = d_sum_rows(sweeps, rows)
+        swept.append(scores.copy())
         return scores
 
-    d_sum_batch = comparative._d_sum_batch
-    monkeypatch.setattr(comparative, "_d_sum_batch", recording_d_sum_batch)
+    def recording_nodal_estimates_batch(sweeps, tip_values, out=None):
+        widths_swept.append(len(tip_values))
+        return nodal_estimates_batch(sweeps, tip_values, out)
+
+    d_sum_rows = comparative._d_sum_rows
+    nodal_estimates_batch = comparative._nodal_estimates_batch
+    monkeypatch.setattr(comparative, "_d_sum_rows", recording_d_sum_rows)
+    monkeypatch.setattr(comparative, "_nodal_estimates_batch", recording_nodal_estimates_batch)
     tree = parse_newick(newick)
     for case, (presence, mask) in enumerate(_presence_mask_cases(tree)):
         for n_reps in (1, 2, 25, 63, 64, 65) + ((499, 500) if case % 6 == 0 else ()):
             seed = 1000 * case + n_reps
-            chunks.clear()
+            swept.clear()
+            widths_swept.clear()
             scores = oracle_d_scores(tree, presence, mask, n_reps, seed)
             try:
                 expected = oracle_d_from_scores(scores, n_reps, int(np.sum(mask)))
@@ -394,8 +402,8 @@ def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
             assert d_statistic(tree, presence, mask, n_reps, seed=seed) == expected
             widths = [DEFAULT_N_REPS] * (len(scores) // DEFAULT_N_REPS)
             widths += [len(scores) % DEFAULT_N_REPS] if len(scores) % DEFAULT_N_REPS else []
-            assert [len(chunk) for chunk in chunks] == widths
-            assert np.concatenate(chunks).tobytes() == scores.tobytes()
+            assert widths_swept == widths
+            assert np.concatenate(swept).tobytes() == scores.tobytes()
 
 
 def test_d_statistic_matches_replicate_oracle_on_the_benchmark_tree():
@@ -461,6 +469,9 @@ def test_workspace_grows_and_is_reused_across_shapes(monkeypatch):
             tree, presence, mask, n_reps, n_reps
         )
         sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
+    # The first call, on a partial mask, sized the workspace for one trait on
+    # the whole tree, not on its pruned tree.
+    assert sizes[0] == comparative._stack_sizes(1, 25, wide.n_tips, wide.n_nodes)
     assert sizes[1] == sizes[0]
     assert sizes[2]["rows"] > sizes[0]["rows"] and sizes[2]["values"] > sizes[0]["values"]
 

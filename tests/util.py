@@ -55,13 +55,19 @@ def caterpillar_newick(n_tips: int, branch: float = 1.0) -> str:
     return inner.rsplit(":", 1)[0] + ";"
 
 
-def benchmark_corpus_newick() -> str:
-    """The 400-tip tree of the benchmark's generated corpus (perfbench/corpus.py, seed 0)."""
+def benchmark_corpus() -> tuple[str, str]:
+    """The Newick and cognate CSV texts of the benchmark's generated 400 x 24
+    corpus (perfbench/corpus.py, seed 0)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.generate(0, 400, 24)[0]
+    return module.generate(0, 400, 24)
+
+
+def benchmark_corpus_newick() -> str:
+    """The 400-tip tree of the benchmark's generated corpus."""
+    return benchmark_corpus()[0]
 
 
 # Small trees (<= 8 tips) for oracle-equivalence checks; one polytomy,

@@ -167,6 +167,8 @@ class _MetricsCache:
             if (m.mean_d is None) != (not m.class_results):
                 expected = "null exactly when there are no class results"
                 raise _Mistyped(expected, m.mean_d, f".concepts[{i}].mean_d")
+        if self.config.n_reps < 1:
+            raise _Mistyped("an integer >= 1", self.config.n_reps, ".config.n_reps")
         self.table  # a record whose concepts make no feature table raises ValueError here
 
     @functools.cached_property
@@ -265,7 +267,7 @@ def _decoder(hint) -> tuple[str, typing.Callable[[object], typing.Any]]:
             items = _decoder(list[list[float]] if nested else list[float])[1](value)
             try:
                 return np.array(items, dtype=float)
-            except (ValueError, OverflowError):  # ragged, or an integer beyond a double
+            except ValueError:  # ragged
                 raise _Mistyped("a rectangular array of numbers", value) from None
 
         return "an array of numbers", decode
@@ -294,6 +296,9 @@ def _decoder(hint) -> tuple[str, typing.Callable[[object], typing.Any]]:
     def decode(value: object):
         if type(value) not in allowed:
             raise _Mistyped(expected, value)
+        # A 1e400 literal parses to inf, and no double holds a 400-digit integer.
+        if type(value) in (int, float) and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise _Mistyped(f"{expected} within a double's range", value)
         return value
 
     return expected, decode
@@ -403,7 +408,10 @@ def _pca_stage(
     record, metrics_sha256 = metrics
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        result = run_pca(standardize(record.table))
+        try:
+            result = run_pca(standardize(record.table))
+        except ValueError as exc:  # a cell, or a column's mean or variance, beyond a double
+            raise _malformed(Path(args.out) / "metrics.json", "metrics", exc) from None
     warned = sorted(str(w.message) for w in caught)
     pca = _PcaCache(**vars(result), upstream_sha256=metrics_sha256, warnings=warned)
     return _write_cache(Path(args.out), "pca.json", pca)
@@ -423,6 +431,12 @@ def _cluster_stage(
     pca_path = Path(args.out) / "pca.json"
     scores2 = record.scores[:, :2]
     n_distinct = len(set(map(tuple, scores2.tolist())))
+    # k-means and the silhouette compare points and centroids within [-m, m]^2, m the
+    # largest |score|: n * 8 m^2 bounds every sum of squared distances they take.
+    m = float(np.max(np.abs(scores2)))
+    if not math.isfinite(8.0 * len(scores2) * m * m):
+        problem = "the squared distances between its PC1/PC2 rows overflow a double"
+        raise _malformed(pca_path, "pca", problem)
     kmeans_k = args.kmeans_k
     if kmeans_k is not None and kmeans_k > n_distinct:
         raise CliError(

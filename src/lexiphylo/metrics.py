@@ -176,7 +176,8 @@ def build_feature_table(metrics: list[MeaningClassMetrics]) -> FeatureTable:
     defined = [m.mean_d for m in ordered if m.mean_d is not None]
     if not defined:
         raise ValueError("no concept has a defined mean_D; nothing to impute from")
-    imputation = float(np.mean(defined))
+    with np.errstate(over="ignore"):  # an inf cell, which standardize refuses
+        imputation = float(np.mean(defined))
 
     rows = [
         [

@@ -9,15 +9,15 @@ count dominate.
 
 k-means uses k-means++ seeding with independent restarts: restart ``r``
 draws from Philox stream ``(seed, r)``, through one generator re-keyed per
-restart. The seeding of all restarts runs as one batch that repeats the
-steps of ``Generator.choice`` without its validation; a restart whose
-running total of squared distances reaches zero is replayed one restart at
-a time. The Lloyd iterations of all restarts then run as one batch, each
-restart stopping on its own rule. Both batches keep the arithmetic of one
-restart at a time. The best (lowest-WCSS) restart wins, ties going to the
-lowest restart index, so the result is independent of execution order.
-The silhouette sums each point's distances to each cluster in one pass,
-with the bits of a point-by-point loop.
+restart. k-means++ needs k distinct centers, so ``kmeans`` refuses k above
+the number of distinct rows, and non-finite scores. The seeding of all
+restarts runs as one batch that repeats the steps of ``Generator.choice``
+without its validation. The Lloyd iterations of all restarts then run as
+one batch, each restart stopping on its own rule. Both batches keep the
+arithmetic of one restart at a time. The best (lowest-WCSS) restart wins,
+ties going to the lowest restart index, so the result is independent of
+execution order. The silhouette sums each point's distances to each
+cluster in one pass, with the bits of a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class ClusterAssignment:
 def standardize(table: FeatureTable) -> FeatureTable:
     """Z-score every column (sample standard deviation, ddof=1).
 
-    Zero-variance columns become all zeros with a ZeroVarianceWarning.
+    Zero-variance columns become all zeros with a ZeroVarianceWarning, and
+    a column whose mean or variance overflows raises ValueError.
     Idempotent: standardizing a standardized table changes nothing.
     """
     if len(table.row_labels) < 3:
@@ -91,12 +92,11 @@ def standardize(table: FeatureTable) -> FeatureTable:
     stds = x.std(axis=0, ddof=1)
     out = np.zeros_like(x)
     for j, sd in enumerate(stds):
+        if not np.isfinite(sd):  # the column's mean or variance overflows
+            raise ValueError(f"column {table.columns[j]!r} overflows a double when standardized")
         if sd == 0.0:
-            warnings.warn(
-                f"column {table.columns[j]!r} has zero variance; set to zeros",
-                ZeroVarianceWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"column {table.columns[j]!r} has zero variance; set to zeros",
+                          ZeroVarianceWarning, stacklevel=2)
         else:
             out[:, j] = (x[:, j] - means[j]) / sd
     return FeatureTable(table.row_labels, table.columns, out, standardized=True)
@@ -183,37 +183,20 @@ def pca(table: FeatureTable) -> PcaResult:
     )
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(x)
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total == 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
-    return centers
-
-
 def _kmeans_pp_seed(x: np.ndarray, k: int, seed: int, n_restarts: int) -> np.ndarray:
     """k-means++ centers of every restart at once: (restarts, k, d).
 
     Restart ``r`` re-keys the generator to stream ``(seed, r)`` and draws
-    ``integers(n)`` and then ``random(k - 1)``: the numbers that
-    ``_kmeans_pp_init`` draws while no running total is zero. Each later
-    center repeats the steps of ``Generator.choice(n, p=d2 / total)``
+    ``integers(n)`` for its first center and then ``random(k - 1)``. Each
+    later center repeats the steps of ``Generator.choice(n, p=d2 / total)``
     without its validation: normalise, ``cumsum``, divide by the last
     entry, and count the entries <= the uniform draw, which is
     ``searchsorted(side="right")`` on the non-decreasing cdf. Row sums
     over C-contiguous rows have the bits of the one-restart 1-D sums.
 
-    A restart whose running total reaches zero would draw ``integers(n)``
-    there instead, and one whose total is not finite would make ``choice``
-    raise; such a restart is replayed by ``_kmeans_pp_init``.
+    A running total of squared distances reaches zero when k exceeds the
+    distinct rows (or their squared distances underflow); then, and when
+    it overflows, this raises ValueError.
     """
     n = len(x)
     rng = stream(seed, 0)
@@ -226,20 +209,19 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, seed: int, n_restarts: int) -> np.nda
     centers = np.empty((n_restarts, k, x.shape[1]))
     centers[:, 0] = x[first]
     d2 = np.sum((x - centers[:, :1]) ** 2, axis=2)
-    replay = np.zeros(n_restarts, dtype=bool)
     for j in range(1, k):
         total = d2.sum(axis=1)
-        replay |= ~(np.isfinite(total) & (total > 0.0))
-        # Only the replayed restarts divide by a zero or non-finite total.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cdf = np.cumsum(d2 / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
+        if not np.all((0.0 < total) & (total < np.inf)):
+            n_distinct = len(set(map(tuple, x.tolist())))
+            if k > n_distinct:
+                raise ValueError(f"k ({k}) exceeds the {n_distinct} distinct rows of the scores")
+            over = "overflow a double" if np.any(total == np.inf) else "underflow to 0"
+            raise ValueError(f"squared distances between the rows of the scores {over}")
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
         idx = np.count_nonzero(cdf <= uniforms[:, j - 1, None], axis=1)
         centers[:, j] = x[idx]
         d2 = np.minimum(d2, np.sum((x - centers[:, j, None]) ** 2, axis=2))
-    for restart in np.flatnonzero(replay):
-        rekey(rng, seed, int(restart))
-        centers[restart] = _kmeans_pp_init(x, k, rng)
     return centers
 
 
@@ -323,16 +305,18 @@ def kmeans(
 
     Restart ``r`` is seeded by k-means++ from stream ``(seed, r)``, drawn
     through one generator re-keyed per restart; the seeding and then the
-    Lloyd iterations run for all restarts as one batch.
+    Lloyd iterations run for all restarts as one batch. Raises ValueError
+    for non-finite scores and for k above the distinct rows.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
-    n = len(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("scores contain non-finite values")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds the number of rows ({n})")
+    if k > len(x):
+        raise ValueError(f"k ({k}) exceeds the number of rows ({len(x)})")
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
 

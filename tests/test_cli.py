@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -623,6 +624,17 @@ def _set(*path_and_value):
     return edit
 
 
+def _set_text(*path_and_text):
+    """An edit that sets the field at ``path`` of a cache document to the JSON ``text``."""
+    *path, text = path_and_text
+    return lambda doc: _set(*path, "@@")(doc).replace('"@@"', text)
+
+
+def _chain(*edits):
+    """The edits, one after another."""
+    return lambda text: functools.reduce(lambda doc, edit: edit(doc), edits, text)
+
+
 # Re-running cluster on an edited pca.json links clusters.json to it again.
 RECLUSTER = ["cluster", "--seed", "7"]
 
@@ -683,12 +695,34 @@ RECLUSTER = ["cluster", "--seed", "7"]
          ["report", "--k", "3"], "not JSON: -Infinity is not a JSON value"),
         ("clusters.json", _set("wcss", float("nan")), "cluster", ["report", "--k", "3"],
          "not JSON: NaN is not a JSON value"),
+        # ... and reads a number beyond a double without a complaint.
+        ("metrics.json", _set_text("concepts", 0, "missing_fraction", "1e400"), "metrics",
+         ["pca"], "concepts[0].missing_fraction: expected a number within a double's range, "
+         "got inf"),
+        ("metrics.json", _set("concepts", 0, "n_loans", 10**400), "metrics", ["pca"],
+         "concepts[0].n_loans: expected an integer within a double's range, got 1000"),
+        ("pca.json", _set_text("scores", 0, 1, "-1e400"), "pca", ["cluster", "--seed", "7"],
+         "scores[0][1]: expected a number within a double's range, got -inf"),
+        # Finite values whose arithmetic overflows.
+        ("metrics.json", _chain(*(_set("concepts", i, "n_loans", int(1e308)) for i in (0, 1))),
+         "metrics", ["pca"], "column 'n_loans' overflows a double when standardized"),
+        ("metrics.json", _chain(*(_set("concepts", i, "mean_d", 1e308) for i in (0, 1))),
+         "metrics", ["pca"], "column 'mean_D' overflows a double when standardized"),
+        ("pca.json", _chain(_set("scores", 0, 0, 1e200), _set("scores", 1, 0, -1e200)), "pca",
+         ["cluster", "--seed", "7"],
+         "the squared distances between its PC1/PC2 rows overflow a double"),
+        ("pca.json", _chain(_set("scores", 0, 1, 1e200), _set("scores", 1, 1, -1e200)), "pca",
+         ["cluster", "--seed", "7", "--kmeans-k", "2"],
+         "the squared distances between its PC1/PC2 rows overflow a double"),
+        ("metrics.json", _set("config", "n_reps", -3), "metrics", ["report", "--k", "3"],
+         "config.n_reps: expected an integer >= 1, got -3"),
     ],
 )
 def test_malformed_cache_is_a_located_error(
     ranked, tmp_path, capsys, name, edit, stage, argv, problem
 ):
-    """The error names the file, the field and what it holds, and the stage to re-run.
+    """The error names the file, the field and what it holds, and the stage to re-run,
+    and no warning comes before it.
 
     ``argv`` is one command, or a list of commands of which all but the last succeed.
     """
@@ -698,10 +732,12 @@ def test_malformed_cache_is_a_located_error(
     path = work / name
     path.write_text(edit(path.read_text("utf-8")), "utf-8")
     *earlier, argv = argv if isinstance(argv[0], list) else [argv]
-    for command in earlier:
-        assert main([*command, "--out", str(work)]) == 0
-    capsys.readouterr()
-    assert main([*argv, "--out", str(work)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in earlier:
+            assert main([*command, "--out", str(work)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--out", str(work)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is malformed ({problem}"), err
     assert err.endswith(f"); re-run the {stage} stage\n"), err

@@ -249,23 +249,24 @@ def _kmeans_point_sets():
     }
 
 
+def _n_distinct(x):
+    return len({tuple(row) for row in x.tolist()})
+
+
 @pytest.mark.parametrize("name", list(_kmeans_point_sets()))
 def test_kmeans_matches_restart_oracle_bitwise(name):
     x = _kmeans_point_sets()[name]
+    n_distinct = _n_distinct(x)
     for k in range(1, len(x) + 1):
         for seed in (0, 3):
             for n_restarts in (1, 4):
                 case = (name, k, seed, n_restarts)
-                try:
-                    expected, expected_warnings = _with_warnings(
-                        oracle_kmeans, x, k, seed, n_restarts
-                    )
-                except AssertionError as exc:
-                    # More clusters than distinct points can leave a centroid
-                    # undefined; both versions then fail the WCSS invariant.
-                    with pytest.raises(AssertionError, match=str(exc)):
-                        _with_warnings(kmeans, x, k, seed, n_restarts)
+                if k > n_distinct:
+                    # k-means++ cannot seed more centers than there are distinct points.
+                    with pytest.raises(ValueError, match=f"exceeds the {n_distinct} distinct"):
+                        kmeans(x, k, seed, n_restarts)
                     continue
+                expected, expected_warnings = _with_warnings(oracle_kmeans, x, k, seed, n_restarts)
                 got, got_warnings = _with_warnings(kmeans, x, k, seed, n_restarts)
                 assert got.labels.tolist() == expected.labels.tolist(), case
                 assert got.centroids.tobytes() == expected.centroids.tobytes(), case
@@ -274,17 +275,29 @@ def test_kmeans_matches_restart_oracle_bitwise(name):
 
 
 def test_kmeans_rehoming_matches_oracle_bitwise():
-    # Three distinct locations cannot fill four clusters: the first
-    # assignment leaves one empty, so every restart re-homes.
-    x = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 3 + [[5.0, 0.0]] * 2)
-    rehomes = []
-    for seed in range(4):
-        expected = oracle_kmeans(x, 4, seed, 3, on_rehome=lambda: rehomes.append(seed))
-        got = kmeans(x, 4, seed, 3)
+    # Five distinct points at k = 3: the first assignment of these seeds'
+    # one restart leaves a cluster empty, which takes the farthest point.
+    x = np.array([[3, 2], [3, 3], [1, 2], [3, 3], [0, 2], [2, 0]], dtype=float)
+    for seed in (16, 174):
+        rehomes = []
+        expected = oracle_kmeans(x, 3, seed, 1, on_rehome=lambda: rehomes.append(seed))
+        got = kmeans(x, 3, seed, 1)
+        assert rehomes == [seed]
         assert got.labels.tolist() == expected.labels.tolist()
         assert got.centroids.tobytes() == expected.centroids.tobytes()
-        assert got.wcss == expected.wcss
-    assert sorted(set(rehomes)) == [0, 1, 2, 3]
+        assert np.float64(got.wcss).tobytes() == np.float64(expected.wcss).tobytes()
+
+
+def test_kmeans_refuses_k_above_distinct_rows_and_non_finite_scores():
+    # Two distinct points at k = 4 once returned wcss = nan with a NaN centroid.
+    x = np.array([[2.019, 0.312]] * 3 + [[0.958, -0.509]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"k \(4\) exceeds the 2 distinct rows"):
+            kmeans(x, 4, seed=2730, n_restarts=11)
+        x[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            kmeans(x, 2, seed=2730, n_restarts=11)
 
 
 def test_choose_k_matches_oracle_choose_k(monkeypatch):
@@ -314,29 +327,22 @@ def _seeding_point_sets():
 
 
 @pytest.mark.parametrize("name", list(_seeding_point_sets()))
-def test_kmeans_pp_seeding_matches_restart_loop_bitwise(name, monkeypatch):
+def test_kmeans_pp_seeding_matches_restart_loop_bitwise(name):
     x = _seeding_point_sets()[name]
-    replays = []
-    one_restart = multivariate._kmeans_pp_init
-
-    def counted(*args):
-        replays.append(args[1])
-        return one_restart(*args)
-
-    monkeypatch.setattr(multivariate, "_kmeans_pp_init", counted)
+    n_distinct = _n_distinct(x)
     for k in range(1, len(x) + 1):
         for seed in (0, 3, 2**64 - 1):
             for n_restarts in (1, 5):
                 case = (name, k, seed, n_restarts)
+                if k > n_distinct:
+                    # A running total of squared distances reaches 0.0 exactly here.
+                    with pytest.raises(ValueError, match=f"exceeds the {n_distinct} distinct"):
+                        multivariate._kmeans_pp_seed(x, k, seed, n_restarts)
+                    continue
                 expected = oracle_kmeans_pp_seeds(x, k, seed, n_restarts)
                 got, caught = _with_warnings(multivariate._kmeans_pp_seed, x, k, seed, n_restarts)
                 assert got.tobytes() == expected.tobytes(), case
                 assert caught == [], case
-    # A running total reaches 0.0 exactly when k exceeds the number of
-    # distinct points; those restarts, and only those, are replayed.
-    n_distinct = len({tuple(row) for row in x.tolist()})
-    assert bool(replays) == (n_distinct < len(x)), name
-    assert all(k > n_distinct for k in replays), name
 
 
 def test_silhouette_matches_point_by_point_oracle_bitwise():

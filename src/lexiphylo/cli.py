@@ -194,6 +194,16 @@ class _PcaCache(PcaResult):
             if getattr(self, name).shape != shape:
                 got = getattr(self, name).shape
                 raise _Mistyped(f"an array of shape {shape}", got, f".{name}")
+        # A PC score is at most its row's norm, and a row of a table standardized
+        # with ddof=1 has a norm of at most sqrt(p) (n - 1) / sqrt(n): below the
+        # bound by a factor sqrt((n - 1) / n), which leaves room for rounding. The
+        # bound also keeps every sum of squared distances k-means takes finite.
+        bound = math.sqrt(p * (n - 1))
+        over = np.argwhere(np.abs(self.scores) > bound)
+        if len(over):
+            i, j = over[0].tolist()
+            raise _Mistyped(f"a PC score of magnitude at most {bound:.6g} (a standardized "
+                            f"{n} x {p} table)", float(self.scores[i, j]), f".scores[{i}][{j}]")
 
 
 class _Selection(typing.TypedDict("_Selection", {"mode": str, "warnings": list[str]}),
@@ -430,13 +440,16 @@ def _cluster_stage(
     record, pca_sha256 = pca
     pca_path = Path(args.out) / "pca.json"
     scores2 = record.scores[:, :2]
-    n_distinct = len(set(map(tuple, scores2.tolist())))
-    # k-means and the silhouette compare points and centroids within [-m, m]^2, m the
-    # largest |score|: n * 8 m^2 bounds every sum of squared distances they take.
-    m = float(np.max(np.abs(scores2)))
-    if not math.isfinite(8.0 * len(scores2) * m * m):
-        problem = "the squared distances between its PC1/PC2 rows overflow a double"
+    # k-means and the silhouette tell rows apart by their squared distance, so
+    # distinct rows must be at a nonzero one for the count below to hold.
+    diffs = scores2[:, None] - scores2[None]
+    close = (np.sum(diffs**2, axis=2) == 0) & np.any(diffs != 0, axis=2)
+    if close.any():
+        i, j = np.argwhere(close)[0].tolist()
+        problem = (f"scores[{i}] and scores[{j}]: distinct PC1/PC2 rows whose squared "
+                   "distance underflows to 0")
         raise _malformed(pca_path, "pca", problem)
+    n_distinct = len(set(map(tuple, scores2.tolist())))
     kmeans_k = args.kmeans_k
     if kmeans_k is not None and kmeans_k > n_distinct:
         raise CliError(

@@ -18,38 +18,33 @@ Determinism contract: all randomness comes from Philox streams. Replicate
 trait's own seed, and draws, in order, the shuffle permutation, the BM
 innovations (one per node, the root draw unused), and the threshold
 tie-break keys. Results are therefore identical across serial and parallel
-execution, and across however traits are stacked. One generator per D call
-is re-keyed from replicate to replicate and from trait to trait
-(``_rng.rekey``), which draws the same numbers as constructing stream
-``(seed, r)`` afresh.
+execution, and however a call's replicates are cut into blocks. One
+generator per D call is re-keyed from replicate to replicate and from
+trait to trait (``_rng.rekey``), which draws the same numbers as
+constructing stream ``(seed, r)`` afresh.
 
-A D call scores a stack of traits that share one attested mask (all the
+A D call scores all the traits that share one attested mask (all the
 classes of a concept), so the pruned tree, its sweep schedules and the
 generator are built once per call. The kernel is batched over traits and
 replicates and sweeps the tree level by level, but every value sees the
 IEEE operations of the naive per-node recursion: children are accumulated
-in index order and the edge sum runs in node order. Each trait's observed
-score and its two nulls are 2 * n_reps + 1 stacked rows, and the rows of
-several traits share one BM sweep and one change-score sweep, each trait
-thresholded at its own prevalence. Rows never mix, so each score has the
-bits of a sweep of its row alone. Traits are stacked while their rows fit
-in ``_STACK_ROWS``, which bounds the workspace: from 32 reps up a stack
-holds one trait, so at the paper's 1000 reps each trait is swept alone,
-``DEFAULT_N_REPS`` rows at a time.
+in index order and the edge sum runs in node order. The call sweeps its
+observed traits once, then walks its (trait, replicate) columns,
+trait-major, in blocks of at most ``_REP_BLOCK``: a block's shuffle-null
+and BM-null rows share one BM sweep and one change-score sweep, each
+column thresholded at its trait's prevalence. Rows never mix, so each
+score has the bits of a sweep of its row alone, however the blocks cut.
 
-A D call allocates no replicate-sized array of its own. Each thread keeps
-one workspace of three flat float64 buffers that grow and never shrink:
-the stacked rows (by used tips); the node-major BM values followed by a
-draw block of ``_DRAW_BLOCK`` replicates, which once spent hold the
-threshold and then are the sweeps' work array (nodes by stacked rows); and
-two blocks of ``_NODE_BLOCK`` gathered rows for the level sweeps.
-``d_statistic`` decides their size once per call, before its first stack:
-a full stack (one trait for a 1-D call) on the unpruned tree, so a run
-reaches its workspace at its first concept instead of in steps. A thread
-retains its buffers until it ends or calls ``release_workspace``. Each
-replicate's BM innovations are drawn, in stream order, into a row of the
-block, and each full block is copied node-major into the BM values, so the
-draws keep their order. The buffers are ordinary numpy arrays, so a
+Each thread keeps one workspace of three flat float64 buffers that grow
+and never shrink: a block's null rows (by used tips); the block's BM
+values, node-major, followed by its innovations, replicate-major, which
+once spent hold the threshold and then are the sweeps' work array (nodes
+by rows); and two blocks of ``_NODE_BLOCK`` gathered rows for the level
+sweeps. ``d_statistic`` sizes them once per call, for its largest block on
+the unpruned tree, so the workspace does not grow with ``n_reps``; the only
+replicate-sized array a call allocates is its scores, three floats per
+column, before any draw. A thread retains its buffers until it ends or
+calls ``release_workspace``. The buffers are ordinary numpy arrays, so a
 forked process writes its own copy.
 
 Zero-length branches are kept as stored; wherever a branch length is used
@@ -78,14 +73,10 @@ _NULL_GAP_TOL = 1e-12
 # nodes of the edge-difference pass, is swept in blocks of at most this
 # many nodes, which bounds each block's gathers at _NODE_BLOCK rows.
 _NODE_BLOCK = 64
-# Replicates per block of BM innovation draws: each block is drawn
-# replicate-major and copied node-major into the BM values.
-_DRAW_BLOCK = 64
-# Most rows in one stack of a D call: its traits are swept together while
-# their 2 * n_reps + 1 rows each fit (6 traits at 10 reps), and a trait with
-# more rows is swept alone. Stacking more saves ever less sweep overhead,
-# while the workspace grows by about (tips + nodes) floats per row.
-_STACK_ROWS = 128
+# Most (trait, replicate) columns per block of a D call: a block's
+# shuffle-null and BM-null rows make one sweep of at most 2 * _REP_BLOCK
+# rows, which bounds the workspace whatever n_reps is.
+_REP_BLOCK = 500
 
 
 @dataclass(frozen=True)
@@ -136,11 +127,16 @@ class _Workspace(threading.local):
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
             self.buffers.pop(name, None)
-            try:
-                buf = self.buffers[name] = np.empty(size)
-            except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
-                raise ReplicateMemoryError(f"replicate arrays: {exc}") from exc
+            buf = self.buffers[name] = _replicate_array(size)
         return buf[:size].reshape(shape)
+
+
+def _replicate_array(size: int) -> np.ndarray:
+    """An uninitialized float64 array of ``size``, or ReplicateMemoryError."""
+    try:
+        return np.empty(size)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ReplicateMemoryError(f"replicate arrays: {exc}") from exc
 
 
 _WORKSPACE = _Workspace()
@@ -149,11 +145,6 @@ _WORKSPACE = _Workspace()
 def release_workspace() -> None:
     """Free this thread's D-call buffers; the next D call allocates them anew."""
     _WORKSPACE.buffers.clear()
-
-
-def _sweep_width(n_rows: int) -> int:
-    """Rows per chunk when ``_d_sum_rows`` sweeps ``n_rows`` rows."""
-    return min(n_rows, DEFAULT_N_REPS)
 
 
 def _epsilon(tree: Tree) -> float:
@@ -293,34 +284,29 @@ def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
     IEEE floating point - so d_sum(v) == d_sum(1 - v) holds bitwise, not
     just approximately.
 
-    The rows are swept ``DEFAULT_N_REPS`` at a time, each chunk in an
-    (n_nodes, width) work array at the head of the thread's ``values``
-    buffer. The edge differences replace the estimates in node order, one
-    block of ``sweeps.edges`` at a time. Every parent has a larger index
-    than its children, and a block gathers its parents' estimates before it
-    writes, so each estimate is read before it is overwritten. Columns never
-    mix and each column's edges are added in node order whatever the chunk
-    width, so every score has the same bits as a sweep of its row alone.
+    The rows are swept at once, in an (n_nodes, rows) work array at the
+    head of the thread's ``values`` buffer. The edge differences replace
+    the estimates in node order, one block of ``sweeps.edges`` at a time.
+    Every parent has a larger index than its children, and a block gathers
+    its parents' estimates before it writes, so each estimate is read
+    before it is overwritten. Columns never mix and each column's edges are
+    added in node order whatever the number of rows, so every score has the
+    same bits as a sweep of its row alone.
     """
-    n_nodes = sweeps.tree.n_nodes
-    width = _sweep_width(len(rows))
-    scores = np.empty(len(rows))
-    for start in range(0, len(rows), width):
-        chunk = rows[start : start + width]
-        est = _nodal_estimates_batch(sweeps, chunk, _WORKSPACE.take("values", n_nodes, len(chunk)))
-        buf, _ = _scratch(len(chunk))
-        for block, parents in sweeps.edges:
-            edges = est[block]
-            np.subtract(edges, _gather(est, parents, buf), out=edges)
-            np.abs(edges, out=edges)
-        # Reducing over axis 0 adds whole rows one after another, but a
-        # single column is the fast axis, which numpy sums pairwise; an
-        # accumulate is sequential in every shape.
-        if len(chunk) == 1:
-            scores[start] = np.add.accumulate(est[:-1, 0])[-1]
-        else:
-            scores[start : start + len(chunk)] = np.add.reduce(est[:-1], axis=0)
-    return scores
+    est = _nodal_estimates_batch(
+        sweeps, rows, _WORKSPACE.take("values", sweeps.tree.n_nodes, len(rows))
+    )
+    buf, _ = _scratch(len(rows))
+    for block, parents in sweeps.edges:
+        edges = est[block]
+        np.subtract(edges, _gather(est, parents, buf), out=edges)
+        np.abs(edges, out=edges)
+    # Reducing over axis 0 adds whole rows one after another, but a single
+    # column is the fast axis, which numpy sums pairwise; an accumulate is
+    # sequential in every shape.
+    if len(rows) == 1:
+        return np.add.accumulate(est[:-1, 0])[-1:]
+    return np.add.reduce(est[:-1], axis=0)
 
 
 def _bm_sweep(
@@ -536,19 +522,9 @@ def d_statistic(
     m = traits.sum(axis=1)
     results: list = ["no variation in trait" if k in (0, n_used) else None for k in m.tolist()]
     live = [i for i, result in enumerate(results) if result is None]
-    per_stack = max(1, _STACK_ROWS // (2 * n_reps + 1))
     if live:
-        # The workspace size, decided once: a full stack on the unpruned tree,
-        # which no stack below outgrows and a run reaches at its first call.
-        sizes = _stack_sizes(1 if single else per_stack, n_reps, tree.n_tips, tree.n_nodes)
-        for name, size in sizes.items():
-            _WORKSPACE.take(name, size)
-    g = stream(seeds[live[0]], 0) if live else None
-    for start in range(0, len(live), per_stack):
-        stack = live[start : start + per_stack]
-        stack_seeds = [seeds[i] for i in stack]
-        scores = _stack_scores(sweeps, traits[stack], m[stack], n_reps, stack_seeds, g)
-        for i, result in zip(stack, _d_results(scores, len(stack), n_reps, n_used)):
+        scores = _d_scores(sweeps, traits[live], m[live], n_reps, [seeds[i] for i in live], tree)
+        for i, result in zip(live, _d_results(scores, len(live), n_reps, n_used)):
             results[i] = result
     if single:
         if isinstance(results[0], str):
@@ -560,8 +536,8 @@ def d_statistic(
 def _d_results(
     scores: np.ndarray, n_traits: int, n_reps: int, n_used: int
 ) -> list[DStatResult | str]:
-    """Each trait's D from a stack's scores (as ``_stack_scores`` orders
-    them), or why it has none.
+    """Each trait's D from a call's scores (as ``_d_scores`` orders them),
+    or why it has none.
 
     Every mean is over one trait's contiguous row of scores, which numpy
     sums as it sums that row alone.
@@ -588,79 +564,78 @@ def _d_results(
     ]
 
 
-def _stack_sizes(n_traits: int, n_reps: int, n_tips: int, n_nodes: int) -> dict[str, int]:
-    """The workspace buffers a stack of ``n_traits`` takes, in floats, on a
-    tree of ``n_tips`` used tips and ``n_nodes`` nodes."""
-    n_cols = n_traits * n_reps
-    n_rows = n_traits + 2 * n_cols
-    width = _sweep_width(n_rows)
-    return {
-        "rows": n_rows * n_tips,
-        "values": n_nodes * max(n_cols + min(_DRAW_BLOCK, n_cols), width),
-        "level": 2 * _NODE_BLOCK * max(n_cols, width),
-    }
-
-
-def _stack_scores(
+def _d_scores(
     sweeps: _Sweeps,
     traits: np.ndarray,
     m: np.ndarray,
     n_reps: int,
     seeds: list[int],
-    g: np.random.Generator,
+    whole: Tree,
 ) -> np.ndarray:
-    """Every change score of a stack of traits on ``sweeps.tree``.
+    """Every change score of a D call's traits on ``sweeps.tree``, pruned from ``whole``.
 
-    ``traits`` holds the stack's 0/1 traits over the used tips, ``m`` their
-    prevalences and ``seeds`` their seeds; ``g`` is re-keyed for every
-    replicate. The scores come in the order of the stacked rows: each
-    trait's observed score, then each trait's ``n_reps`` shuffle-null
-    scores, then each trait's ``n_reps`` BM-null scores.
+    ``traits`` holds the call's 0/1 traits over the used tips, ``m`` their
+    prevalences and ``seeds`` their seeds. The scores come in the order
+    ``_d_results`` reads: each trait's observed score, then each trait's
+    ``n_reps`` shuffle-null scores, then each trait's ``n_reps`` BM-null
+    scores. Column ``c`` (trait-major) is replicate ``r`` of trait ``t``,
+    ``(t, r) = divmod(c, n_reps)``, and draws from stream ``(seeds[t], r)``
+    however the blocks cut the columns.
     """
     n_traits, n_used = traits.shape
-    n_cols = n_traits * n_reps  # one per (trait, replicate), trait-major
-    n_rows = n_traits + 2 * n_cols
+    n_cols = n_traits * n_reps
+    width = min(_REP_BLOCK, n_cols)
     pruned = sweeps.tree
     n_nodes = pruned.n_nodes
-    # One stacked row per score, centered as _d_sum_rows takes it.
-    rows = _WORKSPACE.take("rows", n_rows, n_used)
-    np.subtract(traits, 0.5, out=rows[:n_traits])
-    shuffled = rows[n_traits : n_traits + n_cols]
-    shuffled.reshape(n_traits, n_reps, n_used)[:] = rows[:n_traits, None]
-    bm_rows = rows[n_traits + n_cols :]
-    # The BM values, node-major, then the draw block; once both are spent,
-    # the buffer holds the threshold and then is the sweeps' work array.
-    n_block = min(_DRAW_BLOCK, n_cols)
-    buf = _WORKSPACE.take("values", n_nodes * (n_cols + n_block))
-    values = buf[: n_nodes * n_cols].reshape(n_nodes, n_cols)
-    block = buf[n_nodes * n_cols :].reshape(n_block, n_nodes)
-    col = 0
-    for seed in seeds:
-        for r in range(n_reps):
-            rekey(g, seed, r)
-            g.shuffle(shuffled[col])  # the same draws as trait[g.permutation(n_used)]
-            g.standard_normal(out=block[col % _DRAW_BLOCK])
-            col += 1
-            if col % _DRAW_BLOCK == 0 or col == n_cols:
-                start = (col - 1) // _DRAW_BLOCK * _DRAW_BLOCK
-                values[:, start:col] = block[: col - start].T
+    # The workspace size, decided once: the largest sweep of the call (its
+    # observed rows, or a full block's null rows) on the unpruned tree, so
+    # a run reaches it at its first call with a full block.
+    n_rows = max(n_traits, 2 * width)
+    per_row = {"rows": whole.n_tips, "values": whole.n_nodes, "level": 2 * _NODE_BLOCK}
+    for name, floats in per_row.items():
+        _WORKSPACE.take(name, n_rows * floats)
+    scores = _replicate_array(n_traits + 2 * n_cols)
+    nulls = scores[n_traits:].reshape(2, n_cols)  # shuffle-null, then BM-null
+    centered = traits - 0.5  # as _d_sum_rows takes a row
+    scores[:n_traits] = _d_sum_rows(sweeps, centered)
+    g = stream(seeds[0], 0)
 
-    def tie_keys(row: int) -> np.ndarray:
+    def tie_keys(col: int) -> np.ndarray:
         # The keys come last in a replicate's stream, so they are drawn only
-        # for the rare rows that tie at the cut (zero-length branches).
-        trait, r = divmod(row, n_reps)
+        # for the rare columns that tie at the cut (zero-length branches).
+        trait, r = divmod(col, n_reps)
         rekey(g, seeds[trait], r)
         g.permutation(n_used)
         g.standard_normal(n_nodes)
         return g.random(n_used)
 
-    # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
-    # values are gathered, tip-major, into the BM half of ``rows``, which is
-    # overwritten by the thresholded traits only once all of them are known.
-    _bm_sweep(sweeps.down, sweeps.sd, values, 0.0, _scratch(n_cols))
-    tips = bm_rows.reshape(n_used, n_cols)
-    np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
-    thresholded = buf[: n_cols * n_used].reshape(n_cols, n_used)
-    _threshold_rows(tips.T, np.repeat(m, n_reps), tie_keys, thresholded)
-    np.subtract(thresholded, 0.5, out=bm_rows)
-    return _d_sum_rows(sweeps, rows)
+    for start in range(0, n_cols, width):
+        stop = min(start + width, n_cols)
+        w = stop - start
+        col_traits = np.arange(start, stop) // n_reps
+        rows = _WORKSPACE.take("rows", 2 * w, n_used)
+        shuffled, bm_rows = rows[:w], rows[w:]
+        centered.take(col_traits, axis=0, out=shuffled, mode="clip")
+        # The BM values, node-major, then the innovations, replicate-major;
+        # once both are spent, the buffer holds the threshold and then is
+        # the change-score sweep's work array.
+        buf = _WORKSPACE.take("values", 2 * w * n_nodes)
+        values = buf[: w * n_nodes].reshape(n_nodes, w)
+        innovations = buf[w * n_nodes :].reshape(w, n_nodes)
+        for j, col in enumerate(range(start, stop)):
+            trait, r = divmod(col, n_reps)
+            rekey(g, seeds[trait], r)
+            g.shuffle(shuffled[j])  # the same draws as trait[g.permutation(n_used)]
+            g.standard_normal(out=innovations[j])
+        values[:] = innovations.T
+        # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
+        # values are gathered, tip-major, into the BM half of ``rows``, which
+        # is overwritten by the thresholded traits only once all are known.
+        _bm_sweep(sweeps.down, sweeps.sd, values, 0.0, _scratch(w))
+        tips = bm_rows.reshape(n_used, w)
+        np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
+        thresholded = buf[: w * n_used].reshape(w, n_used)
+        _threshold_rows(tips.T, m[col_traits], lambda j: tie_keys(start + j), thresholded)
+        np.subtract(thresholded, 0.5, out=bm_rows)
+        nulls[:, start:stop] = _d_sum_rows(sweeps, rows).reshape(2, w)
+    return scores

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from lexiphylo import cli, comparative, metrics
 from lexiphylo.cli import main
 from lexiphylo.report import to_json
 from lexiphylo.tree import parse_newick
-from util import balanced_newick, benchmark_corpus, caterpillar_newick
+from util import balanced_newick, benchmark_corpus, caterpillar_newick, workspace_sizes
 
 TREE = balanced_newick(4, prefix="L")  # 16 tips: L000..L015
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -635,6 +636,17 @@ def _chain(*edits):
     return lambda text: functools.reduce(lambda doc, edit: edit(doc), edits, text)
 
 
+def _map_scores(transform):
+    """An edit that replaces the scores of a pca.json document by ``transform`` of them."""
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["scores"] = transform(np.array(doc["scores"])).tolist()
+        return to_json(doc)
+
+    return edit
+
+
 # Re-running cluster on an edited pca.json links clusters.json to it again.
 RECLUSTER = ["cluster", "--seed", "7"]
 
@@ -708,14 +720,28 @@ RECLUSTER = ["cluster", "--seed", "7"]
          "metrics", ["pca"], "column 'n_loans' overflows a double when standardized"),
         ("metrics.json", _chain(*(_set("concepts", i, "mean_d", 1e308) for i in (0, 1))),
          "metrics", ["pca"], "column 'mean_D' overflows a double when standardized"),
+        # Finite PC scores beyond any standardized table's, whose squared
+        # distances would overflow.
         ("pca.json", _chain(_set("scores", 0, 0, 1e200), _set("scores", 1, 0, -1e200)), "pca",
          ["cluster", "--seed", "7"],
-         "the squared distances between its PC1/PC2 rows overflow a double"),
+         "scores[0][0]: expected a PC score of magnitude at most 4.24264 (a standardized "
+         "4 x 6 table), got 1e+200"),
         ("pca.json", _chain(_set("scores", 0, 1, 1e200), _set("scores", 1, 1, -1e200)), "pca",
          ["cluster", "--seed", "7", "--kmeans-k", "2"],
-         "the squared distances between its PC1/PC2 rows overflow a double"),
+         "scores[0][1]: expected a PC score of magnitude at most 4.24264 (a standardized "
+         "4 x 6 table), got 1e+200"),
         ("metrics.json", _set("config", "n_reps", -3), "metrics", ["report", "--k", "3"],
          "config.n_reps: expected an integer >= 1, got -3"),
+        # ... and the same at 1e100, where the squared distances stay finite but
+        # k-means' centroid sums lose the rows' spread.
+        ("pca.json", _map_scores(lambda s: s + [[1e100] + [0.0] * (s.shape[1] - 1)]), "pca",
+         ["cluster", "--seed", "3"], "scores[0][0]: expected a PC score of magnitude at most "),
+        # Distinct rows 1e-170 apart, whose squared distances underflow to 0.
+        ("pca.json", _map_scores(lambda s: np.column_stack(
+            [np.arange(len(s)) * 1e-170, np.zeros(len(s)), s[:, 2:]])), "pca",
+         ["cluster", "--seed", "3", "--kmeans-k", "2"],
+         "scores[0] and scores[1]: distinct PC1/PC2 rows whose squared distance underflows "
+         "to 0"),
     ],
 )
 def test_malformed_cache_is_a_located_error(
@@ -833,7 +859,9 @@ class TestClusterDistinctRows:
 
     def test_auto_needs_two_distinct_rows(self, out, capsys):
         doc = json.loads((out / "pca.json").read_text())
-        doc["scores"] = [[1.0, 2.0, float(i)] for i in range(len(doc["scores"]))]
+        # Distinct rows that share PC1/PC2, each score within the bound of a
+        # standardized 12 x 3 table (sqrt(3 * 11)).
+        doc["scores"] = [[1.0, 2.0, i / 10] for i in range(len(doc["scores"]))]
         (out / "pca.json").write_text(json.dumps(doc), "utf-8")
         assert main(["cluster", "--out", str(out), "--seed", "1"]) == 1
         err = capsys.readouterr().err
@@ -903,8 +931,11 @@ def test_workers_are_capped_at_usable_concepts(tmp_path, recording_pool, workers
 
 @pytest.mark.parametrize("corpus, reps", [("bundled", 20), ("wide", 10)])
 def test_run_workspace_reaches_its_size_at_its_first_d_call(tmp_path, monkeypatch, corpus, reps):
-    """A one-worker run's workspace is sized for a full stack on the whole
-    tree by its first concept's D call, and no later call grows it."""
+    """A one-worker run's workspace is sized, at each concept's D call, for the
+    largest block so far on the whole tree: below 500 columns a concept's
+    block holds all its classes' replicates, so the workspace reaches its
+    size at the first concept with the run's largest block and no later
+    call grows it."""
     if corpus == "bundled":
         tree_path, cognates_path = BUNDLED / "tree.nwk", BUNDLED / "cognates.csv"
     else:
@@ -912,11 +943,13 @@ def test_run_workspace_reaches_its_size_at_its_first_d_call(tmp_path, monkeypatc
         for path, text in zip((tree_path, cognates_path), benchmark_corpus()):
             path.write_text(text, "utf-8")
     monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
-    sizes = []
+    sizes, blocks = [], []
     compute_metrics = cli.compute_metrics
 
-    def recording_compute_metrics(*args):
-        result = compute_metrics(*args)
+    def recording_compute_metrics(tree, planned, n_reps):
+        result = compute_metrics(tree, planned, n_reps)
+        n_classes = sum(not isinstance(work, str) for work in planned.classes.values())
+        blocks.append(2 * min(comparative._REP_BLOCK, n_classes * n_reps))
         sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
         return result
 
@@ -925,10 +958,8 @@ def test_run_workspace_reaches_its_size_at_its_first_d_call(tmp_path, monkeypatc
                  "--seed", "0", "--reps", str(reps), "--k", "12", "--workers", "1",
                  "--out", str(tmp_path / "out")]) == 0
     tree = parse_newick(tree_path.read_text("utf-8"))
-    per_stack = max(1, comparative._STACK_ROWS // (2 * reps + 1))
-    full_stack = comparative._stack_sizes(per_stack, reps, tree.n_tips, tree.n_nodes)
-    assert len(sizes) > 1
-    assert sizes == [full_stack] * len(sizes)
+    assert len(sizes) > 1 and len(set(blocks)) > 1
+    assert sizes == [workspace_sizes(max(blocks[: i + 1]), tree) for i in range(len(blocks))]
 
 
 def test_one_usable_concept_runs_without_a_pool(tmp_path, recording_pool):

@@ -35,6 +35,7 @@ from util import (
     oracle_d_sum,
     oracle_nodal_estimates,
     sample_binary_traits,
+    workspace_sizes,
 )
 
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -364,46 +365,45 @@ def _presence_mask_cases(tree):
     + [TIE_TREE],
 )
 def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
-    # The observed trait and both nulls are 2 * n_reps + 1 stacked rows, swept
-    # DEFAULT_N_REPS rows at a time: 499 reps fit one chunk, 500 leave a
-    # 1-row chunk, whose edge sum must stay sequential. 63, 64 and 65 reps
-    # end just short of, on and just past a block of _DRAW_BLOCK innovation
-    # draws. Every score is recorded and compared with the oracle's, not
-    # only their means, and so is the width of every chunk swept.
+    # A call sweeps its observed row alone, then each block of at most
+    # _REP_BLOCK replicates as one sweep of the block's shuffle-null rows
+    # followed by its BM-null rows. 499, 500, 501 and 1001 reps end short of,
+    # on and past a block of the default width; a width of 7 cuts the
+    # replicates into many blocks. The 1-row sweep's edge sum must stay
+    # sequential. Every score is recorded and compared with the oracle's,
+    # not only their means, and so is the number of rows of every sweep.
     swept: list[np.ndarray] = []
-    widths_swept: list[int] = []
 
     def recording_d_sum_rows(sweeps, rows):
         scores = d_sum_rows(sweeps, rows)
         swept.append(scores.copy())
         return scores
 
-    def recording_nodal_estimates_batch(sweeps, tip_values, out=None):
-        widths_swept.append(len(tip_values))
-        return nodal_estimates_batch(sweeps, tip_values, out)
-
     d_sum_rows = comparative._d_sum_rows
-    nodal_estimates_batch = comparative._nodal_estimates_batch
     monkeypatch.setattr(comparative, "_d_sum_rows", recording_d_sum_rows)
-    monkeypatch.setattr(comparative, "_nodal_estimates_batch", recording_nodal_estimates_batch)
+    widths = (comparative._REP_BLOCK, 7)
     tree = parse_newick(newick)
     for case, (presence, mask) in enumerate(_presence_mask_cases(tree)):
-        for n_reps in (1, 2, 25, 63, 64, 65) + ((499, 500) if case % 6 == 0 else ()):
+        for n_reps in (1, 2, 7, 8, 25) + ((499, 500, 501, 1001) if case % 6 == 0 else ()):
             seed = 1000 * case + n_reps
-            swept.clear()
-            widths_swept.clear()
             scores = oracle_d_scores(tree, presence, mask, n_reps, seed)
+            shuffle_null, bm_null = scores[1 : n_reps + 1], scores[n_reps + 1 :]
             try:
                 expected = oracle_d_from_scores(scores, n_reps, int(np.sum(mask)))
             except ValueError as exc:
                 with pytest.raises(ValueError, match=str(exc)):
                     d_statistic(tree, presence, mask, n_reps, seed=seed)
                 continue
-            assert d_statistic(tree, presence, mask, n_reps, seed=seed) == expected
-            widths = [DEFAULT_N_REPS] * (len(scores) // DEFAULT_N_REPS)
-            widths += [len(scores) % DEFAULT_N_REPS] if len(scores) % DEFAULT_N_REPS else []
-            assert widths_swept == widths
-            assert np.concatenate(swept).tobytes() == scores.tobytes()
+            for block in widths:
+                monkeypatch.setattr(comparative, "_REP_BLOCK", block)
+                swept.clear()
+                assert d_statistic(tree, presence, mask, n_reps, seed=seed) == expected
+                starts = range(0, n_reps, block)
+                assert [len(s) for s in swept] == [1] + [2 * min(block, n_reps - s) for s in starts]
+                in_order = [scores[:1]]
+                for s in starts:
+                    in_order += [shuffle_null[s : s + block], bm_null[s : s + block]]
+                assert np.concatenate(swept).tobytes() == np.concatenate(in_order).tobytes()
 
 
 def test_d_statistic_matches_replicate_oracle_on_the_benchmark_tree():
@@ -469,11 +469,25 @@ def test_workspace_grows_and_is_reused_across_shapes(monkeypatch):
             tree, presence, mask, n_reps, n_reps
         )
         sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
-    # The first call, on a partial mask, sized the workspace for one trait on
-    # the whole tree, not on its pruned tree.
-    assert sizes[0] == comparative._stack_sizes(1, 25, wide.n_tips, wide.n_nodes)
+    # The first call, on a partial mask, sized the workspace for its one
+    # block of 25 replicates (50 null rows) on the whole tree, not on its
+    # pruned tree.
+    assert sizes[0] == workspace_sizes(50, wide)
     assert sizes[1] == sizes[0]
     assert sizes[2]["rows"] > sizes[0]["rows"] and sizes[2]["values"] > sizes[0]["values"]
+
+
+def test_workspace_does_not_grow_with_reps(monkeypatch):
+    # From _REP_BLOCK reps up every block of a one-trait call is full, so the
+    # bundled water-01 call takes the same buffers at 1000 and at 5000 reps:
+    # those of one full block on the whole tree.
+    monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
+    tree, presence, mask = _bundled_water()
+    sizes = []
+    for n_reps in (1000, 5000):
+        d_statistic(tree, presence, mask, n_reps, seed=1)
+        sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
+    assert sizes == [workspace_sizes(2 * comparative._REP_BLOCK, tree)] * 2
 
 
 def test_threads_calling_d_statistic_at_once_match_serial():
@@ -514,10 +528,10 @@ def test_threads_calling_d_statistic_at_once_match_serial():
 
 def test_warm_d_call_reuses_its_buffers_and_allocates_less_than_one_replicate_array():
     # A warm call of the same shape reuses the workspace: its three buffers
-    # (the rows; the BM values and draw block; the sweeps' level gathers)
-    # are the same objects afterwards, and what the call does allocate (its
-    # temporaries, which tracemalloc sees through numpy) peaks below one
-    # (n_nodes x n_reps) float64 array.
+    # (a block's null rows; its BM values and innovations; the sweeps' level
+    # gathers) are the same objects afterwards, and what the call does
+    # allocate (its scores and temporaries, which tracemalloc sees through
+    # numpy) peaks below one (n_nodes x n_reps) float64 array.
     tree, presence, mask = _bundled_water()
     d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
     before = dict(comparative._WORKSPACE.buffers)
@@ -580,19 +594,22 @@ def _stack(tree, rng):
     return presences, mask, seeds
 
 
-@pytest.mark.parametrize("stack_rows", [comparative._STACK_ROWS, 50])
+@pytest.mark.parametrize("block", [comparative._REP_BLOCK, 7])
 @pytest.mark.parametrize(
     "newick",
     [nwk for nwk in SMALL_TREE_NEWICKS if parse_newick(nwk).n_tips >= MIN_TIPS_FOR_D]
     + [TIE_TREE],
 )
-def test_stacked_d_statistic_matches_replicate_oracle_per_class(newick, stack_rows, monkeypatch):
+def test_stacked_d_statistic_matches_replicate_oracle_per_class(newick, block, monkeypatch):
     # Every trait of a stack, each with its own seed, has the bits of the
-    # oracle. The row budget cuts the stacks: at 10 reps a stack holds 6
-    # traits (2 at a budget of 50), and from 63 reps each trait is alone.
-    # On TIE_TREE the BM values tie at the cut, so tie keys are replayed
-    # for traits of different seeds within one stack.
-    monkeypatch.setattr(comparative, "_STACK_ROWS", stack_rows)
+    # oracle. The block width cuts the trait-major (trait, replicate)
+    # columns: at the default width up to 500 of them share one block, and on
+    # TIE_TREE (8 live traits) a block ends inside a trait's replicates at 64
+    # and 500 reps; blocks of 7 span traits at 1 and 3 reps and cut every
+    # trait's replicates from 10 up. On TIE_TREE the BM values tie at the
+    # cut, so tie keys are replayed for traits of different seeds within one
+    # block.
+    monkeypatch.setattr(comparative, "_REP_BLOCK", block)
     replays = []
 
     def counting_rekey(g, seed, r):
@@ -601,9 +618,9 @@ def test_stacked_d_statistic_matches_replicate_oracle_per_class(newick, stack_ro
 
     monkeypatch.setattr(comparative, "rekey", counting_rekey)
     tree = parse_newick(newick)
-    rng = np.random.default_rng(len(newick) + stack_rows)
+    rng = np.random.default_rng(len(newick) + block)
     presences, mask, seeds = _stack(tree, rng)
-    for n_reps in (1, 10, 63, 64, 65) + ((500,) if newick == TIE_TREE else ()):
+    for n_reps in (1, 3, 10, 64) + ((500, 501) if newick == TIE_TREE else ()):
         replays.clear()
         _assert_stack_matches_oracle(tree, presences, mask, n_reps, seeds)
         if newick == TIE_TREE and n_reps >= 10:

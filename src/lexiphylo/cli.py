@@ -38,17 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .cognates import (
-    CognateFormatError,
-    ValidationIssue,
-    load_cognates,
-)
+from .cognates import ValidationIssue, load_cognates
 from .comparative import (
     DEFAULT_N_REPS,
     BmParams,
     ReplicateMemoryError,
     d_statistic,
-    release_workspace,
     simulate_bm,
 )
 from .metrics import (
@@ -81,7 +76,7 @@ from .ranking import (
     orient_axes,
 )
 from .report import emit_report, emit_scatter, to_json
-from .tree import NewickError, Tree, TreeError, read_newick_file
+from .tree import Tree, read_newick_file
 
 
 class CliError(Exception):
@@ -90,15 +85,11 @@ class CliError(Exception):
 
 # -- per-concept metrics, optionally in parallel ------------------------------
 
-_POOL_STATE: dict = {}
 
-
-def _pool_init(tree: Tree, n_reps: int) -> None:
-    _POOL_STATE["args"] = (tree, n_reps)
-
-
-def _pool_task(planned: ConceptPlan) -> MeaningClassMetrics:
-    tree, n_reps = _POOL_STATE["args"]
+def _concept_task(tree: Tree, n_reps: int, planned: ConceptPlan) -> MeaningClassMetrics:
+    # Module-level, so a pool can pickle it. It looks compute_metrics up in
+    # this module when it runs, so a wrapper put in that name's place, which
+    # could not be pickled itself, is what pool workers call.
     return compute_metrics(tree, planned, n_reps)
 
 
@@ -110,24 +101,17 @@ def _compute_all_metrics(
     The result is independent of the worker count: per-class seeds are
     hash-derived and assembly keeps the input order. A pool starts all its
     workers up front, so it gets at most one per concept, and a single
-    worker runs in this process, which frees the D statistic's buffers when
-    it is done: the later stages need none of them.
+    worker runs in this process. Each task carries the tree and ``n_reps``.
     """
+    task = functools.partial(_concept_task, tree, n_reps)
     workers = min(workers, len(plans))
     if workers <= 1:
-        try:
-            results = [compute_metrics(tree, planned, n_reps) for planned in plans]
-        finally:
-            release_workspace()
-    else:
-        # Imported here: a one-worker run does not pay for the process pool.
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(task, plans))
+    # Imported here: a one-worker run does not pay for the process pool.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(tree, n_reps)
-        ) as pool:
-            results = list(pool.map(_pool_task, plans, chunksize=4))
-    return results
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, plans, chunksize=4))
 
 
 # -- stage caches: one declared record type each -------------------------------
@@ -348,13 +332,17 @@ def _read_cache(out: Path, name: str, stage: str, record: type) -> tuple[typing.
     return value, hashlib.sha256(data).hexdigest()
 
 
-def _read_input(path: Path) -> tuple[typing.TextIO, _InputDigest]:
-    """An input file, read once: a UTF-8 text stream over its bytes, which
-    decodes them as ``Path.read_text`` does, and its path and the SHA-256 of
-    those bytes, as ``metrics.json`` records them."""
-    data = path.read_bytes()
-    digest = _InputDigest(path=str(path), sha256=hashlib.sha256(data).hexdigest())
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), digest
+def _read_input(path: str, load: typing.Callable[[typing.TextIO], typing.Any]):
+    """An input file, read once and parsed by ``load`` from a UTF-8 text
+    stream over its bytes (a leading BOM dropped, line breaks as they are),
+    and its path and the SHA-256 of those bytes, as ``metrics.json`` records
+    them. A file that does not decode or parse is an error naming it."""
+    data = Path(path).read_bytes()
+    digest = _InputDigest(path=path, sha256=hashlib.sha256(data).hexdigest())
+    try:
+        return load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")), digest
+    except ValueError as exc:  # UnicodeDecodeError, NewickError, TreeError, CognateFormatError
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
@@ -366,10 +354,8 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
     analysed class has coinciding nulls is refused after its draws.
     """
     out = Path(args.out)
-    tree_text, tree_input = _read_input(Path(args.tree))
-    tree = read_newick_file(tree_text)
-    cognates_text, cognates_input = _read_input(Path(args.cognates))
-    matrix, load_issues = load_cognates(cognates_text)
+    tree, tree_input = _read_input(args.tree, read_newick_file)
+    (matrix, load_issues), cognates_input = _read_input(args.cognates, load_cognates)
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
     plans, skipped = plan(matrix, tree, config)
     if len(plans) < MIN_CONCEPTS:
@@ -548,11 +534,11 @@ def _report_stage(
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     issues: list[ValidationIssue] = []
-    tree = read_newick_file(Path(args.tree))
+    tree, _ = _read_input(args.tree, read_newick_file)
     if tree.defaulted:
         message = f"tree has {len(tree.defaulted)} absent branch length(s), set to 1.0"
         issues.append(ValidationIssue("warning", None, message))
-    matrix, load_warnings = load_cognates(Path(args.cognates))
+    (matrix, load_warnings), _ = _read_input(args.cognates, load_cognates)
     issues.extend(load_warnings)
 
     tree_languages = set(tree.tip_labels)
@@ -588,8 +574,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_dstat(args: argparse.Namespace) -> int:
-    tree = read_newick_file(Path(args.tree))
-    matrix, _ = load_cognates(Path(args.cognates))
+    tree, _ = _read_input(args.tree, read_newick_file)
+    (matrix, _), _ = _read_input(args.cognates, load_cognates)
     concept, cls = args.concept, args.cognate_class
     if cls not in matrix.classes_for(concept):
         raise CliError(f"unknown cognate class {cls!r} for concept {concept!r}")
@@ -643,7 +629,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    tree = read_newick_file(Path(args.tree))
+    tree, _ = _read_input(args.tree, read_newick_file)
     params = BmParams(sigma2=args.sigma2, root_value=args.root, seed=args.seed)
     values = simulate_bm(tree, params)
     lines = ["tip\tvalue"]
@@ -810,7 +796,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return args.func(args)
-    except (CliError, NewickError, TreeError, CognateFormatError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # a parse error of any kind is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ReplicateMemoryError as exc:

@@ -107,29 +107,37 @@ class ConceptSummary:
     n_loan_triples: int
 
 
-def _open_source(source: str | Path | IO[str]) -> IO[str]:
-    if isinstance(source, Path):
-        return source.open(encoding="utf-8")
+def _read_text(source: str | Path | IO[str]) -> str:
+    """The text of ``source``; a file is decoded as UTF-8, a leading BOM
+    dropped, with its line breaks as they are."""
     if isinstance(source, str):
-        return io.StringIO(source)
-    return source
+        return source
+    if isinstance(source, Path):
+        source = source.open(encoding="utf-8-sig", newline="")
+    with source:  # closed, and its buffers freed, before the text is parsed
+        return source.read()
 
 
-def _read_lines(source: str | Path | IO[str]) -> list[str]:
-    """The lines of ``source``; a stream is closed, and its buffers freed,
-    before the text is split."""
-    with _open_source(source) as fh:
-        text = fh.read()
-    return text.splitlines()
+def _split_rows(text: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """First physical line and whitespace-stripped CSV fields of each non-blank row.
 
+    The reader sees the text as a ``newline=""`` stream, so a quoted field
+    keeps the line breaks inside it, and only LF, CR and CRLF end a line.
+    A row is blank when all of its lines are whitespace.
+    """
+    lines: list[str] = []  # the physical lines of the row being read
 
-def _split_rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    """Line number and whitespace-stripped CSV fields of each non-blank row."""
-    reader = csv.reader(lines, delimiter=delimiter, strict=True)
+    def physical_lines() -> Iterator[str]:
+        for line in io.StringIO(text, newline=""):
+            lines.append(line)
+            yield line
+
+    reader = csv.reader(physical_lines(), delimiter=delimiter, strict=True)
     try:
         for fields in reader:
-            if lines[reader.line_num - 1].strip():
-                yield reader.line_num, [f.strip() for f in fields]
+            if "".join(lines).strip():
+                yield reader.line_num - len(lines) + 1, [f.strip() for f in fields]
+            lines.clear()
     except csv.Error as exc:
         raise CognateFormatError(f"malformed row ({exc})", reader.line_num) from None
 
@@ -141,12 +149,13 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
     a str. Returns the matrix plus a list of warnings (errors raise
     CognateFormatError with the offending line number).
     """
-    lines = _read_lines(source)
-    if not lines or not lines[0].strip():
+    text = _read_text(source)
+    first_line = io.StringIO(text, newline="").readline()
+    if not first_line.strip():
         raise CognateFormatError("empty input (no header)", 1)
 
-    delimiter = "\t" if "\t" in lines[0] else ","
-    rows = _split_rows(lines, delimiter)
+    delimiter = "\t" if "\t" in first_line else ","
+    rows = _split_rows(text, delimiter)
     _, header = next(rows)
     col_index = {name: i for i, name in enumerate(header)}
     for required in REQUIRED_COLUMNS:
@@ -195,7 +204,7 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
             loans.add(row)
 
     if not entries:
-        raise CognateFormatError("no data rows", len(lines))
+        raise CognateFormatError("no data rows", len(io.StringIO(text, newline="").readlines()))
 
     matrix = CognateMatrix(
         languages=tuple(languages),

@@ -35,17 +35,15 @@ and BM-null rows share one BM sweep and one change-score sweep, each
 column thresholded at its trait's prevalence. Rows never mix, so each
 score has the bits of a sweep of its row alone, however the blocks cut.
 
-Each thread keeps one workspace of three flat float64 buffers that grow
-and never shrink: a block's null rows (by used tips); the block's BM
-values, node-major, followed by its innovations, replicate-major, which
-once spent hold the threshold and then are the sweeps' work array (nodes
-by rows); and two blocks of ``_NODE_BLOCK`` gathered rows for the level
-sweeps. ``d_statistic`` sizes them once per call, for its largest block on
-the unpruned tree, so the workspace does not grow with ``n_reps``; the only
-replicate-sized array a call allocates is its scores, three floats per
-column, before any draw. A thread retains its buffers until it ends or
-calls ``release_workspace``. The buffers are ordinary numpy arrays, so a
-forked process writes its own copy.
+A D call allocates its block arrays once, sized for its widest block on
+the pruned tree, reuses them across its blocks and frees them when it
+returns: a block's null rows (by used tips); the block's BM values,
+node-major, followed by its innovations, replicate-major, which once spent
+hold the threshold and then are the sweeps' work array (nodes by rows);
+and two slabs of ``_NODE_BLOCK`` gathered rows for the level sweeps. No
+array outlives its call, so D work keeps no module-level state and D
+memory does not grow with ``n_reps``: the only replicate-sized array a
+call allocates is its scores, three floats per column, before any draw.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -57,7 +55,6 @@ genuinely means zero variance.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,7 +72,7 @@ _NULL_GAP_TOL = 1e-12
 _NODE_BLOCK = 64
 # Most (trait, replicate) columns per block of a D call: a block's
 # shuffle-null and BM-null rows make one sweep of at most 2 * _REP_BLOCK
-# rows, which bounds the workspace whatever n_reps is.
+# rows, which bounds a call's block arrays whatever n_reps is.
 _REP_BLOCK = 500
 
 
@@ -110,41 +107,12 @@ class ReplicateMemoryError(MemoryError):
     """A D computation's replicate arrays do not fit in memory (too many reps)."""
 
 
-class _Workspace(threading.local):
-    """Named flat float64 buffers, one set per thread, reused by every D call.
-
-    A buffer grows to the largest request seen and never shrinks. A grow
-    drops the old buffer before it allocates, so the two never coexist and
-    a failed grow leaves no buffer, which the next request allocates anew.
-    """
-
-    def __init__(self) -> None:
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, *shape: int) -> np.ndarray:
-        """A C-contiguous ``shape`` view of the head of buffer ``name``."""
-        size = math.prod(shape)
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            self.buffers.pop(name, None)
-            buf = self.buffers[name] = _replicate_array(size)
-        return buf[:size].reshape(shape)
-
-
 def _replicate_array(size: int) -> np.ndarray:
     """An uninitialized float64 array of ``size``, or ReplicateMemoryError."""
     try:
         return np.empty(size)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
         raise ReplicateMemoryError(f"replicate arrays: {exc}") from exc
-
-
-_WORKSPACE = _Workspace()
-
-
-def release_workspace() -> None:
-    """Free this thread's D-call buffers; the next D call allocates them anew."""
-    _WORKSPACE.buffers.clear()
 
 
 def _epsilon(tree: Tree) -> float:
@@ -226,15 +194,11 @@ def _blocks(levels) -> list[np.ndarray]:
     ]
 
 
-def _scratch(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat buffers of ``_NODE_BLOCK * width`` floats for one block's gathers.
-
-    They are the thread's ``level`` buffer, so a sweep allocates no
-    per-block array that grows with the number of nodes or rows.
-    """
-    size = _NODE_BLOCK * width
-    buf = _WORKSPACE.take("level", 2 * size)
-    return buf[:size], buf[size : 2 * size]
+def _level_bufs(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat slabs of ``_NODE_BLOCK * n_rows`` floats, for the gathers of
+    one block of a sweep of at most ``n_rows`` rows."""
+    level = _replicate_array(2 * _NODE_BLOCK * n_rows)
+    return level[: _NODE_BLOCK * n_rows], level[_NODE_BLOCK * n_rows :]
 
 
 def _gather(est: np.ndarray, index: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -246,20 +210,22 @@ def _gather(est: np.ndarray, index: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def _nodal_estimates_batch(
-    sweeps: _Sweeps, tip_values: np.ndarray, out: np.ndarray | None = None
+    sweeps: _Sweeps,
+    tip_values: np.ndarray,
+    est: np.ndarray,
+    bufs: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Weighted-mean nodal estimates for a batch of tip-value vectors.
 
     ``tip_values`` has shape (batch, n_tips) in ``tree.tip_indices`` order;
-    the result has shape (n_nodes, batch) with tips carrying their inputs,
-    written to ``out`` if given. Each node accumulates
+    the estimates are written to ``est``, of shape (n_nodes, batch), with
+    tips carrying their inputs, and returned. ``bufs`` are two flat buffers
+    that hold each block's gathers. Each node accumulates
     ``w[child] * est[child]`` over its children in index order,
     sequentially, as a naive recursion does.
     """
-    tree = sweeps.tree
-    est = np.empty((tree.n_nodes, tip_values.shape[0])) if out is None else out
-    est[tree.tip_indices] = tip_values.T
-    acc_buf, term_buf = _scratch(est.shape[1])
+    est[sweeps.tree.tip_indices] = tip_values.T
+    acc_buf, term_buf = bufs
     for nodes, totals, ((kids, w, _), *rest) in sweeps.up:
         acc = _gather(est, kids, acc_buf)
         np.multiply(acc, w, out=acc)
@@ -275,7 +241,9 @@ def _nodal_estimates_batch(
     return est
 
 
-def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
+def _d_sum_rows(
+    sweeps: _Sweeps, rows: np.ndarray, work: np.ndarray, bufs: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Change score of each row of ``rows``: sum of |edge differences|.
 
     Each row is a 0/1 trait centered to +-0.5 (``trait - 0.5``, exact).
@@ -285,18 +253,18 @@ def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
     just approximately.
 
     The rows are swept at once, in an (n_nodes, rows) work array at the
-    head of the thread's ``values`` buffer. The edge differences replace
-    the estimates in node order, one block of ``sweeps.edges`` at a time.
+    head of flat ``work``, with ``bufs`` holding the gathers. The edge
+    differences replace the estimates in node order, one block of
+    ``sweeps.edges`` at a time.
     Every parent has a larger index than its children, and a block gathers
     its parents' estimates before it writes, so each estimate is read
     before it is overwritten. Columns never mix and each column's edges are
     added in node order whatever the number of rows, so every score has the
     same bits as a sweep of its row alone.
     """
-    est = _nodal_estimates_batch(
-        sweeps, rows, _WORKSPACE.take("values", sweeps.tree.n_nodes, len(rows))
-    )
-    buf, _ = _scratch(len(rows))
+    shape = (sweeps.tree.n_nodes, len(rows))
+    est = _nodal_estimates_batch(sweeps, rows, work[: math.prod(shape)].reshape(shape), bufs)
+    buf, _ = bufs
     for block, parents in sweeps.edges:
         edges = est[block]
         np.subtract(edges, _gather(est, parents, buf), out=edges)
@@ -361,7 +329,8 @@ def nodal_estimates(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {tree.n_tips} tip values, got {tip_values.shape}")
     if not np.all(np.isfinite(tip_values)):
         raise ValueError("tip values must be finite")
-    return _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :])[:, 0]
+    est = np.empty((tree.n_nodes, 1))
+    return _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :], est, _level_bufs(1))[:, 0]
 
 
 def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
@@ -371,7 +340,8 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
         raise ValueError("tip values must be coded 0/1")
     if tip_values.min() == tip_values.max():
         raise ValueError("constant trait: d_sum undefined")
-    return float(_d_sum_rows(_Sweeps(tree), tip_values[None, :] - 0.5)[0])
+    rows = tip_values[None, :] - 0.5
+    return float(_d_sum_rows(_Sweeps(tree), rows, np.empty(tree.n_nodes), _level_bufs(1))[0])
 
 
 def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
@@ -523,7 +493,7 @@ def d_statistic(
     results: list = ["no variation in trait" if k in (0, n_used) else None for k in m.tolist()]
     live = [i for i, result in enumerate(results) if result is None]
     if live:
-        scores = _d_scores(sweeps, traits[live], m[live], n_reps, [seeds[i] for i in live], tree)
+        scores = _d_scores(sweeps, traits[live], m[live], n_reps, [seeds[i] for i in live])
         for i, result in zip(live, _d_results(scores, len(live), n_reps, n_used)):
             results[i] = result
     if single:
@@ -570,9 +540,8 @@ def _d_scores(
     m: np.ndarray,
     n_reps: int,
     seeds: list[int],
-    whole: Tree,
 ) -> np.ndarray:
-    """Every change score of a D call's traits on ``sweeps.tree``, pruned from ``whole``.
+    """Every change score of a D call's traits on the pruned ``sweeps.tree``.
 
     ``traits`` holds the call's 0/1 traits over the used tips, ``m`` their
     prevalences and ``seeds`` their seeds. The scores come in the order
@@ -587,17 +556,16 @@ def _d_scores(
     width = min(_REP_BLOCK, n_cols)
     pruned = sweeps.tree
     n_nodes = pruned.n_nodes
-    # The workspace size, decided once: the largest sweep of the call (its
-    # observed rows, or a full block's null rows) on the unpruned tree, so
-    # a run reaches it at its first call with a full block.
-    n_rows = max(n_traits, 2 * width)
-    per_row = {"rows": whole.n_tips, "values": whole.n_nodes, "level": 2 * _NODE_BLOCK}
-    for name, floats in per_row.items():
-        _WORKSPACE.take(name, n_rows * floats)
     scores = _replicate_array(n_traits + 2 * n_cols)
     nulls = scores[n_traits:].reshape(2, n_cols)  # shuffle-null, then BM-null
+    # The block arrays, for the call's widest sweep: its observed rows, or
+    # a full block's null rows.
+    n_rows = max(n_traits, 2 * width)
+    null_rows = _replicate_array(2 * width * n_used)
+    work = _replicate_array(n_rows * n_nodes)
+    bufs = _level_bufs(n_rows)
     centered = traits - 0.5  # as _d_sum_rows takes a row
-    scores[:n_traits] = _d_sum_rows(sweeps, centered)
+    scores[:n_traits] = _d_sum_rows(sweeps, centered, work, bufs)
     g = stream(seeds[0], 0)
 
     def tie_keys(col: int) -> np.ndarray:
@@ -613,15 +581,14 @@ def _d_scores(
         stop = min(start + width, n_cols)
         w = stop - start
         col_traits = np.arange(start, stop) // n_reps
-        rows = _WORKSPACE.take("rows", 2 * w, n_used)
+        rows = null_rows[: 2 * w * n_used].reshape(2 * w, n_used)
         shuffled, bm_rows = rows[:w], rows[w:]
         centered.take(col_traits, axis=0, out=shuffled, mode="clip")
         # The BM values, node-major, then the innovations, replicate-major;
-        # once both are spent, the buffer holds the threshold and then is
-        # the change-score sweep's work array.
-        buf = _WORKSPACE.take("values", 2 * w * n_nodes)
-        values = buf[: w * n_nodes].reshape(n_nodes, w)
-        innovations = buf[w * n_nodes :].reshape(w, n_nodes)
+        # once both are spent, ``work`` holds the threshold and then is the
+        # change-score sweep's work array.
+        values = work[: w * n_nodes].reshape(n_nodes, w)
+        innovations = work[w * n_nodes : 2 * w * n_nodes].reshape(w, n_nodes)
         for j, col in enumerate(range(start, stop)):
             trait, r = divmod(col, n_reps)
             rekey(g, seeds[trait], r)
@@ -631,11 +598,11 @@ def _d_scores(
         # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
         # values are gathered, tip-major, into the BM half of ``rows``, which
         # is overwritten by the thresholded traits only once all are known.
-        _bm_sweep(sweeps.down, sweeps.sd, values, 0.0, _scratch(w))
+        _bm_sweep(sweeps.down, sweeps.sd, values, 0.0, bufs)
         tips = bm_rows.reshape(n_used, w)
         np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
-        thresholded = buf[: w * n_used].reshape(w, n_used)
+        thresholded = work[: w * n_used].reshape(w, n_used)
         _threshold_rows(tips.T, m[col_traits], lambda j: tie_keys(start + j), thresholded)
         np.subtract(thresholded, 0.5, out=bm_rows)
-        nulls[:, start:stop] = _d_sum_rows(sweeps, rows).reshape(2, w)
+        nulls[:, start:stop] = _d_sum_rows(sweeps, rows, work, bufs).reshape(2, w)
     return scores

@@ -374,9 +374,10 @@ def _read_length(s: str, pos: int) -> tuple[float, bool, int]:
 
 
 def read_newick_file(source: str | Path | IO[str]) -> Tree:
-    """Read one UTF-8 Newick tree from a file path or an open text stream."""
+    """Read one UTF-8 Newick tree (a leading BOM dropped) from a file path or
+    an open text stream."""
     if isinstance(source, (str, Path)):
-        return parse_newick(Path(source).read_text(encoding="utf-8"))
+        return parse_newick(Path(source).read_text(encoding="utf-8-sig"))
     return parse_newick(source.read())
 
 

@@ -20,7 +20,7 @@ from lexiphylo import cli, comparative, metrics
 from lexiphylo.cli import main
 from lexiphylo.report import to_json
 from lexiphylo.tree import parse_newick
-from util import balanced_newick, benchmark_corpus, caterpillar_newick, workspace_sizes
+from util import balanced_newick, caterpillar_newick
 
 TREE = balanced_newick(4, prefix="L")  # 16 tips: L000..L015
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -589,6 +589,59 @@ def test_unreadable_config_names_the_file(tmp_path, capsys, data, code, prefix):
     assert "Traceback" not in err
 
 
+_INPUT_FLAGS = {
+    "validate": [],
+    "metrics": ["--seed", "3", "--reps", "5", "--out", "OUT"],
+    "rank": ["--seed", "3", "--reps", "5", "--k", "3", "--out", "OUT"],
+    "dstat": ["--seed", "3", "--reps", "5", "--concept", "eye", "--cognate-class", "K1"],
+    "simulate": ["--seed", "3", "--sigma2", "1"],
+}
+_BAD_INPUTS = [
+    ("tree.nwk", "(L000:1,caf\u00e9:1);".encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+    ("tree.nwk", b"(L000:1,L001:2", "unbalanced parentheses at offset 14"),
+    ("cognates.csv", "language,concept,cognate_id\nL000,caf\u00e9,K1\n".encode("latin-1"),
+     "'utf-8' codec can't decode byte 0xe9"),
+    ("cognates.csv", b"lang,concept,cognate_id\n", "missing required column 'language' at line 1"),
+]
+
+
+@pytest.mark.parametrize("command, name, data, problem", [
+    (command, *bad) for command in _INPUT_FLAGS for bad in _BAD_INPUTS
+    if command != "simulate" or bad[0] == "tree.nwk"
+])
+def test_input_errors_name_the_file(tmp_path, capsys, command, name, data, problem):
+    """Every subcommand reads its inputs one way: an input that does not
+    decode or parse is one error line that names it, and exit 1."""
+    tree_path, cognates_path = write_inputs(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    inputs = ["--tree", str(tree_path)]
+    if command != "simulate":
+        inputs += ["--cognates", str(cognates_path)]
+    flags = [str(tmp_path / "out") if flag == "OUT" else flag for flag in _INPUT_FLAGS[command]]
+    assert main([command, *inputs, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: {problem}") and err.count("\n") == 1, err
+
+
+def test_bom_and_crlf_inputs_write_the_artifacts_of_plain_ones(tmp_path):
+    # An Excel "CSV UTF-8" file starts with a BOM and ends its lines with CRLF;
+    # the digests in report.json stay those of the bytes as they are.
+    plain, excel = tmp_path / "plain", tmp_path / "excel"
+    plain.mkdir()
+    excel.mkdir()
+    for path in write_inputs(plain):
+        (excel / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+    for work in (plain, excel):
+        assert main(["rank", "--tree", str(work / "tree.nwk"),
+                     "--cognates", str(work / "cognates.csv"), "--seed", "3", "--reps", "5",
+                     "--k", "3", "--out", str(work / "out")]) == 0
+    for name in ("features.csv", "ranking.csv", "scatter.svg"):
+        assert (excel / "out" / name).read_bytes() == (plain / "out" / name).read_bytes(), name
+    inputs = json.loads((excel / "out" / "report.json").read_text("utf-8"))["run"]["inputs"]
+    for name, digest in inputs.items():
+        assert digest["sha256"] == hashlib.sha256(Path(digest["path"]).read_bytes()).hexdigest()
+
+
 def test_module_entrypoint_smoke(tmp_path):
     tree_path, cognates_path = write_inputs(tmp_path)
     proc = subprocess.run(
@@ -886,9 +939,8 @@ def test_import_loads_no_network_or_pool_modules():
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
 
-    def __init__(self, seen, max_workers, initializer, initargs):
+    def __init__(self, seen, max_workers):
         seen.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -909,7 +961,6 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", functools.partial(_RecordingPool, seen)
     )
-    monkeypatch.setattr(cli, "_POOL_STATE", {})
     return seen
 
 
@@ -929,39 +980,6 @@ def test_workers_are_capped_at_usable_concepts(tmp_path, recording_pool, workers
     assert outputs[workers] == outputs["1"]
 
 
-@pytest.mark.parametrize("corpus, reps", [("bundled", 20), ("wide", 10)])
-def test_run_workspace_reaches_its_size_at_its_first_d_call(tmp_path, monkeypatch, corpus, reps):
-    """A one-worker run's workspace is sized, at each concept's D call, for the
-    largest block so far on the whole tree: below 500 columns a concept's
-    block holds all its classes' replicates, so the workspace reaches its
-    size at the first concept with the run's largest block and no later
-    call grows it."""
-    if corpus == "bundled":
-        tree_path, cognates_path = BUNDLED / "tree.nwk", BUNDLED / "cognates.csv"
-    else:
-        tree_path, cognates_path = tmp_path / "tree.nwk", tmp_path / "cognates.csv"
-        for path, text in zip((tree_path, cognates_path), benchmark_corpus()):
-            path.write_text(text, "utf-8")
-    monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
-    sizes, blocks = [], []
-    compute_metrics = cli.compute_metrics
-
-    def recording_compute_metrics(tree, planned, n_reps):
-        result = compute_metrics(tree, planned, n_reps)
-        n_classes = sum(not isinstance(work, str) for work in planned.classes.values())
-        blocks.append(2 * min(comparative._REP_BLOCK, n_classes * n_reps))
-        sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
-        return result
-
-    monkeypatch.setattr(cli, "compute_metrics", recording_compute_metrics)
-    assert main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
-                 "--seed", "0", "--reps", str(reps), "--k", "12", "--workers", "1",
-                 "--out", str(tmp_path / "out")]) == 0
-    tree = parse_newick(tree_path.read_text("utf-8"))
-    assert len(sizes) > 1 and len(set(blocks)) > 1
-    assert sizes == [workspace_sizes(max(blocks[: i + 1]), tree) for i in range(len(blocks))]
-
-
 def test_one_usable_concept_runs_without_a_pool(tmp_path, recording_pool):
     from lexiphylo.cognates import load_cognates
     from lexiphylo.metrics import DStatConfig
@@ -974,8 +992,6 @@ def test_one_usable_concept_runs_without_a_pool(tmp_path, recording_pool):
     serial = cli._compute_all_metrics(tree, eye, 10, 1)
     assert cli._compute_all_metrics(tree, eye, 10, 8) == serial
     assert recording_pool == []
-    # The in-process metrics stage frees its D buffers for the later stages.
-    assert comparative._WORKSPACE.buffers == {}
 
 
 @pytest.mark.parametrize("argv", [
@@ -996,10 +1012,9 @@ def test_impossible_reps_is_a_memory_error_line(tmp_path, capsys, argv):
 
 
 def test_fork_pool_after_an_in_process_d_call_matches_serial():
-    # Pool workers forked after a D call in this process inherit its
-    # workspace at full size and reuse it without growing it; each must
-    # write its own copy. Bundled at 20 reps gives 50 concepts, so both
-    # workers get tasks at chunksize 4.
+    # Pool workers forked after a D call in this process, each task carrying
+    # the tree and reps with it, write the bytes of one worker. Bundled at
+    # 20 reps gives 50 concepts, so both workers get tasks at chunksize 4.
     import numpy as np
 
     from lexiphylo.cognates import load_cognates

@@ -81,6 +81,45 @@ class TestLoad:
         matrix, _ = load_cognates(BASIC + "\n\n")
         assert len(matrix.entries) == 2
 
+    def test_blank_and_whitespace_only_lines_skipped(self):
+        text = BASIC.replace("L2,eye,K1", "  \n\t \nL2,eye,K1") + "\r\n \u2028\n"
+        matrix, _ = load_cognates(text)
+        assert len(matrix.entries) == 2
+        tabs = "language\tconcept\tcognate_id\tloan\n\t\t\t\nL1\teye\tK1\t0\n"
+        assert load_cognates(tabs)[0].entries == {("L1", "eye"): frozenset({"K1"})}
+        with pytest.raises(CognateFormatError, match="empty language at line 3"):
+            load_cognates(BASIC.replace("L2,eye,K1,0", " , , , "))
+
+    def test_quoted_multiline_cell_is_one_field(self):
+        # The line break is part of the concept, which stays apart from "con".
+        text = BASIC + 'L1,"co\nn",K1,0\nL2,con,K1,0\nL3,"co\r\nn",K1,0\n'
+        matrix, warnings = load_cognates(text)
+        assert matrix.concepts == ("eye", "co\nn", "con", "co\r\nn")
+        assert matrix.classes_for("co\nn") == {"K1": frozenset({"L1"})}
+        assert warnings == []
+        again, _ = load_cognates(write_cognates(matrix))
+        assert again.entries == matrix.entries
+
+    def test_unicode_line_separators_stay_in_their_cell(self):
+        for separator in ("\u2028", "\u0085", "\x0c"):
+            matrix, _ = load_cognates(BASIC + f"L1,a{separator}b,K1,0\n")
+            assert matrix.concepts == ("eye", f"a{separator}b")
+
+    def test_errors_keep_physical_line_numbers_after_a_multiline_row(self):
+        text = BASIC + 'L3,"two\nlines",K1,0\n\nL3,eye,K1,0,junk\n'
+        with pytest.raises(CognateFormatError, match="expected 4 fields, got 5 at line 8"):
+            load_cognates(text)
+        # A row's error names the row's first line.
+        with pytest.raises(CognateFormatError, match="empty cognate_id at line 5"):
+            load_cognates(BASIC + 'L3,"two\nlines",,0\n')
+
+    def test_utf8_bom_is_dropped_from_a_file(self, tmp_path):
+        path = tmp_path / "cognates.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BASIC.replace("\n", "\r\n").encode("utf-8"))
+        matrix, warnings = load_cognates(path)
+        assert matrix == load_cognates(BASIC)[0]
+        assert warnings == []
+
     def test_roundtrip_preserves_entry_set(self):
         matrix, _ = load_cognates(BASIC)
         again, _ = load_cognates(write_cognates(matrix))

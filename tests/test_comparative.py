@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from lexiphylo import comparative
 from lexiphylo.comparative import (
-    DEFAULT_N_REPS,
     MIN_TIPS_FOR_D,
     BmParams,
     d_statistic,
@@ -35,7 +34,6 @@ from util import (
     oracle_d_sum,
     oracle_nodal_estimates,
     sample_binary_traits,
-    workspace_sizes,
 )
 
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -374,8 +372,8 @@ def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
     # not only their means, and so is the number of rows of every sweep.
     swept: list[np.ndarray] = []
 
-    def recording_d_sum_rows(sweeps, rows):
-        scores = d_sum_rows(sweeps, rows)
+    def recording_d_sum_rows(sweeps, rows, *buffers):
+        scores = d_sum_rows(sweeps, rows, *buffers)
         swept.append(scores.copy())
         return scores
 
@@ -450,49 +448,29 @@ def _bundled_water():
     return tree, presence, mask
 
 
-def test_workspace_grows_and_is_reused_across_shapes(monkeypatch):
-    # A fresh workspace grows on a 400-tip call, is reused (not shrunk) by a
-    # 5-tip one, then grows again. Every call must match the oracle, so a
-    # row left over from an earlier call would show.
-    monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
-    wide = parse_newick(benchmark_corpus_newick())
-    five = parse_newick("((A:1,B:2):1,(C:1,(D:1,E:0.5):2):1);")
-    hundred = parse_newick(caterpillar_newick(100, branch=0.3))
-    cases = [
-        (wide, *_random_trait(wide, 1), 25),
-        (five, np.array([1, 1, 0, 0, 0]), np.ones(5, dtype=int), 1),
-        (hundred, *_random_trait(hundred, 2), 500),
-    ]
-    sizes = []
-    for tree, presence, mask, n_reps in cases:
-        assert d_statistic(tree, presence, mask, n_reps, seed=n_reps) == _oracle_d(
-            tree, presence, mask, n_reps, n_reps
-        )
-        sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
-    # The first call, on a partial mask, sized the workspace for its one
-    # block of 25 replicates (50 null rows) on the whole tree, not on its
-    # pruned tree.
-    assert sizes[0] == workspace_sizes(50, wide)
-    assert sizes[1] == sizes[0]
-    assert sizes[2]["rows"] > sizes[0]["rows"] and sizes[2]["values"] > sizes[0]["values"]
-
-
-def test_workspace_does_not_grow_with_reps(monkeypatch):
-    # From _REP_BLOCK reps up every block of a one-trait call is full, so the
-    # bundled water-01 call takes the same buffers at 1000 and at 5000 reps:
-    # those of one full block on the whole tree.
-    monkeypatch.setattr(comparative, "_WORKSPACE", comparative._Workspace())
+def test_d_call_memory_grows_only_by_its_scores_with_reps():
+    # A D call's block arrays hold at most _REP_BLOCK columns, so from 1000
+    # to 5000 reps the bundled water-01 call's traced peak may grow by its
+    # scores' growth (3 floats per added replicate) plus 16 KiB of slack for
+    # numpy's small temporaries, and no more. A first call fills the tree's
+    # cached views.
     tree, presence, mask = _bundled_water()
-    sizes = []
+    d_statistic(tree, presence, mask, 10, seed=1)
+    peaks = {}
     for n_reps in (1000, 5000):
-        d_statistic(tree, presence, mask, n_reps, seed=1)
-        sizes.append({name: buf.size for name, buf in comparative._WORKSPACE.buffers.items()})
-    assert sizes == [workspace_sizes(2 * comparative._REP_BLOCK, tree)] * 2
+        tracemalloc.start()
+        try:
+            d_statistic(tree, presence, mask, n_reps, seed=1)
+            peaks[n_reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5000] - peaks[1000] <= 3 * 4000 * 8 + 16 * 1024, peaks
 
 
 def test_threads_calling_d_statistic_at_once_match_serial():
-    # Each thread has its own workspace; four threads on two cores, each
-    # starting at a different case, with a short switch interval.
+    # Every D call owns its arrays, so calls in threads never share one; four
+    # threads on two cores, each starting at a different case, with a short
+    # switch interval.
     hundred = parse_newick(caterpillar_newick(100, branch=0.3))
     wide = parse_newick(benchmark_corpus_newick())
     cases = [
@@ -526,32 +504,10 @@ def test_threads_calling_d_statistic_at_once_match_serial():
     assert results == [serial] * 4
 
 
-def test_warm_d_call_reuses_its_buffers_and_allocates_less_than_one_replicate_array():
-    # A warm call of the same shape reuses the workspace: its three buffers
-    # (a block's null rows; its BM values and innovations; the sweeps' level
-    # gathers) are the same objects afterwards, and what the call does
-    # allocate (its scores and temporaries, which tracemalloc sees through
-    # numpy) peaks below one (n_nodes x n_reps) float64 array.
-    tree, presence, mask = _bundled_water()
-    d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
-    before = dict(comparative._WORKSPACE.buffers)
-    n_nodes = prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept}).n_nodes
-    tracemalloc.start()
-    try:
-        d_statistic(tree, presence, mask, DEFAULT_N_REPS, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    after = comparative._WORKSPACE.buffers
-    assert sorted(after) == sorted(before) == ["level", "rows", "values"]
-    assert all(after[name] is before[name] for name in before)
-    assert peak < n_nodes * DEFAULT_N_REPS * 8
-
-
 def test_impossible_replicate_count_is_a_memory_error_and_workspace_survives():
-    # 10**12 reps asks for about 1.2 PiB of rows, more than any machine
-    # holds, so numpy refuses it at once and nothing is allocated; the
-    # workspace stays usable.
+    # 10**12 reps asks for about 1.2 PiB of scores, more than any machine
+    # holds, so numpy refuses it at once, before any draw; the next call
+    # gives the bits it gave before.
     tree, presence, mask = _bundled_water()
     expected = d_statistic(tree, presence, mask, 30, seed=2)
     with pytest.raises(comparative.ReplicateMemoryError):
@@ -711,23 +667,3 @@ def _assert_metrics_equal_one_trait_calls(tree, matrix, config):
             (cls, r) for cls, r in expected if isinstance(r, str)
         ]
         assert metrics.n_classes == len(expected)
-
-
-def test_warm_stacked_call_allocates_less_than_one_nodes_by_rows_array():
-    # A warm stacked call on the 400-tip tree at 10 reps takes every array it
-    # needs from the workspace: what it allocates on top peaks below one
-    # (n_nodes x stacked rows) float64 array.
-    tree = parse_newick(benchmark_corpus_newick())
-    rng = np.random.default_rng(402)
-    mask = (rng.random(tree.n_tips) < 0.9).astype(int)
-    presences = np.array([mask * (rng.random(tree.n_tips) < p) for p in (0.1, 0.2, 0.3, 0.5, 0.7)])
-    seeds = list(range(len(presences)))
-    d_statistic(tree, presences, mask, 10, seed=seeds)
-    n_nodes = prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept}).n_nodes
-    tracemalloc.start()
-    try:
-        d_statistic(tree, presences, mask, 10, seed=seeds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n_nodes * len(presences) * (2 * 10 + 1) * 8

@@ -2,11 +2,14 @@
 
 Each example is a tree of 4-24 tips, with polytomies, unary nodes, and zero
 and absent branch lengths, and a cognate table of 3-8 concepts with
-synonyms, loans, languages off the tree and missing data. The examples are
-derandomized and their number is fixed, so the gate is deterministic.
+synonyms, loans, languages off the tree and missing data, written with
+``csv.writer``; some concept and class labels hold a comma, a quote, a line
+break or a U+2028 line separator. The examples are derandomized and their
+number is fixed, so the gate is deterministic.
 """
 
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -28,7 +31,13 @@ GATE = settings(derandomize=True, deadline=None, database=None)
 def corpora(draw):
     """A Newick text, its tips, and the rows of a cognate table over the tips and two
     off-tree languages."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Labels draw from their own stream, so the corpus is the same with plain
+    # labels; each corpus marks its labels with two of the four characters.
+    label_rng = np.random.default_rng([seed, 1])
+    alphabet = ["", *label_rng.choice([",", '"', "\n", "\u2028"], size=2, replace=False)]
+    marks = label_rng.choice(alphabet, size=(8, 6))
     tips = [f"T{i}" for i in range(int(rng.integers(4, 25)))]
 
     def length() -> str:
@@ -55,7 +64,8 @@ def corpora(draw):
             classes = {int(rng.integers(n_classes))}
             if rng.random() < 0.15:  # a synonym
                 classes.add(int(rng.integers(n_classes + 1)))
-            rows += [(lang, f"c{c}", f"k{c}-{k}", int(rng.random() < 0.1)) for k in sorted(classes)]
+            rows += [(lang, f"c{marks[c, 0]}{c}", f"k{c}{marks[c, k + 1]}-{k}",
+                      int(rng.random() < 0.1)) for k in sorted(classes)]
     return build(tips) + ";", set(tips), rows or [("X1", "c0", "k0-0", 0)]
 
 
@@ -75,8 +85,9 @@ def _inputs(tmp_path_factory, newick: str, rows: list[tuple]) -> tuple[Path, lis
     """A directory holding the corpus, and the flags that name it with the gate's seed and reps."""
     work = tmp_path_factory.mktemp("corpus")
     (work / "tree.nwk").write_text(newick + "\n", "utf-8")
-    lines = ["language,concept,cognate_id,loan", *(",".join(map(str, row)) for row in rows)]
-    (work / "cognates.csv").write_text("\n".join(lines) + "\n", "utf-8")
+    with open(work / "cognates.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([("language", "concept", "cognate_id", "loan"), *rows])
     return work, ["--tree", str(work / "tree.nwk"), "--cognates", str(work / "cognates.csv"),
                   "--seed", SEED, "--reps", REPS]
 
@@ -94,6 +105,9 @@ def test_random_corpus_through_every_stage(tmp_path_factory, corpus):
     else:
         report = json.loads((out / "report.json").read_text("utf-8"))
         jsonschema.validate(report, report_schema())
+        # The report has every concept attested on the tree, by its label in the table.
+        on_tree = {row[1] for row in rows if row[0] in tips}
+        assert sorted(c["concept"] for c in report["concepts"]) == sorted(on_tree)
         shutil.copytree(out, restage, ignore=shutil.ignore_patterns(*ARTIFACTS))
         for argv in (["pca"], ["cluster", "--seed", SEED], ["report", "--k", K]):
             assert _run([*argv, "--out", str(restage)])[0] == 0
@@ -111,7 +125,9 @@ def test_random_corpus_through_every_stage(tmp_path_factory, corpus):
         result = [e for e in entry["classes"] if e["cognate_class"] == cls] if entry else []
         if result:
             assert code == 0, err
-            printed = dict(line.split("=", 1) for line in stdout.splitlines()[1:])
+            header = f"concept={concept} cognate_class={cls}\n"  # the labels as they are
+            assert stdout.startswith(header)
+            printed = dict(line.split("=", 1) for line in stdout[len(header):].splitlines())
             assert printed == {k: repr(v) for k, v in result[0].items() if k != "cognate_class"}
             continue
         _assert_error_line(code, err)

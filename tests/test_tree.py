@@ -8,6 +8,7 @@ from lexiphylo.tree import (
     TreeError,
     parse_newick,
     prune_to_taxa,
+    read_newick_file,
     tree_summary,
     write_newick,
 )
@@ -111,6 +112,11 @@ class TestParse:
         tree = parse_newick("A:0;")
         assert tree.n_nodes == 1
         assert tree.tip_labels == ("A",)
+
+    def test_file_with_a_utf8_bom_and_crlf(self, tmp_path):
+        path = tmp_path / "tree.nwk"
+        path.write_bytes(b"\xef\xbb\xbf((A:1,B:2):1,C:3);\r\n")
+        assert read_newick_file(path).structurally_equal(parse_newick("((A:1,B:2):1,C:3);"))
 
 
 class TestWrite:

@@ -17,7 +17,7 @@ import numpy as np
 
 from lexiphylo._rng import stream
 from lexiphylo.cognates import binary_traits
-from lexiphylo.comparative import _NODE_BLOCK, DStatResult
+from lexiphylo.comparative import DStatResult
 from lexiphylo.metrics import compute_metrics, plan
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
 from lexiphylo.tree import Tree, TreeError
@@ -33,13 +33,6 @@ def concept_metrics(matrix, tree: Tree, concept: str, config):
     """``compute_metrics`` for ``concept``, from the metrics stage's plan."""
     planned = next(p for p in plan(matrix, tree, config)[0] if p.concept == concept)
     return compute_metrics(tree, planned, config.n_reps)
-
-
-def workspace_sizes(n_rows: int, tree: Tree) -> dict[str, int]:
-    """The workspace buffers, in floats, of a D call whose largest sweep has
-    ``n_rows`` rows, on the unpruned ``tree``."""
-    return {"rows": n_rows * tree.n_tips, "values": n_rows * tree.n_nodes,
-            "level": 2 * _NODE_BLOCK * n_rows}
 
 
 def balanced_newick(depth: int, branch: float = 1.0, prefix: str = "T") -> str:

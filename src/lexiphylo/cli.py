@@ -587,7 +587,7 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
         raise CliError(seed)
     row = list(planned.classes).index(cls)
     result = d_statistic(tree, planned.presence[row], planned.mask, n_reps=args.reps, seed=seed)
-    print(f"concept={concept} cognate_class={cls}")
+    print(f"concept={concept!r} cognate_class={cls!r}")
     for name, value in dataclasses.asdict(result).items():
         print(f"{name}={value}")
     return 0
@@ -769,7 +769,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     args = _shared_parser().parse_args(argv)
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text("utf-8"))
+            raw = json.loads(Path(args.config).read_text("utf-8-sig"))
         except ValueError as exc:
             raise CliError(f"--config {args.config} is not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):

@@ -40,10 +40,11 @@ the pruned tree, reuses them across its blocks and frees them when it
 returns: a block's null rows (by used tips); the block's BM values,
 node-major, followed by its innovations, replicate-major, which once spent
 hold the threshold and then are the sweeps' work array (nodes by rows);
-and two slabs of ``_NODE_BLOCK`` gathered rows for the level sweeps. No
-array outlives its call, so D work keeps no module-level state and D
-memory does not grow with ``n_reps``: the only replicate-sized array a
-call allocates is its scores, three floats per column, before any draw.
+and two slabs for the level sweeps' gathers, each as many rows as the
+pruned tree's widest depth level. No array outlives its call, so D work
+keeps no module-level state and D memory does not grow with ``n_reps``:
+the only replicate-sized array a call allocates is its scores, three
+floats per column, before any draw.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -66,10 +67,6 @@ from .tree import Tree, prune_to_taxa
 DEFAULT_N_REPS = 1000
 MIN_TIPS_FOR_D = 4
 _NULL_GAP_TOL = 1e-12
-# Most nodes per block of a sweep: a level of the tree, or the non-root
-# nodes of the edge-difference pass, is swept in blocks of at most this
-# many nodes, which bounds each block's gathers at _NODE_BLOCK rows.
-_NODE_BLOCK = 64
 # Most (trait, replicate) columns per block of a D call: a block's
 # shuffle-null and BM-null rows make one sweep of at most 2 * _REP_BLOCK
 # rows, which bounds a call's block arrays whatever n_reps is.
@@ -120,20 +117,18 @@ def _epsilon(tree: Tree) -> float:
 
 
 class _Sweeps:
-    """Inverse-length weights and the sweep schedules of one tree.
+    """Inverse-length weights and the up-sweep schedule of one tree.
 
-    Both sweeps follow ``tree.depth_levels``. ``up`` takes each level's
-    internal nodes, deepest level first and the root last, cut into blocks
-    of at most ``_NODE_BLOCK`` nodes: per block, its nodes, their weight
-    totals, and per child slot ``k`` the k-th children, their weights and
-    the positions of the block's nodes that have a k-th child. Weight totals
-    accumulate over children in index order, so a naive recursion
-    reproduces them bit for bit. ``down`` takes the levels shallowest
-    first, in blocks likewise: per block, its nodes and their parents.
-    ``sd`` is each node's standard deviation (the square root of its
-    length) for a BM sweep at rate 1, as an (n_nodes, 1) column. ``edges``
-    splits the non-root nodes into runs of at most ``_NODE_BLOCK``
-    consecutive indices, each with its nodes' parents.
+    ``up`` takes one level of ``tree.depth_levels`` per step, each level
+    that holds an internal node, deepest first, then the root: per step,
+    the level's internal nodes, their weight totals, and per child slot
+    ``k`` the k-th children, their weights and the positions of the step's
+    nodes that have a k-th child. Weight totals accumulate over children in
+    index order, so a naive recursion reproduces them bit for bit. ``sd``
+    is each node's standard deviation (the square root of its length) for a
+    BM sweep at rate 1, as an (n_nodes, 1) column. ``width`` is the most
+    nodes of any depth level, the root's included, which bounds every
+    gather of a sweep: a level, or a run of the edge pass.
     """
 
     def __init__(self, tree: Tree) -> None:
@@ -142,63 +137,35 @@ class _Sweeps:
         w = np.zeros(tree.n_nodes)
         w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
         flat, counts, starts = tree.child_table
-        # The internal nodes block after block, so each slot is gathered for
-        # all blocks at once and then split by block. Deepest level first,
-        # then the root: every child of a node is a tip or in an earlier block.
+        # Deepest level first, then the root: every child of a node is a tip
+        # or in an earlier step.
         levels = [*(nodes for nodes, _ in reversed(tree.depth_levels)), np.array([tree.root])]
-        blocks = _blocks(nodes[counts[nodes] > 0] for nodes in levels)
-        sizes = [len(nodes) for nodes in blocks]
-        bounds = np.cumsum(sizes)
-        internal = np.concatenate([np.empty(0, np.intp), *blocks])
-        n_kids = counts[internal]
-        slots: list[list] = [[] for _ in blocks]
-        for k in range(int(n_kids.max(initial=0))):
-            has = n_kids > k
-            kth = flat[starts[internal[has]] + k]
-            weights = w[kth, None]
-            if k:
-                totals[has] += weights
-            else:
-                totals = weights.copy()
-            n_has = np.cumsum(has)[bounds - 1].tolist()
-            for j, (lo, hi) in enumerate(zip([0, *n_has[:-1]], n_has)):
-                if lo == hi:
-                    continue
-                where = (
-                    slice(None) if hi - lo == sizes[j]
-                    else np.flatnonzero(has[bounds[j] - sizes[j] : bounds[j]])
-                )
-                slots[j].append((kth[lo:hi], weights[lo:hi], where))
-        lows = (bounds - sizes).tolist()
-        self.up = [
-            (nodes, totals[lo:hi], block_slots)
-            for nodes, lo, hi, block_slots in zip(blocks, lows, bounds.tolist(), slots)
-        ]
-        self.down = [
-            (nodes, tree.parents[nodes])
-            for nodes in _blocks(nodes for nodes, _ in tree.depth_levels)
-        ]
+        self.width = max(map(len, levels))
+        self.up = []
+        for nodes in levels:
+            nodes = nodes[counts[nodes] > 0]
+            n_kids = counts[nodes]
+            slots = []
+            for k in range(int(n_kids.max(initial=0))):
+                has = n_kids > k
+                kth = flat[starts[nodes[has]] + k]
+                weights = w[kth, None]
+                if k:
+                    totals[has] += weights
+                else:
+                    totals = weights.copy()
+                slots.append((kth, weights, slice(None) if has.all() else np.flatnonzero(has)))
+            if slots:
+                self.up.append((nodes, totals, slots))
         self.sd = np.sqrt(tree.lengths)[:, None]
-        self.edges = []
-        for start in range(0, tree.n_nodes - 1, _NODE_BLOCK):
-            block = slice(start, min(start + _NODE_BLOCK, tree.n_nodes - 1))
-            self.edges.append((block, tree.parents[block]))
 
 
-def _blocks(levels) -> list[np.ndarray]:
-    """Each level's nodes cut into blocks of at most ``_NODE_BLOCK``, in order."""
-    return [
-        nodes[start : start + _NODE_BLOCK]
-        for nodes in levels
-        for start in range(0, len(nodes), _NODE_BLOCK)
-    ]
-
-
-def _level_bufs(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat slabs of ``_NODE_BLOCK * n_rows`` floats, for the gathers of
-    one block of a sweep of at most ``n_rows`` rows."""
-    level = _replicate_array(2 * _NODE_BLOCK * n_rows)
-    return level[: _NODE_BLOCK * n_rows], level[_NODE_BLOCK * n_rows :]
+def _level_bufs(sweeps: _Sweeps, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat slabs of ``sweeps.width * n_rows`` floats, for the gathers of
+    one step of a sweep of at most ``n_rows`` rows."""
+    size = sweeps.width * n_rows
+    level = _replicate_array(2 * size)
+    return level[:size], level[size:]
 
 
 def _gather(est: np.ndarray, index: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -220,7 +187,7 @@ def _nodal_estimates_batch(
     ``tip_values`` has shape (batch, n_tips) in ``tree.tip_indices`` order;
     the estimates are written to ``est``, of shape (n_nodes, batch), with
     tips carrying their inputs, and returned. ``bufs`` are two flat buffers
-    that hold each block's gathers. Each node accumulates
+    that hold each step's gathers. Each node accumulates
     ``w[child] * est[child]`` over its children in index order,
     sequentially, as a naive recursion does.
     """
@@ -253,21 +220,22 @@ def _d_sum_rows(
     just approximately.
 
     The rows are swept at once, in an (n_nodes, rows) work array at the
-    head of flat ``work``, with ``bufs`` holding the gathers. The edge
-    differences replace the estimates in node order, one block of
-    ``sweeps.edges`` at a time.
-    Every parent has a larger index than its children, and a block gathers
-    its parents' estimates before it writes, so each estimate is read
-    before it is overwritten. Columns never mix and each column's edges are
-    added in node order whatever the number of rows, so every score has the
-    same bits as a sweep of its row alone.
+    head of flat ``work``, with ``bufs`` holding the gathers, sized by the
+    pruned tree's widest depth level. The edge differences replace the
+    estimates in node order, one run of ``sweeps.width`` consecutive
+    non-root nodes at a time: every parent has a larger index than its
+    children, and a run gathers its parents' estimates before it writes, so
+    each estimate is read before it is overwritten. Columns never mix and
+    each column's edges are added in node order whatever the number of
+    rows, so every score has the same bits as a sweep of its row alone.
     """
     shape = (sweeps.tree.n_nodes, len(rows))
     est = _nodal_estimates_batch(sweeps, rows, work[: math.prod(shape)].reshape(shape), bufs)
     buf, _ = bufs
-    for block, parents in sweeps.edges:
-        edges = est[block]
-        np.subtract(edges, _gather(est, parents, buf), out=edges)
+    for start in range(0, len(est) - 1, sweeps.width):
+        run = slice(start, min(start + sweeps.width, len(est) - 1))
+        edges = est[run]
+        np.subtract(edges, _gather(est, sweeps.tree.parents[run], buf), out=edges)
         np.abs(edges, out=edges)
     # Reducing over axis 0 adds whole rows one after another, but a single
     # column is the fast axis, which numpy sums pairwise; an accumulate is
@@ -278,7 +246,7 @@ def _d_sum_rows(
 
 
 def _bm_sweep(
-    down: Sequence[tuple[np.ndarray, np.ndarray]],
+    levels: Sequence[tuple[np.ndarray, np.ndarray]],
     sd: np.ndarray,
     values: np.ndarray,
     root_value: float,
@@ -288,14 +256,14 @@ def _bm_sweep(
 
     Node ``i`` takes its parent's value plus ``sd[i]`` (an (n_nodes, 1)
     column) times innovation ``i``, all scaled at once before the top-down
-    sweep over ``down`` (``tree.depth_levels``, or blocks of them); the root
-    (the last node) takes ``root_value`` and its innovation is unused.
-    ``bufs`` are two flat buffers that hold each block's gathers.
+    sweep over ``levels`` (``tree.depth_levels``); the root (the last node)
+    takes ``root_value`` and its innovation is unused. ``bufs`` are two flat
+    buffers that hold each level's gathers.
     """
     np.multiply(values, sd, out=values)
     values[-1] = root_value
     step_buf, base_buf = bufs
-    for nodes, parents in down:
+    for nodes, parents in levels:
         base = _gather(values, parents, base_buf)
         values[nodes] = np.add(base, _gather(values, nodes, step_buf), out=base)
 
@@ -330,7 +298,8 @@ def nodal_estimates(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(tip_values)):
         raise ValueError("tip values must be finite")
     est = np.empty((tree.n_nodes, 1))
-    return _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :], est, _level_bufs(1))[:, 0]
+    sweeps = _Sweeps(tree)
+    return _nodal_estimates_batch(sweeps, tip_values[None, :], est, _level_bufs(sweeps, 1))[:, 0]
 
 
 def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
@@ -341,7 +310,8 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
     if tip_values.min() == tip_values.max():
         raise ValueError("constant trait: d_sum undefined")
     rows = tip_values[None, :] - 0.5
-    return float(_d_sum_rows(_Sweeps(tree), rows, np.empty(tree.n_nodes), _level_bufs(1))[0])
+    sweeps = _Sweeps(tree)
+    return float(_d_sum_rows(sweeps, rows, np.empty(tree.n_nodes), _level_bufs(sweeps, 1))[0])
 
 
 def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
@@ -563,7 +533,7 @@ def _d_scores(
     n_rows = max(n_traits, 2 * width)
     null_rows = _replicate_array(2 * width * n_used)
     work = _replicate_array(n_rows * n_nodes)
-    bufs = _level_bufs(n_rows)
+    bufs = _level_bufs(sweeps, n_rows)
     centered = traits - 0.5  # as _d_sum_rows takes a row
     scores[:n_traits] = _d_sum_rows(sweeps, centered, work, bufs)
     g = stream(seeds[0], 0)
@@ -598,7 +568,7 @@ def _d_scores(
         # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
         # values are gathered, tip-major, into the BM half of ``rows``, which
         # is overwritten by the thresholded traits only once all are known.
-        _bm_sweep(sweeps.down, sweeps.sd, values, 0.0, bufs)
+        _bm_sweep(pruned.depth_levels, sweeps.sd, values, 0.0, bufs)
         tips = bm_rows.reshape(n_used, w)
         np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
         thresholded = work[: w * n_used].reshape(w, n_used)

@@ -26,6 +26,7 @@ from util import (
     SMALL_TREE_NEWICKS,
     TIE_TREE,
     balanced_newick,
+    benchmark_corpus,
     benchmark_corpus_newick,
     binary_trait,
     caterpillar_newick,
@@ -101,13 +102,21 @@ class TestNodalEstimates:
             parse_newick("A;"),
         ]
         for tree in trees:
-            up = comparative._Sweeps(tree).up
-            block = {node: b for b, (nodes, _, _) in enumerate(up) for node in nodes.tolist()}
+            sweeps = comparative._Sweeps(tree)
+            up = sweeps.up
+            step = {node: s for s, (nodes, _, _) in enumerate(up) for node in nodes.tolist()}
             internal = [i for i in tree.postorder() if tree.children[i]]
-            assert sorted(block) == internal
+            assert sorted(step) == internal
             assert sum(len(nodes) for nodes, _, _ in up) == len(internal)
             for node in internal:
-                assert all(block[kid] < block[node] for kid in tree.children[node] if kid in block)
+                assert all(step[kid] < step[node] for kid in tree.children[node] if kid in step)
+            # One step per level that holds an internal node, deepest first,
+            # then the root, and no step gathers more than ``width`` rows.
+            levels = [*(nodes.tolist() for nodes, _ in reversed(tree.depth_levels)), [tree.root]]
+            steps = [[i for i in nodes if tree.children[i]] for nodes in levels]
+            assert [nodes.tolist() for nodes, _, _ in up] == [nodes for nodes in steps if nodes]
+            assert sweeps.width == max(map(len, levels))
+            assert all(len(kids) <= sweeps.width for _, _, slots in up for kids, _, _ in slots)
 
     def test_constant_tips(self, balanced4):
         est = nodal_estimates(balanced4, [2.5] * 4)
@@ -231,14 +240,14 @@ class TestDSum:
                 assert d_sum(tree, trait) == oracle_d_sum(tree, trait)
 
     def test_matches_naive_oracle_across_edge_blocks(self):
-        # Trees with more non-root nodes than one block of the edge pass.
+        # Trees with more non-root nodes than one run of the edge pass.
         for newick in (
             balanced_newick(7, branch=0.7),
             caterpillar_newick(100, branch=0.3),
             benchmark_corpus_newick(),
         ):
             tree = parse_newick(newick)
-            assert tree.n_nodes - 1 > 2 * comparative._NODE_BLOCK
+            assert tree.n_nodes - 1 > comparative._Sweeps(tree).width
             for trait in sample_binary_traits(tree.n_tips, 4, seed=tree.n_tips):
                 assert d_sum(tree, trait) == oracle_d_sum(tree, trait)
 
@@ -405,14 +414,18 @@ def test_d_statistic_matches_replicate_oracle_bitwise(newick, monkeypatch):
 
 
 def test_d_statistic_matches_replicate_oracle_on_the_benchmark_tree():
-    tree = parse_newick(benchmark_corpus_newick())
-    rng = np.random.default_rng(400)
-    for case in range(3):
-        mask = (rng.random(tree.n_tips) < 0.9).astype(int)
-        presence = mask * (rng.random(tree.n_tips) < 0.3)
-        scores = oracle_d_scores(tree, presence, mask, 5, case)
-        expected = oracle_d_from_scores(scores, 5, int(mask.sum()))
-        assert d_statistic(tree, presence, mask, 5, seed=case) == expected
+    # With a 130-tip star (one level wider than 64 nodes) and a 100-tip
+    # caterpillar (levels 2 wide) beside it.
+    star = "(" + ",".join(f"S{i:03d}:{1 + i % 7 / 4}" for i in range(130)) + ");"
+    for newick in (benchmark_corpus_newick(), star, caterpillar_newick(100, branch=0.3)):
+        tree = parse_newick(newick)
+        rng = np.random.default_rng(400)
+        for case in range(3):
+            mask = (rng.random(tree.n_tips) < 0.9).astype(int)
+            presence = mask * (rng.random(tree.n_tips) < 0.3)
+            scores = oracle_d_scores(tree, presence, mask, 5, case)
+            expected = oracle_d_from_scores(scores, 5, int(mask.sum()))
+            assert d_statistic(tree, presence, mask, 5, seed=case) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,13 +461,27 @@ def _bundled_water():
     return tree, presence, mask
 
 
-def test_d_call_memory_grows_only_by_its_scores_with_reps():
+def _benchmark_class():
+    newick, cognates = benchmark_corpus()
+    tree = parse_newick(newick)
+    matrix, _ = load_cognates(cognates)
+    concept = matrix.concepts[0]
+    cls = next(iter(matrix.classes_for(concept)))
+    presence, mask = binary_trait(matrix, concept, cls, tree.tip_labels)
+    return tree, presence, mask
+
+
+@pytest.mark.parametrize(
+    "case", [_bundled_water, _benchmark_class], ids=["bundled-water-01", "benchmark-c000-00"]
+)
+def test_d_call_memory_grows_only_by_its_scores_with_reps(case):
     # A D call's block arrays hold at most _REP_BLOCK columns, so from 1000
-    # to 5000 reps the bundled water-01 call's traced peak may grow by its
-    # scores' growth (3 floats per added replicate) plus 16 KiB of slack for
-    # numpy's small temporaries, and no more. A first call fills the tree's
-    # cached views.
-    tree, presence, mask = _bundled_water()
+    # to 5000 reps the call's traced peak may grow by its scores' growth (3
+    # floats per added replicate) plus 16 KiB of slack for numpy's small
+    # temporaries, and no more: on the bundled water-01 class, and on a
+    # class of the benchmark's 400-tip tree, whose widest pruned level is
+    # wider than 64 nodes. A first call fills the tree's cached views.
+    tree, presence, mask = case()
     d_statistic(tree, presence, mask, 10, seed=1)
     peaks = {}
     for n_reps in (1000, 5000):

@@ -125,9 +125,9 @@ def test_random_corpus_through_every_stage(tmp_path_factory, corpus):
         result = [e for e in entry["classes"] if e["cognate_class"] == cls] if entry else []
         if result:
             assert code == 0, err
-            header = f"concept={concept} cognate_class={cls}\n"  # the labels as they are
-            assert stdout.startswith(header)
-            printed = dict(line.split("=", 1) for line in stdout[len(header):].splitlines())
+            header, *lines = stdout.splitlines()
+            assert header == f"concept={concept!r} cognate_class={cls!r}"
+            printed = dict(line.split("=", 1) for line in lines)
             assert printed == {k: repr(v) for k, v in result[0].items() if k != "cognate_class"}
             continue
         _assert_error_line(code, err)

@@ -358,6 +358,7 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
     (matrix, load_issues), cognates_input = _read_input(args.cognates, load_cognates)
     config = DStatConfig(seed=args.seed, n_reps=args.reps)
     plans, skipped = plan(matrix, tree, config)
+    del matrix  # the plans hold all that D needs, so the table is not held while it runs
     if len(plans) < MIN_CONCEPTS:
         raise CliError(
             f"{args.cognates}: need >= {MIN_CONCEPTS} concepts attested among the tree "

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -50,7 +52,9 @@ class CognateMatrix:
     """Immutable language x concept -> set-of-cognate-classes mapping.
 
     ``entries`` is the single source; every per-concept view reads one
-    concept index derived from it (and ``loans``) on first use.
+    concept index derived from it (and ``loans``) on first use. A matrix
+    from ``load_cognates`` holds each name once, and the keys whose class
+    sets are equal share one frozenset.
     """
 
     languages: tuple[str, ...]
@@ -61,10 +65,12 @@ class CognateMatrix:
     @cached_property
     def _index(self) -> dict[str, tuple[dict[str, frozenset[str]], frozenset[str], frozenset]]:
         """concept -> (class -> attesting languages, attested languages, loans), built once."""
-        classes: dict[str, dict[str, set[str]]] = {con: {} for con in self.concepts}
+        # Lists, not sets: a (language, concept) key is unique, so no language
+        # comes twice in a class, and only the frozensets are kept.
+        classes: dict[str, dict[str, list[str]]] = {con: {} for con in self.concepts}
         for (lang, con), ids in self.entries.items():
             for cls in ids:
-                classes[con].setdefault(cls, set()).add(lang)
+                classes[con].setdefault(cls, []).append(lang)
         loans: dict[str, set] = {con: set() for con in self.concepts}
         for triple in self.loans:
             loans[triple[1]].add(triple)
@@ -107,56 +113,93 @@ class ConceptSummary:
     n_loan_triples: int
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
-    """The text of ``source``; a file is decoded as UTF-8, a leading BOM
-    dropped, with its line breaks as they are."""
-    if isinstance(source, str):
-        return source
-    if isinstance(source, Path):
-        source = source.open(encoding="utf-8-sig", newline="")
-    with source:  # closed, and its buffers freed, before the text is parsed
-        return source.read()
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # ended as a newline="" stream ends it
 
 
-def _split_rows(text: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
+def _physical_lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text that ``chunks`` make up, each ended by LF, CR or
+    CRLF (the last one perhaps by the end of the text), as an
+    ``io.StringIO(text, newline="")`` yields them."""
+    tail = ""  # a line that the next chunk may go on
+    for chunk in chunks:
+        text = tail + chunk
+        if 0 <= text.find("\n") == len(text) - 1 and text.find("\r", 0, -2) < 0:
+            tail = ""  # one line, ended by LF or CRLF: a stream line most often is
+            yield text
+            continue
+        done = 0
+        for match in _LINE.finditer(text):
+            if match.end() == len(text) and not text.endswith("\n"):
+                break  # unended, or a CR whose LF may come next
+            yield match[0]
+            done = match.end()
+        tail = text[done:]
+    if tail:
+        yield tail
+
+
+def _split_rows(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """First physical line and whitespace-stripped CSV fields of each non-blank row.
 
-    The reader sees the text as a ``newline=""`` stream, so a quoted field
-    keeps the line breaks inside it, and only LF, CR and CRLF end a line.
-    A row is blank when all of its lines are whitespace.
+    A quoted field keeps the line breaks inside it. A row is blank when all
+    of its lines are whitespace. The first row is the header, and a table
+    with no row after it is an error at its last line.
     """
-    lines: list[str] = []  # the physical lines of the row being read
+    row_lines: list[str] = []  # the physical lines of the row being read
 
-    def physical_lines() -> Iterator[str]:
-        for line in io.StringIO(text, newline=""):
-            lines.append(line)
+    def recorded() -> Iterator[str]:
+        for line in lines:
+            row_lines.append(line)
             yield line
 
-    reader = csv.reader(physical_lines(), delimiter=delimiter, strict=True)
+    reader = csv.reader(recorded(), delimiter=delimiter, strict=True)
+    n_rows = 0
     try:
         for fields in reader:
-            if "".join(lines).strip():
-                yield reader.line_num - len(lines) + 1, [f.strip() for f in fields]
-            lines.clear()
+            if "".join(row_lines).strip():
+                n_rows += 1
+                yield reader.line_num - len(row_lines) + 1, [f.strip() for f in fields]
+            row_lines.clear()
     except csv.Error as exc:
         raise CognateFormatError(f"malformed row ({exc})", reader.line_num) from None
+    if n_rows < 2:
+        raise CognateFormatError("no data rows", reader.line_num)
 
 
 def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[ValidationIssue]]:
     """Load and validate a delimited cognate table.
 
-    ``source`` may be a Path, an open text stream, or the raw table text as
-    a str. Returns the matrix plus a list of warnings (errors raise
-    CognateFormatError with the offending line number).
+    ``source`` may be a Path (read as UTF-8, a leading BOM dropped), an open
+    text stream, which is read line by line and closed, or the raw table text
+    as a str; only LF, CR and CRLF end its lines. Returns the matrix plus a list
+    of warnings (errors raise CognateFormatError with the offending line
+    number).
+
+    The matrix holds each language, concept and cognate-class name once,
+    and one frozenset per distinct set of classes: every (language, concept)
+    key whose classes are equal shares it, so the table costs memory per
+    row only for its key.
     """
-    text = _read_text(source)
-    first_line = io.StringIO(text, newline="").readline()
+    if isinstance(source, str):
+        return _load_lines(_physical_lines((source,)))
+    if isinstance(source, Path):
+        source = source.open(encoding="utf-8-sig", newline="")
+    with source:
+        return _load_lines(_physical_lines(source))
+
+
+def _load_lines(lines: Iterator[str]) -> tuple[CognateMatrix, list[ValidationIssue]]:
+    """``load_cognates`` of the table whose physical lines are ``lines``."""
+    first_line = next(lines, "")
     if not first_line.strip():
         raise CognateFormatError("empty input (no header)", 1)
 
     delimiter = "\t" if "\t" in first_line else ","
-    rows = _split_rows(text, delimiter)
+    rows = _split_rows(itertools.chain((first_line,), lines), delimiter)
     _, header = next(rows)
+    for name in (*REQUIRED_COLUMNS, LOAN_COLUMN):
+        if header.count(name) > 1:
+            raise CognateFormatError(f"duplicate column {name!r} in header", 1)
     col_index = {name: i for i, name in enumerate(header)}
     for required in REQUIRED_COLUMNS:
         if required not in col_index:
@@ -170,10 +213,14 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
             ValidationIssue("warning", 1, "loan column absent; all loan flags set to 0")
         )
 
-    # Insertion-ordered dicts keep languages and concepts in first-seen order.
-    languages: dict[str, None] = {}
-    concepts: dict[str, None] = {}
-    entries: dict[tuple[str, str], set[str]] = {}
+    # Each name maps to its one copy, and each distinct set of classes to
+    # its one frozenset; insertion order keeps languages and concepts in
+    # first-seen order.
+    languages: dict[str, str] = {}
+    concepts: dict[str, str] = {}
+    class_ids: dict[str, str] = {}
+    class_sets: dict[frozenset[str], frozenset[str]] = {}
+    entries: dict[tuple[str, str], frozenset[str]] = {}
     loans: set[tuple[str, str, str]] = set()
 
     for lineno, fields in rows:
@@ -184,10 +231,12 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
         row = required_fields(fields)
         if not all(row):
             raise CognateFormatError(f"empty {REQUIRED_COLUMNS[row.index('')]}", lineno)
-        language, concept, cognate_id = row
+        language = languages.setdefault(row[0], row[0])
+        concept = concepts.setdefault(row[1], row[1])
+        cognate_id = class_ids.setdefault(row[2], row[2])
 
-        classes = entries.setdefault((language, concept), set())
-        if cognate_id in classes:
+        held = entries.get((language, concept), frozenset())
+        if cognate_id in held:
             raise CognateFormatError(
                 f"duplicate row ({language}, {concept}, {cognate_id})", lineno
             )
@@ -197,19 +246,15 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
                 f"loan flag must be 0, 1, or empty, got {loan_flag!r}", lineno
             )
 
-        classes.add(cognate_id)
-        languages[language] = None
-        concepts[concept] = None
+        classes = held | {cognate_id}
+        entries[language, concept] = class_sets.setdefault(classes, classes)
         if loan_flag == "1":
-            loans.add(row)
-
-    if not entries:
-        raise CognateFormatError("no data rows", len(io.StringIO(text, newline="").readlines()))
+            loans.add((language, concept, cognate_id))
 
     matrix = CognateMatrix(
         languages=tuple(languages),
         concepts=tuple(concepts),
-        entries={key: frozenset(val) for key, val in entries.items()},
+        entries=entries,
         loans=frozenset(loans),
     )
     return matrix, warnings

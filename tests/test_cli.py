@@ -625,6 +625,8 @@ _BAD_INPUTS = [
     ("cognates.csv", "language,concept,cognate_id\nL000,caf\u00e9,K1\n".encode("latin-1"),
      "'utf-8' codec can't decode byte 0xe9"),
     ("cognates.csv", b"lang,concept,cognate_id\n", "missing required column 'language' at line 1"),
+    ("cognates.csv", b"language,concept,cognate_id,concept\nL000,eye,K1,hand\n",
+     "duplicate column 'concept' in header at line 1"),
 ]
 
 

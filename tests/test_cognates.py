@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from lexiphylo.cognates import (
     load_cognates,
     write_cognates,
 )
-from util import binary_trait
+from util import benchmark_corpus, binary_trait, oracle_load_cognates
 
 BASIC = """language,concept,cognate_id,loan
 L1,eye,K1,0
@@ -120,6 +123,26 @@ class TestLoad:
         assert matrix == load_cognates(BASIC)[0]
         assert warnings == []
 
+    def test_column_named_twice_is_refused(self):
+        # The loader reads columns by name, so a second 'concept' would be misread.
+        with pytest.raises(CognateFormatError) as err:
+            load_cognates("language,concept,cognate_id,concept\nL1,eye,K1,hand\n")
+        assert str(err.value) == "duplicate column 'concept' in header at line 1"
+        assert err.value.line == 1
+        # A column the loader does not read may repeat.
+        matrix, _ = load_cognates("language,note,concept,cognate_id,note\nL1,a,eye,K1,b\n")
+        assert matrix.entries == {("L1", "eye"): frozenset({"K1"})}
+
+    def test_names_and_class_sets_are_held_once(self):
+        text = BASIC + "L1,hand,K1,0\nL2,hand,K1,0\nL3,hand,K2,0\nL3,eye,K2,0\nL3,eye,K1,0\n"
+        matrix, _ = load_cognates(text)
+        sets = {id(classes) for classes in matrix.entries.values()}
+        assert len(sets) == len(set(matrix.entries.values())) == 3  # {K1}, {K2}, {K1, K2}
+        names = [name for key in matrix.entries for name in key]
+        names += [cls for classes in matrix.entries.values() for cls in classes]
+        names += [name for triple in matrix.loans for name in triple]
+        assert len({id(name) for name in names}) == len(set(names)) == 7
+
     def test_roundtrip_preserves_entry_set(self):
         matrix, _ = load_cognates(BASIC)
         again, _ = load_cognates(write_cognates(matrix))
@@ -133,6 +156,103 @@ class TestLoad:
         again, _ = load_cognates(write_cognates(matrix))
         assert again.entries == matrix.entries
         assert again.loans == matrix.loans
+
+
+_NAMES = ("L1", "L2", "Lx", "eye", "hand", "co\nn", "a,b", 'say "x"', "a\u2028b", "f\x0cg", "K1", "K2")
+
+
+def _random_table(rng: np.random.Generator) -> str:
+    """A small cognate table: synonyms, loans, blank and whitespace-only rows,
+    quoted and multi-line cells, LF/CR/CRLF endings, either delimiter, and now
+    and then a row or header the loader must refuse."""
+    delimiter = "\t" if rng.random() < 0.3 else ","
+    header = ["language", "concept", "cognate_id"]
+    if rng.random() < 0.8:
+        header.append("loan")
+    if rng.random() < 0.2:
+        header.insert(int(rng.integers(len(header) + 1)), "note")
+    header = [str(name) for name in rng.permutation(header)]
+    if rng.random() < 0.05:
+        header.append(str(rng.choice(header)))
+    if rng.random() < 0.03:
+        header.remove(str(rng.choice(header)))
+
+    def cell(text: str) -> str:
+        if any(c in text for c in (delimiter, '"', "\r", "\n")) or rng.random() < 0.1:
+            return '"' + text.replace('"', '""') + '"'
+        return str(rng.choice(["", "", "", " ", "\t "])) + text if delimiter == "," else text
+
+    lines = [delimiter.join(header)]
+    for _ in range(int(rng.integers(0, 14))):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", "  ", "\t", " \u2028"])))
+            continue
+        values = {
+            "language": str(rng.choice(_NAMES[:3])),
+            "concept": str(rng.choice(_NAMES[3:10])),
+            "cognate_id": str(rng.choice(_NAMES[8:])),
+            "loan": str(rng.choice(["0", "1", "", "yes"], p=[0.33, 0.33, 0.32, 0.02])),
+            "note": "n",
+        }
+        if rng.random() < 0.01:
+            values[str(rng.choice(header))] = ""
+        row = [cell(values[name]) for name in header]
+        if rng.random() < 0.02:
+            row[int(rng.integers(len(row)))] = str(rng.choice(["junk" + delimiter, '"x"y', '"open']))
+        lines.append(delimiter.join(row))
+    if rng.random() < 0.02:
+        lines.insert(0, " ")
+    endings = [str(rng.choice(["\n", "\r", "\r\n"])) for _ in lines]
+    if rng.random() < 0.5:
+        endings = [endings[0]] * len(lines)
+    if rng.random() < 0.2:
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestAgainstNaiveLoader:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_matrix_warnings_and_errors(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        for case in range(10):
+            text = _random_table(rng)
+            path = tmp_path / f"{case}.csv"
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), newline="")
+            try:
+                expected = oracle_load_cognates(text)
+            except CognateFormatError as exc:
+                for source in (text, path, stream, io.StringIO(text)):
+                    with pytest.raises(CognateFormatError) as err:
+                        load_cognates(source)
+                    assert type(err.value) is type(exc), text
+                    assert (str(err.value), err.value.line) == (str(exc), exc.line), text
+                continue
+            for source in (text, path, stream, io.StringIO(text)):
+                matrix, warnings = load_cognates(source)
+                got = (matrix.languages, matrix.concepts, matrix.entries, matrix.loans, warnings)
+                assert got == expected, text
+                assert list(matrix.entries) == list(expected[2]), text
+
+
+def test_memory_grows_with_distinct_names_not_rows():
+    # The benchmark's 400 x 24 table, 8,496 rows, read as the CLI reads a
+    # file. The loader that held each row's own names and class set and
+    # copied the text into a StringIO retained about 450 B and peaked at
+    # about 720 B per row.
+    text = benchmark_corpus()[1]
+    n_rows = text.count("\n") - 1
+    data = text.encode("utf-8")
+    load_cognates(text)  # once untraced, so state the modules build lazily is not counted
+    tracemalloc.start()
+    try:
+        matrix, _ = load_cognates(io.TextIOWrapper(io.BytesIO(data), newline=""))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matrix.entries) > 8000
+    assert retained / n_rows <= 225, f"{retained / n_rows:.0f} B/row retained"
+    assert peak / n_rows <= 360, f"{peak / n_rows:.0f} B/row at peak"
 
 
 class TestBinaryTrait:

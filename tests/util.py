@@ -10,13 +10,15 @@ that equality can be asserted bitwise, not just within a tolerance.
 
 from __future__ import annotations
 
+import csv
 import importlib.util
+import io
 from pathlib import Path
 
 import numpy as np
 
 from lexiphylo._rng import stream
-from lexiphylo.cognates import binary_traits
+from lexiphylo.cognates import CognateFormatError, ValidationIssue, binary_traits
 from lexiphylo.comparative import DStatResult
 from lexiphylo.metrics import compute_metrics, plan
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
@@ -68,6 +70,69 @@ def benchmark_corpus() -> tuple[str, str]:
 def benchmark_corpus_newick() -> str:
     """The 400-tip tree of the benchmark's generated corpus."""
     return benchmark_corpus()[0]
+
+
+def oracle_load_cognates(text: str):
+    """``load_cognates`` of a table text, done naively: the whole text split
+    into lines at once, each row's lines sliced from that list, entries
+    collected as sets and frozen at the end. Returns (languages, concepts,
+    entries, loans, warnings), or raises CognateFormatError as the package
+    documents it."""
+    lines = io.StringIO(text, newline="").readlines()
+    if not lines or not lines[0].strip():
+        raise CognateFormatError("empty input (no header)", 1)
+    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",", strict=True)
+    rows = []  # (first line, stripped fields) of each non-blank row
+    malformed = None  # the error of a row the reader cannot read, raised when reached
+    read = 0
+    try:
+        for fields in reader:
+            if "".join(lines[read:reader.line_num]).strip():
+                rows.append((read + 1, [f.strip() for f in fields]))
+            read = reader.line_num
+    except csv.Error as exc:
+        malformed = CognateFormatError(f"malformed row ({exc})", reader.line_num)
+    if not rows:
+        raise malformed
+
+    header = rows[0][1]
+    for name in ("language", "concept", "cognate_id", "loan"):
+        if header.count(name) > 1:
+            raise CognateFormatError(f"duplicate column {name!r} in header", 1)
+    for name in ("language", "concept", "cognate_id"):
+        if name not in header:
+            raise CognateFormatError(f"missing required column {name!r}", 1)
+    warnings = []
+    if "loan" not in header:
+        warnings.append(ValidationIssue("warning", 1, "loan column absent; all loan flags set to 0"))
+
+    languages, concepts, entries, loans = [], [], {}, set()
+    for lineno, fields in rows[1:]:
+        if len(fields) != len(header):
+            raise CognateFormatError(f"expected {len(header)} fields, got {len(fields)}", lineno)
+        record = dict(zip(header, fields))
+        for name in ("language", "concept", "cognate_id"):
+            if record[name] == "":
+                raise CognateFormatError(f"empty {name}", lineno)
+        language, concept, cls = record["language"], record["concept"], record["cognate_id"]
+        if cls in entries.get((language, concept), ()):
+            raise CognateFormatError(f"duplicate row ({language}, {concept}, {cls})", lineno)
+        flag = record.get("loan", "")
+        if flag not in ("", "0", "1"):
+            raise CognateFormatError(f"loan flag must be 0, 1, or empty, got {flag!r}", lineno)
+        entries.setdefault((language, concept), set()).add(cls)
+        if language not in languages:
+            languages.append(language)
+        if concept not in concepts:
+            concepts.append(concept)
+        if flag == "1":
+            loans.add((language, concept, cls))
+    if malformed is not None:
+        raise malformed
+    if not entries:
+        raise CognateFormatError("no data rows", len(lines))
+    frozen = {key: frozenset(classes) for key, classes in entries.items()}
+    return tuple(languages), tuple(concepts), frozen, frozenset(loans), warnings
 
 
 # Small trees (<= 8 tips) for oracle-equivalence checks; one polytomy,

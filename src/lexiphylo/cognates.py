@@ -63,44 +63,42 @@ class CognateMatrix:
     loans: frozenset[tuple[str, str, str]]
 
     @cached_property
-    def _index(self) -> dict[str, tuple[dict[str, frozenset[str]], frozenset[str], frozenset]]:
-        """concept -> (class -> attesting languages, attested languages, loans), built once."""
-        # Lists, not sets: a (language, concept) key is unique, so no language
-        # comes twice in a class, and only the frozensets are kept.
+    def _index(self) -> dict[str, tuple[dict[str, tuple[str, ...]], tuple]]:
+        """concept -> (class -> attesting languages, loans), built once.
+
+        Tuples, not frozensets: a (language, concept) key is unique, so no
+        language comes twice in a class, and a tuple holds a member in 8
+        bytes where a frozenset takes several times that. The views build
+        their sets when they are asked.
+        """
         classes: dict[str, dict[str, list[str]]] = {con: {} for con in self.concepts}
         for (lang, con), ids in self.entries.items():
             for cls in ids:
                 classes[con].setdefault(cls, []).append(lang)
-        loans: dict[str, set] = {con: set() for con in self.concepts}
+        loans: dict[str, list] = {con: [] for con in self.concepts}
         for triple in self.loans:
-            loans[triple[1]].add(triple)
+            loans[triple[1]].append(triple)
         return {
-            con: (
-                {cls: frozenset(by_class[cls]) for cls in sorted(by_class)},
-                frozenset().union(*by_class.values()),
-                frozenset(loans[con]),
-            )
+            con: ({cls: tuple(by_class[cls]) for cls in sorted(by_class)}, tuple(loans[con]))
             for con, by_class in classes.items()
         }
 
-    def _lookup(
-        self, concept: str
-    ) -> tuple[dict[str, frozenset[str]], frozenset[str], frozenset]:
+    def _lookup(self, concept: str) -> tuple[dict[str, tuple[str, ...]], tuple]:
         if concept not in self._index:
             raise ValueError(f"unknown concept {concept!r}")
         return self._index[concept]
 
     def languages_for(self, concept: str) -> frozenset[str]:
         """Languages with at least one entry for ``concept``."""
-        return self._lookup(concept)[1]
+        return frozenset(itertools.chain.from_iterable(self._lookup(concept)[0].values()))
 
     def classes_for(self, concept: str) -> dict[str, frozenset[str]]:
         """Map each cognate class of ``concept`` to its attesting languages."""
-        return dict(self._lookup(concept)[0])
+        return {cls: frozenset(langs) for cls, langs in self._lookup(concept)[0].items()}
 
     def loans_for(self, concept: str) -> frozenset[tuple[str, str, str]]:
         """Loan-flagged (language, concept, cognate class) triples of ``concept``."""
-        return self._lookup(concept)[2]
+        return frozenset(self._lookup(concept)[1])
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ def binary_traits(
     excluded downstream, never read as absence. The taxa's positions are
     found in one pass, so a class costs work in proportion to its own size.
     """
-    known, attested, _ = matrix._lookup(concept)
+    known, _ = matrix._lookup(concept)
     classes = tuple(classes)
     for cls in classes:
         if cls not in known:
@@ -298,14 +296,14 @@ def binary_traits(
     for i, taxon in enumerate(taxa):
         positions.setdefault(taxon, []).append(i)
 
-    def where(languages: frozenset[str]) -> list[int]:
+    def where(languages: Iterable[str]) -> list[int]:
         return [i for lang in languages for i in positions.get(lang, ())]
 
     presence = np.zeros((len(classes), len(taxa)), dtype=np.int8)
     for row, cls in zip(presence, classes):
         row[where(known[cls])] = 1
     mask = np.zeros(len(taxa), dtype=np.int8)
-    mask[where(attested)] = 1
+    mask[where(itertools.chain.from_iterable(known.values()))] = 1
     return presence, mask
 
 

@@ -37,14 +37,15 @@ score has the bits of a sweep of its row alone, however the blocks cut.
 
 A D call allocates its block arrays once, sized for its widest block on
 the pruned tree, reuses them across its blocks and frees them when it
-returns: a block's null rows (by used tips); the block's BM values,
-node-major, followed by its innovations, replicate-major, which once spent
-hold the threshold and then are the sweeps' work array (nodes by rows);
-and two slabs for the level sweeps' gathers, each as many rows as the
-pruned tree's widest depth level. No array outlives its call, so D work
-keeps no module-level state and D memory does not grow with ``n_reps``:
-the only replicate-sized array a call allocates is its scores, three
-floats per column, before any draw.
+returns: a block's null rows (by used tips), and the arrays of the pruned
+tree's sweep schedule (``_Sweeps``): its work array, which holds the
+block's BM values, node-major, followed by its innovations,
+replicate-major, then the threshold and then the change-score sweep's
+estimates (nodes by rows), and two slabs for the level sweeps' gathers,
+each as many rows as the pruned tree's widest depth level. No array
+outlives its call, so D work keeps no module-level state and D memory does
+not grow with ``n_reps``: the only replicate-sized array a call allocates
+is its scores, three floats per column, before any draw.
 
 Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero is substituted by
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,32 +119,40 @@ def _epsilon(tree: Tree) -> float:
 
 
 class _Sweeps:
-    """Inverse-length weights and the up-sweep schedule of one tree.
-
-    ``up`` takes one level of ``tree.depth_levels`` per step, each level
-    that holds an internal node, deepest first, then the root: per step,
-    the level's internal nodes, their weight totals, and per child slot
-    ``k`` the k-th children, their weights and the positions of the step's
-    nodes that have a k-th child. Weight totals accumulate over children in
-    index order, so a naive recursion reproduces them bit for bit. ``sd``
-    is each node's standard deviation (the square root of its length) for a
-    BM sweep at rate 1, as an (n_nodes, 1) column. ``width`` is the most
-    nodes of any depth level, the root's included, which bounds every
-    gather of a sweep: a level, or a run of the edge pass.
+    """The sweep schedules of one tree, and the arrays its sweeps of at most
+    ``n_rows`` rows work in: two flat ``gathers`` slabs of ``width * n_rows``
+    floats for a step's gathers, and ``work``, ``n_rows * n_nodes`` floats
+    for a sweep's node values. ``width`` is the most nodes of any depth
+    level, the root's included, which bounds every gather of a sweep: a
+    level, or a run of the edge pass. ``sd`` is each node's standard
+    deviation (the square root of its length) for a BM sweep at rate 1, as
+    an (n_nodes, 1) column.
     """
 
-    def __init__(self, tree: Tree) -> None:
+    def __init__(self, tree: Tree, n_rows: int = 1) -> None:
         self.tree = tree
+        self.width = max((len(nodes) for nodes, _ in tree.depth_levels), default=1)
+        self.sd = np.sqrt(tree.lengths)[:, None]
+        self.gathers = _replicate_array(self.width * n_rows), _replicate_array(self.width * n_rows)
+        self.work = _replicate_array(n_rows * tree.n_nodes)
+
+    @cached_property
+    def up(self) -> list[tuple[np.ndarray, np.ndarray, list[tuple]]]:
+        """The up-sweep schedule, built on first use, as a BM sweep inverts no
+        length: a step per level of ``tree.depth_levels`` with an internal
+        node, deepest first, then the root, so each child of a node is a tip
+        or in an earlier step. A step holds the level's internal nodes, their
+        inverse-length weight totals, and per child slot ``k`` the k-th
+        children, their weights and the positions of the step's nodes that
+        have one. Totals add children in index order, as a naive recursion does.
+        """
+        tree = self.tree
         lengths = tree.lengths[:-1]
         w = np.zeros(tree.n_nodes)
         w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
         flat, counts, starts = tree.child_table
-        # Deepest level first, then the root: every child of a node is a tip
-        # or in an earlier step.
-        levels = [*(nodes for nodes, _ in reversed(tree.depth_levels)), np.array([tree.root])]
-        self.width = max(map(len, levels))
-        self.up = []
-        for nodes in levels:
+        up = []
+        for nodes in [*(nodes for nodes, _ in reversed(tree.depth_levels)), np.array([tree.root])]:
             nodes = nodes[counts[nodes] > 0]
             n_kids = counts[nodes]
             slots = []
@@ -156,16 +166,8 @@ class _Sweeps:
                     totals = weights.copy()
                 slots.append((kth, weights, slice(None) if has.all() else np.flatnonzero(has)))
             if slots:
-                self.up.append((nodes, totals, slots))
-        self.sd = np.sqrt(tree.lengths)[:, None]
-
-
-def _level_bufs(sweeps: _Sweeps, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat slabs of ``sweeps.width * n_rows`` floats, for the gathers of
-    one step of a sweep of at most ``n_rows`` rows."""
-    size = sweeps.width * n_rows
-    level = _replicate_array(2 * size)
-    return level[:size], level[size:]
+                up.append((nodes, totals, slots))
+        return up
 
 
 def _gather(est: np.ndarray, index: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -176,23 +178,19 @@ def _gather(est: np.ndarray, index: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return est.take(index, axis=0, out=out, mode="clip")
 
 
-def _nodal_estimates_batch(
-    sweeps: _Sweeps,
-    tip_values: np.ndarray,
-    est: np.ndarray,
-    bufs: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+def _nodal_estimates_batch(sweeps: _Sweeps, tip_values: np.ndarray) -> np.ndarray:
     """Weighted-mean nodal estimates for a batch of tip-value vectors.
 
     ``tip_values`` has shape (batch, n_tips) in ``tree.tip_indices`` order;
-    the estimates are written to ``est``, of shape (n_nodes, batch), with
-    tips carrying their inputs, and returned. ``bufs`` are two flat buffers
-    that hold each step's gathers. Each node accumulates
-    ``w[child] * est[child]`` over its children in index order,
-    sequentially, as a naive recursion does.
+    the estimates are written to the head of ``sweeps.work``, as an
+    (n_nodes, batch) array with tips carrying their inputs, and returned.
+    Each node accumulates ``w[child] * est[child]`` over its children in
+    index order, sequentially, as a naive recursion does.
     """
+    shape = (sweeps.tree.n_nodes, len(tip_values))
+    est = sweeps.work[: math.prod(shape)].reshape(shape)
     est[sweeps.tree.tip_indices] = tip_values.T
-    acc_buf, term_buf = bufs
+    acc_buf, term_buf = sweeps.gathers
     for nodes, totals, ((kids, w, _), *rest) in sweeps.up:
         acc = _gather(est, kids, acc_buf)
         np.multiply(acc, w, out=acc)
@@ -208,9 +206,7 @@ def _nodal_estimates_batch(
     return est
 
 
-def _d_sum_rows(
-    sweeps: _Sweeps, rows: np.ndarray, work: np.ndarray, bufs: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def _d_sum_rows(sweeps: _Sweeps, rows: np.ndarray) -> np.ndarray:
     """Change score of each row of ``rows``: sum of |edge differences|.
 
     Each row is a 0/1 trait centered to +-0.5 (``trait - 0.5``, exact).
@@ -219,19 +215,17 @@ def _d_sum_rows(
     IEEE floating point - so d_sum(v) == d_sum(1 - v) holds bitwise, not
     just approximately.
 
-    The rows are swept at once, in an (n_nodes, rows) work array at the
-    head of flat ``work``, with ``bufs`` holding the gathers, sized by the
-    pruned tree's widest depth level. The edge differences replace the
-    estimates in node order, one run of ``sweeps.width`` consecutive
-    non-root nodes at a time: every parent has a larger index than its
-    children, and a run gathers its parents' estimates before it writes, so
-    each estimate is read before it is overwritten. Columns never mix and
-    each column's edges are added in node order whatever the number of
-    rows, so every score has the same bits as a sweep of its row alone.
+    The rows are swept at once, in their (n_nodes, rows) nodal estimates.
+    The edge differences replace the estimates in node order, one run of
+    ``sweeps.width`` consecutive non-root nodes at a time: every parent has
+    a larger index than its children, and a run gathers its parents'
+    estimates before it writes, so each estimate is read before it is
+    overwritten. Columns never mix and each column's edges are added in
+    node order whatever the number of rows, so every score has the same
+    bits as a sweep of its row alone.
     """
-    shape = (sweeps.tree.n_nodes, len(rows))
-    est = _nodal_estimates_batch(sweeps, rows, work[: math.prod(shape)].reshape(shape), bufs)
-    buf, _ = bufs
+    est = _nodal_estimates_batch(sweeps, rows)
+    buf, _ = sweeps.gathers
     for start in range(0, len(est) - 1, sweeps.width):
         run = slice(start, min(start + sweeps.width, len(est) - 1))
         edges = est[run]
@@ -245,25 +239,18 @@ def _d_sum_rows(
     return np.add.reduce(est[:-1], axis=0)
 
 
-def _bm_sweep(
-    levels: Sequence[tuple[np.ndarray, np.ndarray]],
-    sd: np.ndarray,
-    values: np.ndarray,
-    root_value: float,
-    bufs: tuple[np.ndarray, np.ndarray],
-) -> None:
+def _bm_sweep(sweeps: _Sweeps, sd: np.ndarray, values: np.ndarray, root_value: float) -> None:
     """Turn an (n_nodes, batch) array of innovations into BM node values, in place.
 
     Node ``i`` takes its parent's value plus ``sd[i]`` (an (n_nodes, 1)
     column) times innovation ``i``, all scaled at once before the top-down
-    sweep over ``levels`` (``tree.depth_levels``); the root (the last node)
-    takes ``root_value`` and its innovation is unused. ``bufs`` are two flat
-    buffers that hold each level's gathers.
+    sweep over ``sweeps.tree.depth_levels``; the root (the last node) takes
+    ``root_value`` and its innovation is unused.
     """
     np.multiply(values, sd, out=values)
     values[-1] = root_value
-    step_buf, base_buf = bufs
-    for nodes, parents in levels:
+    step_buf, base_buf = sweeps.gathers
+    for nodes, parents in sweeps.tree.depth_levels:
         base = _gather(values, parents, base_buf)
         values[nodes] = np.add(base, _gather(values, nodes, step_buf), out=base)
 
@@ -275,12 +262,17 @@ def simulate_bm(tree: Tree, params: BmParams) -> np.ndarray:
     innovation with variance ``sigma2 * branch length`` to its parent's
     value. Node ``i`` consumes innovation ``i`` of a single vector drawn
     from stream ``(seed, 0)``, so output is a pure function of the seed and
-    the node numbering.
+    the node numbering. Raises ValueError where ``sigma2`` times a branch
+    length overflows a double.
     """
-    values = stream(params.seed, 0).standard_normal((tree.n_nodes, 1))
-    sd = np.sqrt(params.sigma2 * tree.lengths)[:, None]
-    bufs = (np.empty(tree.n_nodes), np.empty(tree.n_nodes))
-    _bm_sweep(tree.depth_levels, sd, values, params.root_value, bufs)
+    with np.errstate(over="ignore"):
+        sd = np.sqrt(params.sigma2 * tree.lengths)[:, None]
+    # A finite sd is below 1.4e154, so no step of the sweep can overflow.
+    if not np.all(np.isfinite(sd)):
+        raise ValueError(f"sigma2 {params.sigma2:g} times a branch length overflows a double")
+    sweeps = _Sweeps(tree)
+    values = stream(params.seed, 0).standard_normal(out=sweeps.work.reshape(tree.n_nodes, 1))
+    _bm_sweep(sweeps, sd, values, params.root_value)
     return values[:, 0]
 
 
@@ -297,9 +289,7 @@ def nodal_estimates(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {tree.n_tips} tip values, got {tip_values.shape}")
     if not np.all(np.isfinite(tip_values)):
         raise ValueError("tip values must be finite")
-    est = np.empty((tree.n_nodes, 1))
-    sweeps = _Sweeps(tree)
-    return _nodal_estimates_batch(sweeps, tip_values[None, :], est, _level_bufs(sweeps, 1))[:, 0]
+    return _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :])[:, 0]
 
 
 def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
@@ -309,9 +299,7 @@ def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
         raise ValueError("tip values must be coded 0/1")
     if tip_values.min() == tip_values.max():
         raise ValueError("constant trait: d_sum undefined")
-    rows = tip_values[None, :] - 0.5
-    sweeps = _Sweeps(tree)
-    return float(_d_sum_rows(sweeps, rows, np.empty(tree.n_nodes), _level_bufs(sweeps, 1))[0])
+    return float(_d_sum_rows(_Sweeps(tree), tip_values[None, :] - 0.5)[0])
 
 
 def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
@@ -457,13 +445,13 @@ def d_statistic(
         raise ValueError(f"fewer than {MIN_TIPS_FOR_D} usable tips (got {n_used})")
     # Every trait of the call shares the mask, so it shares one pruning. The
     # pruned tree keeps the used tips in their order in ``tree``.
-    sweeps = _Sweeps(prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept}))
+    pruned = prune_to_taxa(tree, {lab for lab, kept in zip(tree.tip_labels, mask) if kept})
     traits = presence[:, mask]
     m = traits.sum(axis=1)
     results: list = ["no variation in trait" if k in (0, n_used) else None for k in m.tolist()]
     live = [i for i, result in enumerate(results) if result is None]
     if live:
-        scores = _d_scores(sweeps, traits[live], m[live], n_reps, [seeds[i] for i in live])
+        scores = _d_scores(pruned, traits[live], m[live], n_reps, [seeds[i] for i in live])
         for i, result in zip(live, _d_results(scores, len(live), n_reps, n_used)):
             results[i] = result
     if single:
@@ -505,13 +493,13 @@ def _d_results(
 
 
 def _d_scores(
-    sweeps: _Sweeps,
+    pruned: Tree,
     traits: np.ndarray,
     m: np.ndarray,
     n_reps: int,
     seeds: list[int],
 ) -> np.ndarray:
-    """Every change score of a D call's traits on the pruned ``sweeps.tree``.
+    """Every change score of a D call's traits on the ``pruned`` tree.
 
     ``traits`` holds the call's 0/1 traits over the used tips, ``m`` their
     prevalences and ``seeds`` their seeds. The scores come in the order
@@ -524,18 +512,15 @@ def _d_scores(
     n_traits, n_used = traits.shape
     n_cols = n_traits * n_reps
     width = min(_REP_BLOCK, n_cols)
-    pruned = sweeps.tree
     n_nodes = pruned.n_nodes
     scores = _replicate_array(n_traits + 2 * n_cols)
     nulls = scores[n_traits:].reshape(2, n_cols)  # shuffle-null, then BM-null
     # The block arrays, for the call's widest sweep: its observed rows, or
     # a full block's null rows.
-    n_rows = max(n_traits, 2 * width)
+    sweeps = _Sweeps(pruned, max(n_traits, 2 * width))
     null_rows = _replicate_array(2 * width * n_used)
-    work = _replicate_array(n_rows * n_nodes)
-    bufs = _level_bufs(sweeps, n_rows)
     centered = traits - 0.5  # as _d_sum_rows takes a row
-    scores[:n_traits] = _d_sum_rows(sweeps, centered, work, bufs)
+    scores[:n_traits] = _d_sum_rows(sweeps, centered)
     g = stream(seeds[0], 0)
 
     def tie_keys(col: int) -> np.ndarray:
@@ -555,10 +540,10 @@ def _d_scores(
         shuffled, bm_rows = rows[:w], rows[w:]
         centered.take(col_traits, axis=0, out=shuffled, mode="clip")
         # The BM values, node-major, then the innovations, replicate-major;
-        # once both are spent, ``work`` holds the threshold and then is the
-        # change-score sweep's work array.
-        values = work[: w * n_nodes].reshape(n_nodes, w)
-        innovations = work[w * n_nodes : 2 * w * n_nodes].reshape(w, n_nodes)
+        # once both are spent, ``sweeps.work`` holds the threshold and then
+        # the change-score sweep's estimates.
+        values = sweeps.work[: w * n_nodes].reshape(n_nodes, w)
+        innovations = sweeps.work[w * n_nodes : 2 * w * n_nodes].reshape(w, n_nodes)
         for j, col in enumerate(range(start, stop)):
             trait, r = divmod(col, n_reps)
             rekey(g, seeds[trait], r)
@@ -568,11 +553,11 @@ def _d_scores(
         # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
         # values are gathered, tip-major, into the BM half of ``rows``, which
         # is overwritten by the thresholded traits only once all are known.
-        _bm_sweep(pruned.depth_levels, sweeps.sd, values, 0.0, bufs)
+        _bm_sweep(sweeps, sweeps.sd, values, 0.0)
         tips = bm_rows.reshape(n_used, w)
         np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
-        thresholded = work[: w * n_used].reshape(w, n_used)
+        thresholded = sweeps.work[: w * n_used].reshape(w, n_used)
         _threshold_rows(tips.T, m[col_traits], lambda j: tie_keys(start + j), thresholded)
         np.subtract(thresholded, 0.5, out=bm_rows)
-        nulls[:, start:stop] = _d_sum_rows(sweeps, rows, work, bufs).reshape(2, w)
+        nulls[:, start:stop] = _d_sum_rows(sweeps, rows).reshape(2, w)
     return scores

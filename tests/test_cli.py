@@ -207,6 +207,21 @@ class TestSimulate:
         assert code == 1
         assert "sigma2" in capsys.readouterr().err
 
+    def test_overflowing_sigma2_is_one_error_line_under_warnings_as_errors(self, tmp_path):
+        tree_path = tmp_path / "two.nwk"
+        tree_path.write_text("(A:2,B:1):0;\n", "utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "lexiphylo", "simulate",
+             "--tree", str(tree_path), "--seed", "1", "--sigma2", "1e308"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "inf" not in proc.stdout
+        assert proc.stderr.splitlines() == [
+            "error: sigma2 1e+308 times a branch length overflows a double"
+        ]
+
 
 @pytest.fixture(scope="module")
 def ranked(tmp_path_factory):

@@ -255,6 +255,21 @@ def test_memory_grows_with_distinct_names_not_rows():
     assert peak / n_rows <= 360, f"{peak / n_rows:.0f} B/row at peak"
 
 
+def test_concept_index_holds_a_tuple_entry_per_membership():
+    # Each (language, class) membership of the benchmark's 400 x 24 table is
+    # one tuple slot in the concept index. The index that kept a frozenset
+    # per class and per concept's attested languages held about 142 B each.
+    matrix, _ = load_cognates(benchmark_corpus()[1])
+    memberships = sum(len(ids) for ids in matrix.entries.values())
+    tracemalloc.start()
+    try:
+        matrix._index
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / memberships <= 40, f"{retained / memberships:.0f} B per membership"
+
+
 class TestBinaryTrait:
     def test_fixture_class_k1(self):
         matrix, _ = load_cognates(BASIC)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from util import (
     oracle_d_scores,
     oracle_d_sum,
     oracle_nodal_estimates,
+    oracle_simulate_bm,
     sample_binary_traits,
 )
 
@@ -80,6 +82,34 @@ class TestSimulateBm:
             BmParams(sigma2=0.0)
         with pytest.raises(ValueError, match="sigma2"):
             BmParams(sigma2=-1.0)
+
+    def test_matches_naive_recursion_bitwise(self):
+        trees = [
+            read_newick_file(BUNDLED / "tree.nwk"),
+            parse_newick(benchmark_corpus_newick()),
+            parse_newick("((A:1,B:2,C:0.5,D:3):1,E:2,(F:1,G:0.75,H:1):0.25);"),  # polytomies
+            parse_newick("((A:0,B:0.5):0,(C:0,(D:1,E:0):0):2,F:0);"),  # zero-length branches
+            parse_newick("A;"),
+        ]
+        for tree in trees:
+            for sigma2, root_value, seed in [(1.0, 0.0, 7), (2.5, -3.5, 11), (1e-3, 1e6, 0)]:
+                values = simulate_bm(tree, BmParams(sigma2, root_value, seed))
+                expected = oracle_simulate_bm(tree, sigma2, root_value, seed)
+                assert values.tobytes() == expected.tobytes()
+
+    def test_rate_times_length_that_overflows_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            message = r"^sigma2 1e\+308 times a branch length overflows a double$"
+            with pytest.raises(ValueError, match=message):
+                simulate_bm(parse_newick("(A:2,B:1):0;"), BmParams(1e308, seed=1))
+            with pytest.raises(ValueError, match="overflows a double"):
+                simulate_bm(parse_newick("(A:1e10,B:1):0;"), BmParams(1e300, seed=1))
+            # A length whose inverse overflows is a valid branch for BM.
+            simulate_bm(parse_newick("(A:1e-320,B:1):0;"), BmParams(1.0, seed=1))
+            # Up to the largest double, sigma2 * length simulates finite values.
+            values = simulate_bm(parse_newick("(A:1,B:1.7):0;"), BmParams(1e308, -1.7e308, seed=1))
+        assert np.all(np.isfinite(values))
 
 
 class TestNodalEstimates:

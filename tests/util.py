@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,19 @@ def oracle_d_sum(tree: Tree, tip_values) -> float:
 
     visit(tree.root)
     return total
+
+
+def oracle_simulate_bm(tree: Tree, sigma2: float, root_value: float, seed: int) -> np.ndarray:
+    """Brownian motion node by node from the root: the innovations are one
+    (n_nodes, 1) draw from stream ``(seed, 0)``, and node ``i`` takes its
+    parent's value plus ``sqrt(sigma2 * length[i]) * z[i]``."""
+    z = stream(seed, 0).standard_normal((tree.n_nodes, 1))[:, 0].tolist()
+    values = np.empty(tree.n_nodes)
+    values[tree.root] = root_value
+    for i in range(tree.n_nodes - 2, -1, -1):
+        sd = math.sqrt(sigma2 * float(tree.lengths[i]))
+        values[i] = float(values[tree.parents[i]]) + sd * z[i]
+    return values
 
 
 def oracle_d_scores(tree: Tree, presence, mask, n_reps: int, seed: int) -> np.ndarray:

@@ -48,7 +48,8 @@ not grow with ``n_reps``: the only replicate-sized array a call allocates
 is its scores, three floats per column, before any draw.
 
 Zero-length branches are kept as stored; wherever a branch length is used
-as an inverse weight (nodal estimates, contrasts) a zero is substituted by
+as an inverse weight (nodal estimates, contrasts) a zero, or any length
+whose inverse is not a finite double (such as 1e-320), is substituted by
 ``epsilon = 1e-8 * tree height`` (1e-8 absolute on a zero-height tree, which
 makes the weights uniform). BM simulation uses raw lengths: a zero branch
 genuinely means zero variance.
@@ -118,6 +119,14 @@ def _epsilon(tree: Tree) -> float:
     return 1e-8 * tree.height if tree.height > 0 else 1e-8
 
 
+def _weight_lengths(tree: Tree) -> np.ndarray:
+    """Each node's branch length as an inverse weight reads it: a length whose
+    inverse is not a finite double (a zero, or e.g. 1e-320) counts as epsilon."""
+    with np.errstate(divide="ignore", over="ignore"):
+        finite = np.isfinite(1.0 / tree.lengths)
+    return np.where(finite, tree.lengths, _epsilon(tree))
+
+
 class _Sweeps:
     """The sweep schedules of one tree, and the arrays its sweeps of at most
     ``n_rows`` rows work in: two flat ``gathers`` slabs of ``width * n_rows``
@@ -147,9 +156,8 @@ class _Sweeps:
         have one. Totals add children in index order, as a naive recursion does.
         """
         tree = self.tree
-        lengths = tree.lengths[:-1]
         w = np.zeros(tree.n_nodes)
-        w[:-1] = 1.0 / np.where(lengths != 0.0, lengths, _epsilon(tree))
+        w[:-1] = 1.0 / _weight_lengths(tree)[:-1]
         flat, counts, starts = tree.child_table
         up = []
         for nodes in [*(nodes for nodes, _ in reversed(tree.depth_levels)), np.array([tree.root])]:
@@ -306,10 +314,11 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
     """BM rate estimate: mean of squared standardized independent contrasts.
 
     Felsenstein (1985) contrasts in one postorder pass: each node passes up a
-    value and a rate-scaled length, and zero lengths count as epsilon. A
-    polytomy is resolved inline, as that pass reaches it: while it has more
-    than two children, two drawn from stream ``(seed, 0)`` merge into one
-    behind a zero-length branch. ``tip_values`` aligns with
+    value and a rate-scaled length, and a length whose inverse is not a
+    finite double, such as a zero, counts as epsilon. A polytomy is
+    resolved inline, as that pass reaches it: while it has more than two
+    children, two drawn from stream ``(seed, 0)`` merge into one behind a
+    zero-length branch. ``tip_values`` aligns with
     ``tree.tip_indices``. Raises on a constant trait ("zero variance").
     """
     tip_values = np.asarray(tip_values, dtype=float)
@@ -321,7 +330,7 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
         raise ValueError("zero variance: all tip values equal")
 
     eps = _epsilon(tree)
-    lengths = np.where(tree.lengths != 0.0, tree.lengths, eps).tolist()
+    lengths = _weight_lengths(tree).tolist()
     tips = iter(tip_values.tolist())
     rng = stream(seed, 0)
     contrasts: list[float] = []

@@ -103,6 +103,9 @@ class Tree:
                             "(left-to-right postorder numbering)")
         if "" in self.labels or _UNWRITABLE.search("\0".join(filter(None, self.labels))):
             raise TreeError("labels must be non-empty and hold no whitespace or any of ( ) , : ; [")
+        with np.errstate(over="ignore"):  # caches the distances, so none warns later
+            if not np.isfinite(self.height):
+                raise TreeError("a root-to-tip path length overflows a double")
 
     # -- derived views ---------------------------------------------------
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -165,6 +166,37 @@ class TestDstat:
         )
         assert code == 1
         assert "fewer than 4 usable tips" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "18446744073709551617"])
+    def test_seed_outside_64_bits_is_an_error_line(self, tmp_path, capsys, seed):
+        # The draws mask a seed to 64 bits, so 2**64 + 1 would draw as seed 1.
+        tree_path, cognates_path = write_inputs(tmp_path)
+        code = main(["rank", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                     "--seed", seed, "--reps", "3", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: lexiphylo rank: argument --seed: must be in 0..{2**64 - 1}, got {seed}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_config_seed_outside_64_bits_is_an_error_line(self, tmp_path, capsys):
+        tree_path, cognates_path = write_inputs(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -1}), "utf-8")
+        code = main(["dstat", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                     "--concept", "eye", "--cognate-class", "K1", "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --config key 'seed': bad value -1: must be in 0..{2**64 - 1}, got -1\n"
+        )
+
+    def test_largest_64_bit_seed_is_accepted(self, tmp_path, capsys):
+        tree_path, cognates_path = write_inputs(tmp_path)
+        code = main(["dstat", "--tree", str(tree_path), "--cognates", str(cognates_path),
+                     "--concept", "eye", "--cognate-class", "K1", "--seed", str(2**64 - 1),
+                     "--reps", "5"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_seed_required(self, tmp_path, capsys):
         tree_path, cognates_path = write_inputs(tmp_path)
@@ -642,6 +674,8 @@ _BAD_INPUTS = [
     ("cognates.csv", b"lang,concept,cognate_id\n", "missing required column 'language' at line 1"),
     ("cognates.csv", b"language,concept,cognate_id,concept\nL000,eye,K1,hand\n",
      "duplicate column 'concept' in header at line 1"),
+    ("tree.nwk", b"((L000:1e308,L001:1):1e308,L002:1);",
+     "a root-to-tip path length overflows a double"),
 ]
 
 
@@ -885,6 +919,86 @@ def test_config_defaults_do_not_outlive_the_call(tmp_path):
         for label in runs
     }
     assert n_reps == {"config": 7, "default": cli.DEFAULT_N_REPS}
+
+
+@pytest.mark.parametrize("newick, code", [
+    ("(((A:1e-320,B:1):1,C:1):1,(D:1,E:1):1):0;", 0),
+    ("(((A:1e308,B:0):1e308,C:1e308):1e308,(D:0,E:0):1e308):0;", 1),
+    ("(((A:1e308,B:1):1e308,C:1):1,(D:1,E:1):1):0;", 1),
+])
+def test_extreme_branch_lengths_under_warnings_as_errors(tmp_path, newick, code):
+    """A length whose inverse overflows gives a finite D; a root-to-tip path
+    beyond a double is one error line naming the tree, not D=nan or a
+    traceback from an overflow warning."""
+    tree_path = tmp_path / "tree.nwk"
+    tree_path.write_text(newick + "\n", "utf-8")
+    cognates_path = tmp_path / "cognates.csv"
+    cognates_path.write_text("language,concept,cognate_id\nA,c,k1\nB,c,k2\nC,c,k1\n"
+                             "D,c,k2\nE,c,k1\n", "utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "lexiphylo", "dstat",
+         "--tree", str(tree_path), "--cognates", str(cognates_path), "--concept", "c",
+         "--cognate-class", "k1", "--seed", "1", "--reps", "20"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.splitlines() == [
+            f"error: {tree_path}: a root-to-tip path length overflows a double"
+        ]
+        return
+    assert proc.stderr == ""
+    printed = dict(line.split("=", 1) for line in proc.stdout.splitlines()[1:])
+    assert all(math.isfinite(float(printed[name])) for name in ("d_obs", "D"))
+
+
+def test_a_config_call_builds_no_parser(tmp_path, monkeypatch, capsys):
+    """Every main call in a process parses with one parser, --config or not:
+    a config fills the flags argv leaves out, with no second parse."""
+    tree_path, cognates_path = write_inputs(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 5, "reps": "7"}), "utf-8")
+    argv = ["dstat", "--tree", str(tree_path), "--cognates", str(cognates_path),
+            "--concept", "eye", "--cognate-class", "K1", "--config", str(config)]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 0
+    assert built == []
+    assert capsys.readouterr().out.count("n_reps=7\n") == 2
+
+
+def test_a_flag_left_out_takes_its_default_in_every_subcommand():
+    """The parser suppresses every default, so ``_FLAGS`` is their one source:
+    given only its required flags, each subcommand gets exactly its flags,
+    those left out at their ``_FLAGS`` defaults, and a flag that several
+    subcommands take has the same value in each."""
+    given = {"tree": "T.nwk", "cognates": "C.csv", "out": "OUT", "concept": "eye",
+             "cognate_class": "K1", "sigma2": "2", "seed": "9"}
+    first_seen = {}
+    for command, (func, _, names) in cli._COMMANDS.items():
+        argv = [command]
+        for name in names:
+            option, spec = cli._FLAGS[name]
+            if spec.get("required") or name == "seed":
+                argv += [option, given[name]]
+        args = cli._parse_args(argv)
+        dests = {name: cli._FLAGS[name][0][2:].replace("-", "_") for name in names}
+        assert sorted(vars(args)) == sorted(["command", "func", *dests.values()])
+        assert args.func is func
+        for name, dest in dests.items():
+            value = getattr(args, dest)
+            if name not in given:
+                assert value == cli._FLAGS[name][1].get("default"), (command, name)
+            other, other_value = first_seen.setdefault(name, (command, value))
+            assert value == other_value, (name, command, other)
 
 
 def test_parser_is_built_on_first_call_not_at_import(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -147,6 +148,38 @@ class TestNodalEstimates:
             assert [nodes.tolist() for nodes, _, _ in up] == [nodes for nodes in steps if nodes]
             assert sweeps.width == max(map(len, levels))
             assert all(len(kids) <= sweeps.width for _, _, slots in up for kids, _, _ in slots)
+
+    def test_a_length_whose_inverse_overflows_counts_as_epsilon(self):
+        """1 / 1e-320 is inf, which made every estimate above that branch, every
+        D on its tree and the contrasts through it NaN; it now reads as a zero
+        length does, in the sweeps and in ``estimate_sigma2`` alike."""
+        tiny = parse_newick("(((A:1e-320,B:1):1,C:1):1,(D:1,E:1):1):0;")
+        zero = parse_newick("(((A:0,B:1):1,C:1):1,(D:1,E:1):1):0;")
+        tips = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = nodal_estimates(tiny, tips)
+            sigma2 = estimate_sigma2(tiny, tips)
+            d = d_statistic(tiny, tips.astype(np.int8), np.ones(5, bool), n_reps=50, seed=3)
+        assert est.tobytes() == nodal_estimates(zero, tips).tobytes()
+        assert math.isfinite(sigma2) and sigma2 == estimate_sigma2(zero, tips)
+        assert math.isfinite(d.D) and d == d_statistic(
+            zero, tips.astype(np.int8), np.ones(5, bool), n_reps=50, seed=3
+        )
+
+    def test_only_lengths_with_a_non_finite_inverse_count_as_epsilon(self):
+        # The largest double's inverse is subnormal, and its own inverse rounds
+        # to inf; the next double up has a finite inverse and keeps its length.
+        smallest = 1 / sys.float_info.max
+        above = float(np.nextafter(smallest, 1.0))
+        lengths = [0.0, 5e-324, 1e-320, smallest, above, 1e-300, 1.0]
+        newick = "(" + ",".join(f"T{i}:{x!r}" for i, x in enumerate(lengths)) + "):0;"
+        tree = parse_newick(newick)
+        eps = comparative._epsilon(tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = comparative._weight_lengths(tree)
+        assert got.tolist() == [eps, eps, eps, eps, above, 1e-300, 1.0, eps]
 
     def test_constant_tips(self, balanced4):
         est = nodal_estimates(balanced4, [2.5] * 4)

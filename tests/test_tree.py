@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,6 +336,24 @@ class TestConstructor:
         with pytest.raises(TreeError) as caught:
             Tree(parents, lengths, labels)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("newick", [
+        "(((A:1e308,B:0):1e308,C:1e308):1e308,(D:0,E:0):1e308):0;",
+        "(((A:1e308,B:1):1e308,C:1):1,(D:1,E:1):1):0;",
+    ])
+    def test_a_root_to_tip_path_beyond_a_double_is_refused(self, newick):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(TreeError, match="^a root-to-tip path length overflows a double$"):
+                parse_newick(newick)
+
+    def test_root_to_tip_paths_up_to_the_largest_double_are_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The root's own length is on no root-to-tip path.
+            tree = parse_newick("((A:8e307,B:1):9e307,C:1):1e308;")
+            pruned = prune_to_taxa(tree, {"A", "C"})
+        assert tree.height == pruned.height == 8e307 + 9e307
 
     def test_lone_bracket_and_quotes_are_writable(self):
         tree = parse_newick("(A],B)x'y;")

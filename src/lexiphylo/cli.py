@@ -76,7 +76,7 @@ from .ranking import (
     orient_axes,
 )
 from .report import emit_report, emit_scatter, to_json
-from .tree import Tree, read_newick_file
+from .tree import Tree, TreeError, read_newick_file
 
 
 class CliError(Exception):
@@ -90,7 +90,10 @@ def _concept_task(tree: Tree, n_reps: int, planned: ConceptPlan) -> MeaningClass
     # Module-level, so a pool can pickle it. It looks compute_metrics up in
     # this module when it runs, so a wrapper put in that name's place, which
     # could not be pickled itself, is what pool workers call.
-    return compute_metrics(tree, planned, n_reps)
+    try:
+        return compute_metrics(tree, planned, n_reps)
+    except TreeError as exc:  # its pruned tree's inverse-length weights overflow
+        raise TreeError(f"concept {planned.concept!r}: {exc}") from None
 
 
 def _compute_all_metrics(
@@ -198,16 +201,11 @@ class _Selection(typing.TypedDict("_Selection", {"mode": str, "warnings": list[s
 
 
 @dataclasses.dataclass(frozen=True)
-class _ClustersCache:
+class _ClustersCache(ClusterAssignment):
     """``clusters.json``: a ``ClusterAssignment`` with its labels keyed by concept."""
 
-    upstream_sha256: str
     labels: dict[str, int]
-    centroids: np.ndarray
-    wcss: float
-    k: int
-    seed: int
-    n_restarts: int
+    upstream_sha256: str
     selection: _Selection
 
     def __post_init__(self) -> None:
@@ -350,8 +348,9 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
 
     Every concept's D work is planned before any draw, so a corpus that can
     make no feature table, and a --k (rank) above the planned concepts, are
-    refused before any D statistic is computed. Only a corpus whose every
-    analysed class has coinciding nulls is refused after its draws.
+    refused before any D statistic is computed. Only a concept whose pruned
+    tree's inverse-length weights overflow (in its D call) and a corpus whose
+    every analysed class has coinciding nulls (after its draws) are refused later.
     """
     out = Path(args.out)
     tree, tree_input = _read_input(args.tree, read_newick_file)
@@ -370,7 +369,10 @@ def _metrics_stage(args: argparse.Namespace) -> tuple[_MetricsCache, str]:
         raise CliError(
             f"k out of range: need 1 <= k <= {len(plans)} usable concepts, got {args.k}"
         )
-    metrics = _compute_all_metrics(tree, plans, config.n_reps, args.workers)
+    try:
+        metrics = _compute_all_metrics(tree, plans, config.n_reps, args.workers)
+    except TreeError as exc:
+        raise CliError(f"{args.tree}: {exc}") from None
     if all(concept.mean_d is None for concept in metrics):
         raise CliError(
             f"{args.cognates}: no cognate class has a D statistic: "
@@ -586,7 +588,10 @@ def _cmd_dstat(args: argparse.Namespace) -> int:
     if isinstance(seed, str):
         raise CliError(seed)
     row = list(planned.classes).index(cls)
-    result = d_statistic(tree, planned.presence[row], planned.mask, n_reps=args.reps, seed=seed)
+    try:
+        result = d_statistic(tree, planned.presence[row], planned.mask, n_reps=args.reps, seed=seed)
+    except TreeError as exc:
+        raise CliError(f"{args.tree}: {exc}") from None
     print(f"concept={concept!r} cognate_class={cls!r}")
     for name, value in dataclasses.asdict(result).items():
         print(f"{name}={value}")

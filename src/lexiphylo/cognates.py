@@ -136,34 +136,6 @@ def _physical_lines(chunks: Iterable[str]) -> Iterator[str]:
         yield tail
 
 
-def _split_rows(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    """First physical line and whitespace-stripped CSV fields of each non-blank row.
-
-    A quoted field keeps the line breaks inside it. A row is blank when all
-    of its lines are whitespace. The first row is the header, and a table
-    with no row after it is an error at its last line.
-    """
-    row_lines: list[str] = []  # the physical lines of the row being read
-
-    def recorded() -> Iterator[str]:
-        for line in lines:
-            row_lines.append(line)
-            yield line
-
-    reader = csv.reader(recorded(), delimiter=delimiter, strict=True)
-    n_rows = 0
-    try:
-        for fields in reader:
-            if "".join(row_lines).strip():
-                n_rows += 1
-                yield reader.line_num - len(row_lines) + 1, [f.strip() for f in fields]
-            row_lines.clear()
-    except csv.Error as exc:
-        raise CognateFormatError(f"malformed row ({exc})", reader.line_num) from None
-    if n_rows < 2:
-        raise CognateFormatError("no data rows", reader.line_num)
-
-
 def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[ValidationIssue]]:
     """Load and validate a delimited cognate table.
 
@@ -187,30 +159,25 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
 
 
 def _load_lines(lines: Iterator[str]) -> tuple[CognateMatrix, list[ValidationIssue]]:
-    """``load_cognates`` of the table whose physical lines are ``lines``."""
-    first_line = next(lines, "")
-    if not first_line.strip():
+    """``load_cognates`` of the table whose physical lines are ``lines``.
+
+    The first row is the header. A quoted field keeps its line breaks, so a
+    row that spans lines holds a quote, and a blank row, which is skipped, is
+    one line of whitespace. A row's errors name its first line, one past the
+    last line of the row before; a row that does not parse, and a table with
+    no data row, name the last line read.
+    """
+    last = next(lines, "")  # the last line the reader has taken
+    if not last.strip():
         raise CognateFormatError("empty input (no header)", 1)
 
-    delimiter = "\t" if "\t" in first_line else ","
-    rows = _split_rows(itertools.chain((first_line,), lines), delimiter)
-    _, header = next(rows)
-    for name in (*REQUIRED_COLUMNS, LOAN_COLUMN):
-        if header.count(name) > 1:
-            raise CognateFormatError(f"duplicate column {name!r} in header", 1)
-    col_index = {name: i for i, name in enumerate(header)}
-    for required in REQUIRED_COLUMNS:
-        if required not in col_index:
-            raise CognateFormatError(f"missing required column {required!r}", 1)
+    def recorded() -> Iterator[str]:
+        nonlocal last
+        yield last
+        for last in lines:
+            yield last
 
-    required_fields = itemgetter(*(col_index[name] for name in REQUIRED_COLUMNS))
-    warnings: list[ValidationIssue] = []
-    has_loan = LOAN_COLUMN in col_index
-    if not has_loan:
-        warnings.append(
-            ValidationIssue("warning", 1, "loan column absent; all loan flags set to 0")
-        )
-
+    reader = csv.reader(recorded(), delimiter="\t" if "\t" in last else ",", strict=True)
     # Each name maps to its one copy, and each distinct set of classes to
     # its one frozenset; insertion order keeps languages and concepts in
     # first-seen order.
@@ -221,41 +188,59 @@ def _load_lines(lines: Iterator[str]) -> tuple[CognateMatrix, list[ValidationIss
     entries: dict[tuple[str, str], frozenset[str]] = {}
     loans: set[tuple[str, str, str]] = set()
 
-    for lineno, fields in rows:
-        if len(fields) != len(header):
-            raise CognateFormatError(
-                f"expected {len(header)} fields, got {len(fields)}", lineno
-            )
-        row = required_fields(fields)
-        if not all(row):
-            raise CognateFormatError(f"empty {REQUIRED_COLUMNS[row.index('')]}", lineno)
-        language = languages.setdefault(row[0], row[0])
-        concept = concepts.setdefault(row[1], row[1])
-        cognate_id = class_ids.setdefault(row[2], row[2])
+    try:
+        header = [f.strip() for f in next(reader)]
+        for name in (*REQUIRED_COLUMNS, LOAN_COLUMN):
+            if header.count(name) > 1:
+                raise CognateFormatError(f"duplicate column {name!r} in header", 1)
+        col_index = {name: i for i, name in enumerate(header)}
+        for required in REQUIRED_COLUMNS:
+            if required not in col_index:
+                raise CognateFormatError(f"missing required column {required!r}", 1)
+        required_fields = itemgetter(*(col_index[name] for name in REQUIRED_COLUMNS))
+        has_loan = LOAN_COLUMN in col_index
 
-        held = entries.get((language, concept), frozenset())
-        if cognate_id in held:
-            raise CognateFormatError(
-                f"duplicate row ({language}, {concept}, {cognate_id})", lineno
-            )
-        loan_flag = fields[col_index[LOAN_COLUMN]] if has_loan else ""
-        if loan_flag not in ("", "0", "1"):
-            raise CognateFormatError(
-                f"loan flag must be 0, 1, or empty, got {loan_flag!r}", lineno
-            )
+        row_end = reader.line_num  # the last line of the row before
+        for fields in reader:
+            lineno, row_end = row_end + 1, reader.line_num
+            if last.isspace():
+                continue
+            fields = [f.strip() for f in fields]
+            if len(fields) != len(header):
+                raise CognateFormatError(
+                    f"expected {len(header)} fields, got {len(fields)}", lineno
+                )
+            row = required_fields(fields)
+            if not all(row):
+                raise CognateFormatError(f"empty {REQUIRED_COLUMNS[row.index('')]}", lineno)
+            language = languages.setdefault(row[0], row[0])
+            concept = concepts.setdefault(row[1], row[1])
+            cognate_id = class_ids.setdefault(row[2], row[2])
 
-        classes = held | {cognate_id}
-        entries[language, concept] = class_sets.setdefault(classes, classes)
-        if loan_flag == "1":
-            loans.add((language, concept, cognate_id))
+            held = entries.get((language, concept), frozenset())
+            if cognate_id in held:
+                raise CognateFormatError(
+                    f"duplicate row ({language}, {concept}, {cognate_id})", lineno
+                )
+            loan_flag = fields[col_index[LOAN_COLUMN]] if has_loan else ""
+            if loan_flag not in ("", "0", "1"):
+                raise CognateFormatError(
+                    f"loan flag must be 0, 1, or empty, got {loan_flag!r}", lineno
+                )
 
-    matrix = CognateMatrix(
-        languages=tuple(languages),
-        concepts=tuple(concepts),
-        entries=entries,
-        loans=frozenset(loans),
-    )
-    return matrix, warnings
+            classes = held | {cognate_id}
+            entries[language, concept] = class_sets.setdefault(classes, classes)
+            if loan_flag == "1":
+                loans.add((language, concept, cognate_id))
+    except csv.Error as exc:
+        raise CognateFormatError(f"malformed row ({exc})", reader.line_num) from None
+    if not entries:
+        raise CognateFormatError("no data rows", reader.line_num)
+
+    warnings = [] if has_loan else [
+        ValidationIssue("warning", 1, "loan column absent; all loan flags set to 0")
+    ]
+    return CognateMatrix(tuple(languages), tuple(concepts), entries, frozenset(loans)), warnings
 
 
 def write_cognates(matrix: CognateMatrix) -> str:

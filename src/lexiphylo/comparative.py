@@ -51,8 +51,9 @@ Zero-length branches are kept as stored; wherever a branch length is used
 as an inverse weight (nodal estimates, contrasts) a zero, or any length
 whose inverse is not a finite double (such as 1e-320), is substituted by
 ``epsilon = 1e-8 * tree height`` (1e-8 absolute on a zero-height tree, which
-makes the weights uniform). BM simulation uses raw lengths: a zero branch
-genuinely means zero variance.
+makes the weights uniform); weights that still overflow a double, alone or
+summed at a node, are a TreeError. BM simulation uses raw lengths: a zero
+branch genuinely means zero variance.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import rekey, stream
-from .tree import Tree, prune_to_taxa
+from .tree import Tree, TreeError, prune_to_taxa
 
 DEFAULT_N_REPS = 1000
 MIN_TIPS_FOR_D = 4
@@ -146,6 +147,7 @@ class _Sweeps:
         self.work = _replicate_array(n_rows * tree.n_nodes)
 
     @cached_property
+    @np.errstate(divide="ignore", over="ignore")  # a total that overflows is refused
     def up(self) -> list[tuple[np.ndarray, np.ndarray, list[tuple]]]:
         """The up-sweep schedule, built on first use, as a BM sweep inverts no
         length: a step per level of ``tree.depth_levels`` with an internal
@@ -154,6 +156,7 @@ class _Sweeps:
         inverse-length weight totals, and per child slot ``k`` the k-th
         children, their weights and the positions of the step's nodes that
         have one. Totals add children in index order, as a naive recursion does.
+        Raises TreeError where a total is not a finite double; every weight enters one.
         """
         tree = self.tree
         w = np.zeros(tree.n_nodes)
@@ -174,6 +177,8 @@ class _Sweeps:
                     totals = weights.copy()
                 slots.append((kth, weights, slice(None) if has.all() else np.flatnonzero(has)))
             if slots:
+                if not np.isfinite(totals).all():
+                    raise TreeError("inverse branch-length weight totals overflow a double")
                 up.append((nodes, totals, slots))
         return up
 
@@ -318,8 +323,9 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
     finite double, such as a zero, counts as epsilon. A polytomy is
     resolved inline, as that pass reaches it: while it has more than two
     children, two drawn from stream ``(seed, 0)`` merge into one behind a
-    zero-length branch. ``tip_values`` aligns with
-    ``tree.tip_indices``. Raises on a constant trait ("zero variance").
+    zero-length branch. ``tip_values`` aligns with ``tree.tip_indices``.
+    Raises on a constant trait ("zero variance"), and TreeError where the
+    inverse-length weight total of a join is not a finite double.
     """
     tip_values = np.asarray(tip_values, dtype=float)
     if tip_values.shape != (tree.n_tips,):
@@ -337,8 +343,11 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
 
     def join(a: tuple[float, float], b: tuple[float, float], length: float) -> tuple[float, float]:
         (xa, va), (xb, vb) = a, b
+        total = 1.0 / va + 1.0 / vb if va and vb else math.inf  # epsilon may underflow to 0
+        if not math.isfinite(total):
+            raise TreeError("inverse branch-length weight totals overflow a double")
         contrasts.append((xa - xb) / math.sqrt(va + vb))
-        return (xa / va + xb / vb) / (1.0 / va + 1.0 / vb), length + va * vb / (va + vb)
+        return (xa / va + xb / vb) / total, length + va * vb / (va + vb)
 
     # (value, rate-scaled length) of every node, in postorder.
     up: list[tuple[float, float]] = []

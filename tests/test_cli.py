@@ -869,6 +869,14 @@ RECLUSTER = ["cluster", "--seed", "7"]
          ["cluster", "--seed", "3", "--kmeans-k", "2"],
          "scores[0] and scores[1]: distinct PC1/PC2 rows whose squared distance underflows "
          "to 0"),
+        # Each record's own checks, past the types.
+        ("metrics.json", _chain(_set("concepts", 0, "mean_d", 0.5),
+                                _set("concepts", 0, "class_results", {})), "metrics", ["pca"],
+         "concepts[0].mean_d: expected null exactly when there are no class results, got 0.5"),
+        ("clusters.json", _set("centroids", [[0.0, 0.0]]), "cluster", ["report", "--k", "3"],
+         "centroids: expected an array of shape (2, 2), got (1, 2)"),
+        ("clusters.json", _set("labels", "dog", 2), "cluster", ["report", "--k", "3"],
+         "labels['dog']: expected a cluster in 0..1, got 2"),
     ],
 )
 def test_malformed_cache_is_a_located_error(
@@ -894,6 +902,20 @@ def test_malformed_cache_is_a_located_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is malformed ({problem}"), err
     assert err.endswith(f"); re-run the {stage} stage\n"), err
+
+
+@pytest.mark.parametrize("argv, name, stage", [
+    (["pca"], "metrics.json", "metrics"),
+    (["cluster", "--seed", "7"], "pca.json", "pca"),
+    (["report", "--k", "3"], "clusters.json", "cluster"),
+])
+def test_missing_cache_names_the_stage_to_run(ranked, tmp_path, capsys, argv, name, stage):
+    _, _, _, out = ranked
+    work = tmp_path / "work"
+    shutil.copytree(out, work)
+    (work / name).unlink()
+    assert main([*argv, "--out", str(work)]) == 1
+    assert capsys.readouterr().err == f"error: {work / name} not found; run the {stage} stage first\n"
 
 
 def test_config_defaults_do_not_outlive_the_call(tmp_path):
@@ -951,6 +973,42 @@ def test_extreme_branch_lengths_under_warnings_as_errors(tmp_path, newick, code)
     assert proc.stderr == ""
     printed = dict(line.split("=", 1) for line in proc.stdout.splitlines()[1:])
     assert all(math.isfinite(float(printed[name])) for name in ("d_obs", "D"))
+
+
+@pytest.mark.parametrize("newick", [
+    "(((A:1e-308,B:1e-308):1,C:1):1,(D:1,E:1):1):0;",
+    "(((A:1e-310,B:1e-310):1e-310,C:1e-310):1e-310,(D:1e-310,E:1e-310):1e-310):0;",
+])
+@pytest.mark.parametrize("command", [
+    ["dstat", "--concept", "c", "--cognate-class", "c1"],
+    ["metrics", "--out", "OUT"],
+    ["rank", "--k", "3", "--workers", "2", "--out", "OUT"],
+])
+def test_overflowing_inverse_weights_are_one_error_line(tmp_path, newick, command):
+    """Inverse-length weight totals beyond a double refuse the D statistic:
+    one error line naming the tree (and, in the metrics stage, the concept),
+    not a wrong or NaN D after an overflow warning, and no --out."""
+    rows = ["language,concept,cognate_id"] + [
+        f"{lang},{concept},{concept}{cls}"
+        for concept, classes in (("c", "12121"), ("d", "11222"), ("e", "12211"))
+        for lang, cls in zip("ABCDE", classes)
+    ]
+    tree_path, cognates_path = write_inputs(tmp_path, newick, rows)
+    out = tmp_path / "out"
+    command = [str(out) if flag == "OUT" else flag for flag in command]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "lexiphylo", *command,
+         "--tree", str(tree_path), "--cognates", str(cognates_path), "--seed", "1",
+         "--reps", "20"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    where = "" if command[0] == "dstat" else "concept 'c': "
+    assert proc.stderr.splitlines() == [
+        f"error: {tree_path}: {where}inverse branch-length weight totals overflow a double"
+    ]
+    assert not out.exists()
 
 
 def test_a_config_call_builds_no_parser(tmp_path, monkeypatch, capsys):

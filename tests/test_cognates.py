@@ -92,6 +92,14 @@ class TestLoad:
         assert load_cognates(tabs)[0].entries == {("L1", "eye"): frozenset({"K1"})}
         with pytest.raises(CognateFormatError, match="empty language at line 3"):
             load_cognates(BASIC.replace("L2,eye,K1,0", " , , , "))
+        assert load_cognates(tabs.replace("\t\t\t\n", "\t\t\n"))[0].entries == {
+            ("L1", "eye"): frozenset({"K1"})
+        }
+        # A quoted cell is a row, even when it holds only whitespace: only a
+        # row that is one unquoted line of whitespace is blank.
+        for cell in ('" "', '""', '"  \n  "'):
+            with pytest.raises(CognateFormatError, match="^expected 4 fields, got 1 at line 6$"):
+                load_cognates(BASIC + f" \n{cell}\nL3,eye,K1,0\n")
 
     def test_quoted_multiline_cell_is_one_field(self):
         # The line break is part of the concept, which stays apart from "con".

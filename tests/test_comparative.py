@@ -22,7 +22,7 @@ from lexiphylo.comparative import (
 )
 from lexiphylo.cognates import load_cognates
 from lexiphylo.metrics import DStatConfig, compute_metrics, plan
-from lexiphylo.tree import parse_newick, prune_to_taxa, read_newick_file
+from lexiphylo.tree import TreeError, parse_newick, prune_to_taxa, read_newick_file
 from lexiphylo._rng import rekey, stream
 from util import (
     SMALL_TREE_NEWICKS,
@@ -166,6 +166,38 @@ class TestNodalEstimates:
         assert math.isfinite(d.D) and d == d_statistic(
             zero, tips.astype(np.int8), np.ones(5, bool), n_reps=50, seed=3
         )
+
+    @pytest.mark.parametrize("newick", [
+        # Each inverse, 1e308, is finite, but their sum is not.
+        "(((A:1e-308,B:1e-308):1,C:1):1,(D:1,E:1):1):0;",
+        # The tree is so low that epsilon's own inverse is inf ...
+        "(((A:1e-310,B:1e-310):1e-310,C:1e-310):1e-310,(D:1e-310,E:1e-310):1e-310):0;",
+        # ... or that epsilon underflows to 0.
+        "(((A:1e-320,B:1e-320):1e-320,C:1e-320):1e-320,(D:1e-320,E:1e-320):1e-320):0;",
+    ])
+    def test_inverse_weight_totals_that_overflow_are_refused(self, newick):
+        """Such totals made D wrong or NaN after an overflow warning, and
+        ``estimate_sigma2`` wrong, NaN or a ZeroDivisionError."""
+        tree = parse_newick(newick)
+        tips = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        calls = [nodal_estimates, d_sum, estimate_sigma2, lambda tree, tips: d_statistic(
+            tree, tips.astype(np.int8), np.ones(5, bool), n_reps=20, seed=1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(TreeError, match="^inverse branch-length weight totals "
+                                   "overflow a double$"):
+                    call(tree, tips)
+
+    def test_the_largest_finite_weight_totals_are_kept(self):
+        # Each inverse is 8.3e307, and their sum is still finite.
+        tree = parse_newick("(((A:1.2e-308,B:1.2e-308):1,C:1):1,(D:1,E:1):1):0;")
+        tips = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = nodal_estimates(tree, tips)
+            sigma2 = estimate_sigma2(tree, tips)
+        assert est[2] == 0.5 and math.isfinite(sigma2)
 
     def test_only_lengths_with_a_non_finite_inverse_count_as_epsilon(self):
         # The largest double's inverse is subnormal, and its own inverse rounds

@@ -134,15 +134,12 @@ class _Sweeps:
     floats for a step's gathers, and ``work``, ``n_rows * n_nodes`` floats
     for a sweep's node values. ``width`` is the most nodes of any depth
     level, the root's included, which bounds every gather of a sweep: a
-    level, or a run of the edge pass. ``sd`` is each node's standard
-    deviation (the square root of its length) for a BM sweep at rate 1, as
-    an (n_nodes, 1) column.
+    level, or a run of the edge pass.
     """
 
     def __init__(self, tree: Tree, n_rows: int = 1) -> None:
         self.tree = tree
         self.width = max((len(nodes) for nodes, _ in tree.depth_levels), default=1)
-        self.sd = np.sqrt(tree.lengths)[:, None]
         self.gathers = _replicate_array(self.width * n_rows), _replicate_array(self.width * n_rows)
         self.work = _replicate_array(n_rows * tree.n_nodes)
 
@@ -289,25 +286,36 @@ def simulate_bm(tree: Tree, params: BmParams) -> np.ndarray:
     return values[:, 0]
 
 
+def _tip_values(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
+    """``tip_values`` as floats, checked to be one finite value per tip."""
+    tip_values = np.asarray(tip_values, dtype=float)
+    if tip_values.shape != (tree.n_tips,):
+        raise ValueError(f"expected {tree.n_tips} tip values, got {tip_values.shape}")
+    if not np.all(np.isfinite(tip_values)):
+        raise ValueError("tip values must be finite")
+    return tip_values
+
+
 def nodal_estimates(tree: Tree, tip_values: np.ndarray) -> np.ndarray:
     """Ancestral state estimates: bottom-up weighted means of child values.
 
     ``tip_values`` aligns with ``tree.tip_indices`` (= left-to-right tip
     order of the source Newick). Returns one value per node; tips carry
     their inputs, each internal node the 1/branch-length-weighted mean of
-    its children. Every estimate lies within [min(tips), max(tips)].
+    its children. Every estimate lies within [min(tips), max(tips)]. Raises
+    ValueError where a weight times a value overflows a double.
     """
-    tip_values = np.asarray(tip_values, dtype=float)
-    if tip_values.shape != (tree.n_tips,):
-        raise ValueError(f"expected {tree.n_tips} tip values, got {tip_values.shape}")
-    if not np.all(np.isfinite(tip_values)):
-        raise ValueError("tip values must be finite")
-    return _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :])[:, 0]
+    tip_values = _tip_values(tree, tip_values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = _nodal_estimates_batch(_Sweeps(tree), tip_values[None, :])[:, 0]
+    if not np.all(np.isfinite(est)):
+        raise ValueError("nodal estimates overflow a double")
+    return est
 
 
 def d_sum(tree: Tree, tip_values: np.ndarray) -> float:
     """Observed change score for a binary trait: sum of |child - parent| estimates."""
-    tip_values = np.asarray(tip_values, dtype=float)
+    tip_values = _tip_values(tree, tip_values)
     if not np.all((tip_values == 0) | (tip_values == 1)):
         raise ValueError("tip values must be coded 0/1")
     if tip_values.min() == tip_values.max():
@@ -324,15 +332,14 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
     resolved inline, as that pass reaches it: while it has more than two
     children, two drawn from stream ``(seed, 0)`` merge into one behind a
     zero-length branch. ``tip_values`` aligns with ``tree.tip_indices``.
-    Raises on a constant trait ("zero variance"), and TreeError where the
-    inverse-length weight total of a join is not a finite double.
+    Raises on a constant trait ("zero variance"), TreeError where the
+    inverse-length weight total of a join is not a finite double, and
+    ValueError where the estimate is not.
     """
-    tip_values = np.asarray(tip_values, dtype=float)
-    if tip_values.shape != (tree.n_tips,):
-        raise ValueError(f"expected {tree.n_tips} tip values, got {tip_values.shape}")
+    tip_values = _tip_values(tree, tip_values)
     if tree.n_tips < 2:
         raise ValueError("need >= 2 tips to estimate a rate")
-    if np.ptp(tip_values) == 0:
+    if tip_values.min() == tip_values.max():
         raise ValueError("zero variance: all tip values equal")
 
     eps = _epsilon(tree)
@@ -364,7 +371,10 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
         else:
             up.append(join(*pending, lengths[i]))
 
-    estimate = float(np.mean(np.square(contrasts)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = float(np.mean(np.square(contrasts)))
+    if not math.isfinite(estimate):
+        raise ValueError("the rate estimate overflows a double")
     if estimate == 0.0:
         raise ValueError("zero variance: all contrasts are zero")
     return estimate
@@ -448,6 +458,8 @@ def d_statistic(
     aligned = presence.ndim in (1, 2) and presence.shape[-1] == tree.n_tips
     if not aligned or mask.shape != (tree.n_tips,):
         raise ValueError("presence and mask must align with the tree tips")
+    if not np.all((presence == 0) | (presence == 1)):
+        raise ValueError("presence must be coded 0/1")
     single = presence.ndim == 1
     seeds = [seed] if single else [int(s) for s in seed]
     presence = np.atleast_2d(presence).astype(np.int8)
@@ -536,6 +548,7 @@ def _d_scores(
     # The block arrays, for the call's widest sweep: its observed rows, or
     # a full block's null rows.
     sweeps = _Sweeps(pruned, max(n_traits, 2 * width))
+    sd = np.sqrt(pruned.lengths)[:, None]  # BM at rate 1
     null_rows = _replicate_array(2 * width * n_used)
     centered = traits - 0.5  # as _d_sum_rows takes a row
     scores[:n_traits] = _d_sum_rows(sweeps, centered)
@@ -571,7 +584,7 @@ def _d_scores(
         # BM null: sigma2 = 1, root 0 (scale-free), swept node-major. Its tip
         # values are gathered, tip-major, into the BM half of ``rows``, which
         # is overwritten by the thresholded traits only once all are known.
-        _bm_sweep(sweeps, sweeps.sd, values, 0.0)
+        _bm_sweep(sweeps, sd, values, 0.0)
         tips = bm_rows.reshape(n_used, w)
         np.take(values, pruned.tip_indices, axis=0, mode="clip", out=tips)
         thresholded = sweeps.work[: w * n_used].reshape(w, n_used)

@@ -102,11 +102,11 @@ def standardize(table: FeatureTable) -> FeatureTable:
     return FeatureTable(table.row_labels, table.columns, out, standardized=True)
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Sweeps all (p, q) pairs, rotating away each off-diagonal element, until
-    the largest off-diagonal magnitude drops below ``tol``. Returns
+    the largest off-diagonal magnitude drops below ``JACOBI_TOL``. Returns
     (eigenvalues, eigenvector columns), unsorted.
     """
     a = np.array(a, dtype=float)
@@ -114,12 +114,12 @@ def _jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL) -> tuple[np.ndarray, np
     v = np.eye(n)
     for _sweep in range(100):
         off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= tol:
+        if off <= JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) <= tol * 1e-3:
+                if abs(apq) <= JACOBI_TOL * 1e-3:
                     continue
                 theta = (a[q, q] - a[p, p]) / (2.0 * apq)
                 t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))

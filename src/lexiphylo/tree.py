@@ -43,8 +43,13 @@ class TreeError(ValueError):
     """A structurally invalid tree or an invalid tree operation."""
 
 
-# Characters that end a label or a branch-length token.
-_TOKEN_END = set("(),:;")
+# Whitespace: re's \s is str.isspace() on every code point.
+_SPACE = re.compile(r"\s*")
+# A node's tail: its label, then a ":" and its length token if a ":" follows,
+# and the whitespace after them. A label or length token is a (possibly empty)
+# run of characters other than whitespace and ( ) , : ; -- so a stray "]" is
+# part of one.
+_TAIL = re.compile(r"\s*([^\s(),:;]*)\s*(?::\s*([^\s(),:;]*)\s*)?")
 # What a label cannot hold and still be written back as itself: a character
 # that ends a token, whitespace, or "[", which opens a comment.
 _UNWRITABLE = re.compile(r"[(),:;\s\[]")
@@ -223,19 +228,17 @@ class TreeSummary:
 
 
 def _strip_comments(text: str) -> str:
-    """Remove square-bracket comments (nesting allowed)."""
+    """Remove square-bracket comments (nesting allowed); a "]" outside any
+    comment is kept."""
     out = []
     depth = 0
-    for ch in text:
-        if ch == "[":
+    for piece in re.split(r"([\[\]])", text):
+        if piece == "[":
             depth += 1
-        elif ch == "]":
-            if depth > 0:
-                depth -= 1
-            else:
-                out.append(ch)
-        elif depth == 0:
-            out.append(ch)
+        elif piece == "]" and depth:
+            depth -= 1
+        elif not depth:
+            out.append(piece)
     return "".join(out)
 
 
@@ -264,7 +267,7 @@ def parse_newick(text: str) -> Tree:
         seen twice, after every other check.
     """
     s = _strip_comments(text)
-    pos = _skip_ws(s, 0)
+    pos = _SPACE.match(s).end()
     if pos >= len(s):
         raise NewickError("empty input", 0)
 
@@ -273,41 +276,51 @@ def parse_newick(text: str) -> Tree:
     labels: list[str | None] = []
     defaulted: list[int] = []
 
-    def close(label: str | None, children: list[int], pos: int) -> tuple[int, int]:
-        length, absent, pos = _read_length(s, pos)
+    def close(tail: re.Match[str], children: list[int]) -> int:
+        """Append the node whose label and length ``tail`` matched."""
         node = len(labels)
         for child in children:
             parents[child] = node
         parents.append(-1)
-        lengths.append(length)
-        labels.append(label)
-        if absent:
+        labels.append(tail[1] or None)
+        raw = tail[2]
+        if raw is None:
+            lengths.append(1.0)
             defaulted.append(node)
-        return node, pos
+            return node
+        try:
+            value = float(raw)
+        except ValueError:
+            raise NewickError(f"non-numeric branch length {raw!r}", tail.start(2)) from None
+        if not np.isfinite(value):
+            raise NewickError(f"non-finite branch length {raw!r}", tail.start(2))
+        if value < 0:
+            raise NewickError(f"negative branch length {raw!r}", tail.start(2))
+        lengths.append(abs(value))  # "-0" is +0.0, which write_newick writes back as "0"
+        return node
 
     seen: set[str] = set()
     duplicate: NewickError | None = None
     groups: list[list[int]] = []  # the closed children of each open "("
     while True:
-        pos = _skip_ws(s, pos)
+        pos = _SPACE.match(s, pos).end()
         if pos < len(s) and s[pos] == "(":
             groups.append([])
             pos += 1
             continue
         if pos < len(s) and s[pos] == ")":
             raise NewickError("unbalanced parentheses", pos)
-        offset = pos
-        label, pos = _read_label(s, pos)
-        if label is None:
-            raise NewickError("missing tip label", offset)
+        tail = _TAIL.match(s, pos)
+        label = tail[1]
+        if not label:
+            raise NewickError("missing tip label", pos)
         if label in seen and duplicate is None:
-            duplicate = NewickError(f"duplicate tip label {label!r}", offset)
+            duplicate = NewickError(f"duplicate tip label {label!r}", pos)
         seen.add(label)
-        node, pos = close(label, [], pos)
+        node, pos = close(tail, []), tail.end()
         # Add the closed node to its group; a ")" closes that group too.
         while groups:
             groups[-1].append(node)
-            pos = _skip_ws(s, pos)
             if pos >= len(s):
                 raise NewickError("unbalanced parentheses", len(s))
             if s[pos] == ",":
@@ -315,17 +328,16 @@ def parse_newick(text: str) -> Tree:
                 break
             if s[pos] != ")":
                 raise NewickError(f"unexpected character {s[pos]!r}", pos)
-            label, pos = _read_label(s, pos + 1)
-            node, pos = close(label, groups.pop(), pos)
+            tail = _TAIL.match(s, pos + 1)
+            node, pos = close(tail, groups.pop()), tail.end()
         if not groups:
             break
 
-    pos = _skip_ws(s, pos)
     if pos >= len(s) or s[pos] != ";":
         if pos < len(s) and s[pos] == ")":
             raise NewickError("unbalanced parentheses", pos)
         raise NewickError("missing ';' terminator", pos)
-    pos = _skip_ws(s, pos + 1)
+    pos = _SPACE.match(s, pos + 1).end()
     if pos < len(s):
         raise NewickError("trailing content after ';'", pos)
     if duplicate is not None:
@@ -341,39 +353,6 @@ def parse_newick(text: str) -> Tree:
         tuple(labels),
         frozenset(defaulted),
     )
-
-
-def _skip_ws(s: str, pos: int) -> int:
-    while pos < len(s) and s[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _read_label(s: str, pos: int) -> tuple[str | None, int]:
-    pos = _skip_ws(s, pos)
-    start = pos
-    while pos < len(s) and s[pos] not in _TOKEN_END and not s[pos].isspace():
-        pos += 1
-    token = s[start:pos]
-    return (token if token else None), pos
-
-
-def _read_length(s: str, pos: int) -> tuple[float, bool, int]:
-    pos = _skip_ws(s, pos)
-    if pos >= len(s) or s[pos] != ":":
-        return 1.0, True, pos
-    start = _skip_ws(s, pos + 1)
-    token, pos = _read_label(s, start)
-    raw = token or ""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise NewickError(f"non-numeric branch length {raw!r}", start) from None
-    if not np.isfinite(value):
-        raise NewickError(f"non-finite branch length {raw!r}", start)
-    if value < 0:
-        raise NewickError(f"negative branch length {raw!r}", start)
-    return abs(value), False, pos  # "-0" is +0.0, which write_newick writes back as "0"
 
 
 def read_newick_file(source: str | Path | IO[str]) -> Tree:

@@ -233,6 +233,57 @@ class TestNodalEstimates:
                 assert np.all(est <= tips.max() + 1e-12)
 
 
+@pytest.mark.parametrize("call", [nodal_estimates, d_sum, estimate_sigma2])
+def test_tip_values_are_one_finite_value_per_tip(call):
+    """The shape comes first, then finiteness, in each function that takes
+    tip values; ``d_sum`` then asks for 0/1."""
+    tree = parse_newick("(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;")
+    cases = [
+        ([1, 0, 0, 1], r"^expected 5 tip values, got \(4,\)$"),
+        ([[1, 0, 0, 1, 0]], r"^expected 5 tip values, got \(1, 5\)$"),
+        ([np.nan, 0, 1, 0, 1], "^tip values must be finite$"),
+        ([1, 0, np.inf, 0, 1], "^tip values must be finite$"),
+        ([np.nan, 0, 1, 0], "^expected 5 tip values"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tips, message in cases:
+            with pytest.raises(ValueError, match=message):
+                call(tree, np.array(tips, dtype=float))
+
+
+@pytest.mark.parametrize("call, newick, tips, message", [
+    # A weight of 1e300 times a tip value of 1e10.
+    (nodal_estimates, "(((A:1e-300,B:1):1,C:1):1,(D:1,E:1):1):0;", [1e10, 0, 0, 0, 1],
+     "^nodal estimates overflow a double$"),
+    (nodal_estimates, "(((A:1e-300,B:1):1,C:1):1,(D:1,E:1):1):0;", [1e10, 0, -1e300, 0, 1],
+     "^nodal estimates overflow a double$"),
+    # A contrast of 1e200 squared.
+    (estimate_sigma2, "(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;", [1e200, 0, 0, 0, 1],
+     "^the rate estimate overflows a double$"),
+    # Tips whose difference overflows.
+    (estimate_sigma2, "(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;", [1e308, 0, -1e308, 0, 1],
+     "^the rate estimate overflows a double$"),
+])
+def test_finite_tip_values_whose_results_overflow_are_refused(call, newick, tips, message):
+    """These returned inf after an overflow RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(parse_newick(newick), np.array(tips))
+
+
+def test_the_largest_finite_results_are_kept():
+    tree = parse_newick("(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # A and B's weighted sum, 1.6e308, is still a double.
+        est = nodal_estimates(tree, np.array([8e307, 8e307, 0, 0, 1]))
+        sigma2 = estimate_sigma2(tree, np.array([1e154, 0, 0, 0, 1]))
+    assert est[2] == 8e307 and np.all(np.isfinite(est))
+    assert math.isfinite(sigma2) and sigma2 > 1e307
+
+
 def _binary_resolution(tree, seed: int) -> str:
     """The binary tree that ``estimate_sigma2`` resolves ``tree`` into, as Newick:
     the same ``stream(seed, 0)`` draws, node by node in postorder, each merged
@@ -441,6 +492,16 @@ class TestDStatistic:
         mask[0] = 0
         with pytest.raises(ValueError, match="presence must be 0"):
             d_statistic(balanced64, presence, mask, 100, seed=1)
+
+    @pytest.mark.parametrize("presence", [[3, 3, 0, 0, 0], [2, 0, 0, 1, 0], [0.5, 1, 0, 0, 1]])
+    def test_presence_must_be_coded_zero_one(self, presence):
+        """These read D = 0.75 (a prevalence of 6 on 5 tips), D = 1.08, and the
+        D of [0, 1, 0, 0, 1] (the int8 cast dropped the 0.5)."""
+        tree = parse_newick("(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;")
+        for stack in (np.array(presence), np.array([presence, [1, 0, 1, 0, 1]])):
+            seed = 1 if stack.ndim == 1 else [1, 2]
+            with pytest.raises(ValueError, match="^presence must be coded 0/1$"):
+                d_statistic(tree, stack, np.ones(5, dtype=int), 20, seed=seed)
 
 
 def _presence_mask_cases(tree):

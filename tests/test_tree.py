@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from util import (
     balanced_newick,
     benchmark_corpus_newick,
     caterpillar_newick,
+    oracle_parse_newick,
     oracle_prune_to_taxa,
 )
 
@@ -422,6 +424,90 @@ def test_built_tree_accepted_iff_it_roundtrips():
         assert write_newick(tree) == write_newick(again)
         assert parse_newick(write_newick(tree)).structurally_equal(tree)
     assert 300 < accepted < 2700
+
+
+# Pieces of generated Newick statements: labels (empty, duplicated, holding a
+# stray "]"), length tokens, whitespace (each one str.isspace() accepts),
+# comments (nested, unclosed, annotations, a stray "]") and terminators.
+_LABELS = ["A", "B", "C", "D", "x1", "tip_2", "é", "", "", "]", "A]", "1"]
+_LENGTH_TOKENS = ["1", "0.5", "2e-3", "0", "", "abc", "-1", "-0", "+1", "1_0",
+                  "nan", "inf", "-inf", "1e400", "1e-320", "1e308", ".5", "1.", "\u0661"]
+_SPACES = ["", "", "", " ", "\t", "\n", "\r\n", "\xa0", "\x85", "\x1c", "\u3000", "  "]
+_COMMENTS = ["[x]", "[&a=1,b={2,3}]", "[a[b]c]", "[[ ]]", "]", "[", "[&&NHX:S=x]", "[;()]"]
+_ENDS = [";", ";", ";", ";", "", ";;", "; x", ";)", ");", " ;\n", ";[c]", "(;"]
+
+
+def _random_statement(rng) -> str:
+    """A Newick statement of nested groups, most of them well formed, some
+    with a character dropped, doubled or inserted anywhere."""
+    pick = rng.choice
+    parts = []
+
+    def space():
+        parts.append(pick(_SPACES))
+        if rng.random() < 0.06:
+            parts.append(pick(_COMMENTS))
+
+    def node(depth):
+        space()
+        if depth < 4 and rng.random() < 0.35:
+            parts.append("(")
+            for i in range(1 + int(rng.random() * 3)):
+                if i:
+                    space()
+                    parts.append(",")
+                node(depth + 1)
+            space()
+            parts.append(")")
+            if rng.random() < 0.3:
+                space()
+                parts.append(pick(_LABELS))
+        else:
+            parts.append(pick(_LABELS))
+        if rng.random() < 0.8:
+            space()
+            parts.append(":")
+            space()
+            parts.append(pick(_LENGTH_TOKENS))
+
+    node(0)
+    space()
+    parts.append(pick(_ENDS))
+    text = "".join(parts)
+    if rng.random() < 0.25 and text:
+        at = int(rng.random() * len(text))
+        edit = rng.random()
+        if edit < 0.4:
+            text = text[:at] + text[at + 1:]
+        elif edit < 0.6:
+            text = text[:at] + text[at] + text[at:]
+        else:
+            text = text[:at] + pick("(),:;[] \tA") + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    """The parsed arrays bit for bit, or the error's type, message and offset."""
+    try:
+        tree = parse(text)
+    except (NewickError, TreeError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return tree.parents.tolist(), tree.lengths.tobytes(), tree.labels, tree.defaulted
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parse_matches_the_character_scanner(seed):
+    """parse_newick agrees with a scanner that reads one character at a time,
+    on 5,000 generated statements per seed: the same tree, or the same error
+    at the same offset."""
+    rng = random.Random(seed)
+    parsed = 0
+    for _ in range(5000):
+        text = _random_statement(rng)
+        expected = _outcome(oracle_parse_newick, text)
+        assert _outcome(parse_newick, text) == expected, repr(text)
+        parsed += not isinstance(expected[0], type)
+    assert parsed > 250
 
 
 class TestInvariants:

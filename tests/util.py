@@ -23,7 +23,7 @@ from lexiphylo.cognates import CognateFormatError, ValidationIssue, binary_trait
 from lexiphylo.comparative import DStatResult
 from lexiphylo.metrics import compute_metrics, plan
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
-from lexiphylo.tree import Tree, TreeError
+from lexiphylo.tree import NewickError, Tree, TreeError
 
 
 def binary_trait(matrix, concept: str, cognate_class: str, taxa):
@@ -134,6 +134,110 @@ def oracle_load_cognates(text: str):
         raise CognateFormatError("no data rows", len(lines))
     frozen = {key: frozenset(classes) for key, classes in entries.items()}
     return tuple(languages), tuple(concepts), frozen, frozenset(loans), warnings
+
+
+def oracle_parse_newick(text: str) -> Tree:
+    """``parse_newick`` done one character at a time: comments dropped by a
+    per-character depth count, then a scan that skips whitespace and reads
+    each label and length token with its own loop. Returns the Tree, or
+    raises NewickError (or the Tree's TreeError) as the package documents."""
+    out, depth = [], 0
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    s = "".join(out)
+
+    def skip_ws(pos):
+        while pos < len(s) and s[pos].isspace():
+            pos += 1
+        return pos
+
+    def read_token(pos):
+        pos = start = skip_ws(pos)
+        while pos < len(s) and s[pos] not in "(),:;" and not s[pos].isspace():
+            pos += 1
+        return s[start:pos] or None, pos
+
+    parents, lengths, labels, defaulted = [], [], [], []
+
+    def close(label, children, pos):
+        pos = skip_ws(pos)
+        length, absent = 1.0, True
+        if pos < len(s) and s[pos] == ":":
+            start = skip_ws(pos + 1)
+            token, pos = read_token(start)
+            raw = token or ""
+            try:
+                value = float(raw)
+            except ValueError:
+                raise NewickError(f"non-numeric branch length {raw!r}", start) from None
+            if not math.isfinite(value):
+                raise NewickError(f"non-finite branch length {raw!r}", start)
+            if value < 0:
+                raise NewickError(f"negative branch length {raw!r}", start)
+            length, absent = abs(value), False
+        node = len(labels)
+        for child in children:
+            parents[child] = node
+        parents.append(-1)
+        lengths.append(length)
+        labels.append(label)
+        if absent:
+            defaulted.append(node)
+        return node, pos
+
+    pos = skip_ws(0)
+    if pos >= len(s):
+        raise NewickError("empty input", 0)
+    seen, duplicate, groups = set(), None, []
+    while True:
+        pos = skip_ws(pos)
+        if pos < len(s) and s[pos] == "(":
+            groups.append([])
+            pos += 1
+            continue
+        if pos < len(s) and s[pos] == ")":
+            raise NewickError("unbalanced parentheses", pos)
+        offset = pos
+        label, pos = read_token(pos)
+        if label is None:
+            raise NewickError("missing tip label", offset)
+        if label in seen and duplicate is None:
+            duplicate = NewickError(f"duplicate tip label {label!r}", offset)
+        seen.add(label)
+        node, pos = close(label, [], pos)
+        while groups:
+            groups[-1].append(node)
+            pos = skip_ws(pos)
+            if pos >= len(s):
+                raise NewickError("unbalanced parentheses", len(s))
+            if s[pos] == ",":
+                pos += 1
+                break
+            if s[pos] != ")":
+                raise NewickError(f"unexpected character {s[pos]!r}", pos)
+            label, pos = read_token(pos + 1)
+            node, pos = close(label, groups.pop(), pos)
+        if not groups:
+            break
+    pos = skip_ws(pos)
+    if pos >= len(s) or s[pos] != ";":
+        if pos < len(s) and s[pos] == ")":
+            raise NewickError("unbalanced parentheses", pos)
+        raise NewickError("missing ';' terminator", pos)
+    if skip_ws(pos + 1) < len(s):
+        raise NewickError("trailing content after ';'", skip_ws(pos + 1))
+    if duplicate is not None:
+        raise duplicate
+    if defaulted and defaulted[-1] == node:
+        lengths[node] = 0.0
+        defaulted.pop()
+    return Tree(np.array(parents, dtype=np.intp), np.array(lengths, dtype=float),
+                tuple(labels), frozenset(defaulted))
 
 
 # Small trees (<= 8 tips) for oracle-equivalence checks; one polytomy,

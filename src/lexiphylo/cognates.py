@@ -11,13 +11,13 @@ absent. One language may attest several classes for the same concept
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -250,11 +250,17 @@ def write_cognates(matrix: CognateMatrix) -> str:
         for (language, concept), classes in matrix.entries.items()
         for cls in classes
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("language", "concept", "cognate_id", LOAN_COLUMN))
-    writer.writerows(rows)
-    return buf.getvalue()
+    return csv_text(("language", "concept", "cognate_id", LOAN_COLUMN), rows)
+
+
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """``header`` and ``rows`` in the package's one CSV dialect: minimal quoting, LF
+    line ends. csv.writer quotes a CR or an LF only if its terminator holds it, so
+    this writes CRLF, one ``write`` per row, and cuts each row's CR."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows(itertools.chain([header], rows))
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def binary_traits(

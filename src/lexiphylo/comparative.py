@@ -383,6 +383,8 @@ def estimate_sigma2(tree: Tree, tip_values: np.ndarray, seed: int = 0) -> float:
 def threshold_at_prevalence(values: np.ndarray, m: int, seed: int) -> np.ndarray:
     """Binarize ``values``: the m largest become 1, ties at the cut broken at random."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise ValueError(f"values must be a 1-D array of finite values, got shape {values.shape}")
     n = len(values)
     if not 1 <= m < n:
         raise ValueError(f"m out of range: need 1 <= m < {n}, got {m}")
@@ -453,13 +455,14 @@ def d_statistic(
     a result; each trait's draws and scores are those of its 1-D call.
     Errors of the shared inputs (shapes, mask, ``n_reps``) raise either way.
     """
-    presence = np.asarray(presence)
-    mask = np.asarray(mask).astype(bool)
+    presence, mask = np.asarray(presence), np.asarray(mask)
     aligned = presence.ndim in (1, 2) and presence.shape[-1] == tree.n_tips
     if not aligned or mask.shape != (tree.n_tips,):
         raise ValueError("presence and mask must align with the tree tips")
-    if not np.all((presence == 0) | (presence == 1)):
-        raise ValueError("presence must be coded 0/1")
+    for name, codes in (("presence", presence), ("mask", mask)):
+        if not np.all((codes == 0) | (codes == 1)):
+            raise ValueError(f"{name} must be coded 0/1")
+    mask = mask.astype(bool)
     single = presence.ndim == 1
     seeds = [seed] if single else [int(s) for s in seed]
     presence = np.atleast_2d(presence).astype(np.int8)

@@ -10,14 +10,12 @@ out of every variable rather than only some.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import derived_seed
-from .cognates import CognateMatrix, binary_traits
+from .cognates import CognateMatrix, binary_traits, csv_text
 from .comparative import DEFAULT_N_REPS, MIN_TIPS_FOR_D, DStatResult, d_statistic
 from .tree import Tree
 
@@ -199,10 +197,7 @@ def build_feature_table(metrics: list[MeaningClassMetrics]) -> FeatureTable:
 
 
 def feature_table_to_csv(table: FeatureTable) -> str:
-    """Delimited-text export with a header row; IDs holding ``,`` or ``"`` are quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("concept", *table.columns))
-    for label, row in zip(table.row_labels, table.values):
-        writer.writerow((label, *(repr(float(v)) for v in row)))
-    return buf.getvalue()
+    """The table as CSV in the package's one dialect (``cognates.csv_text``), with a header row."""
+    labels, values = table.row_labels, table.values
+    rows = [(label, *map(repr, map(float, row))) for label, row in zip(labels, values)]
+    return csv_text(("concept", *table.columns), rows)

@@ -16,12 +16,11 @@ splits, which ``select_wordlist`` reports as a stability-mix warning.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
+from .cognates import csv_text
 from .multivariate import ClusterAssignment, PcaResult
 
 DEFAULT_WORDLIST_SIZE = 30  # roughly thirty data points per language
@@ -99,25 +98,22 @@ def suitability_rank(
     """Rank concepts by PC1 - PC2 on oriented axes (ties by concept ID)."""
     if len(clusters.labels) != len(result.row_labels):
         raise ValueError("cluster labels do not match the PCA rows")
-    entries = []
-    for i, concept in enumerate(result.row_labels):
-        pc1 = float(result.scores[i, 0])
-        pc2 = float(result.scores[i, 1])
-        entries.append((concept, pc1, pc2, pc1 - pc2, int(clusters.labels[i])))
-    entries.sort(key=lambda e: (-e[3], e[0]))
-    rows = tuple(
+    concepts = result.row_labels
+    pc1s, pc2s = result.scores[:, 0].tolist(), result.scores[:, 1].tolist()
+    # pc2 - pc1 is exactly -(pc1 - pc2) under IEEE rounding: best score first.
+    order = sorted(range(len(concepts)), key=lambda i: (pc2s[i] - pc1s[i], concepts[i]))
+    return SuitabilityRanking(tuple(
         RankedConcept(
-            concept=concept,
-            pc1=pc1,
-            pc2=pc2,
-            score=score,
+            concept=concepts[i],
+            pc1=pc1s[i],
+            pc2=pc2s[i],
+            score=pc1s[i] - pc2s[i],
             rank=rank,
-            quadrant=_quadrant(pc1, pc2),
-            cluster=cluster,
+            quadrant=_quadrant(pc1s[i], pc2s[i]),
+            cluster=int(clusters.labels[i]),
         )
-        for rank, (concept, pc1, pc2, score, cluster) in enumerate(entries, start=1)
-    )
-    return SuitabilityRanking(rows)
+        for rank, i in enumerate(order, start=1)
+    ))
 
 
 def select_wordlist(
@@ -156,9 +152,5 @@ def select_wordlist(
 
 
 def ranking_to_csv(ranking: SuitabilityRanking) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     names = [f.name for f in fields(RankedConcept)]
-    writer.writerow(names)
-    writer.writerows(map(attrgetter(*names), ranking.rows))
-    return buf.getvalue()
+    return csv_text(names, map(attrgetter(*names), ranking.rows))

@@ -48,14 +48,14 @@ def _check_row_sets(
     metric_concepts = {m.concept for m in metrics}
     pca_concepts = set(pca.row_labels)
     rank_concepts = {row.concept for row in ranking.rows}
-    for concept in sorted(metric_concepts - pca_concepts):
-        raise ValueError(f"concept {concept!r} missing from PCA scores")
-    for concept in sorted(pca_concepts - metric_concepts):
-        raise ValueError(f"concept {concept!r} missing from metrics")
-    for concept in sorted(pca_concepts - rank_concepts):
-        raise ValueError(f"concept {concept!r} missing from ranking")
-    for concept in sorted(rank_concepts - pca_concepts):
-        raise ValueError(f"concept {concept!r} missing from PCA scores")
+    for missing, where in (
+        (metric_concepts - pca_concepts, "PCA scores"),
+        (pca_concepts - metric_concepts, "metrics"),
+        (pca_concepts - rank_concepts, "ranking"),
+        (rank_concepts - pca_concepts, "PCA scores"),
+    ):
+        if missing:
+            raise ValueError(f"concept {min(missing)!r} missing from {where}")
     if len(clusters.labels) != len(pca.row_labels):
         raise ValueError("cluster labels do not match the PCA rows")
 
@@ -174,17 +174,15 @@ def _hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    def half(ordered) -> list[tuple[float, float]]:  # less its last point, the other's first
+        chain: list[tuple[float, float]] = []
+        for p in ordered:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
 
 
 def emit_scatter(
@@ -255,8 +253,6 @@ def emit_scatter(
     # Cluster hulls first so points draw on top.
     for cluster_id in sorted(set(int(c) for c in clusters.labels)):
         member_idx = [i for i in range(n) if int(clusters.labels[i]) == cluster_id]
-        if len(member_idx) < 3:
-            continue
         hull = _hull([(float(xs[i]), float(ys[i])) for i in member_idx])
         if len(hull) < 3:
             continue

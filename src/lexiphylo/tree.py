@@ -75,6 +75,8 @@ class Tree:
     defaulted: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        # Its own read-only copies, so no caller can change the tree.
+        self.__setstate__({"parents": np.array(self.parents), "lengths": np.array(self.lengths)})
         n = len(self.labels)
         if n == 0:
             raise TreeError("tree has no nodes")
@@ -203,6 +205,11 @@ class Tree:
             and self.labels == other.labels
             and np.array_equal(self.lengths, other.lengths)
         )
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)  # numpy unpickles an array writable, so freeze it again
+        self.parents.flags.writeable = False
+        self.lengths.flags.writeable = False
 
 
 def _group_by(key: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, ...]:

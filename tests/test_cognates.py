@@ -1,16 +1,21 @@
+import csv
 import io
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from lexiphylo.cognates import (
     CognateFormatError,
+    CognateMatrix,
     binary_traits,
     concept_summary,
     load_cognates,
     write_cognates,
 )
+from lexiphylo.metrics import FEATURE_COLUMNS, FeatureTable, feature_table_to_csv
+from lexiphylo.ranking import RankedConcept, SuitabilityRanking, ranking_to_csv
 from util import benchmark_corpus, binary_trait, oracle_load_cognates
 
 BASIC = """language,concept,cognate_id,loan
@@ -164,6 +169,51 @@ class TestLoad:
         again, _ = load_cognates(write_cognates(matrix))
         assert again.entries == matrix.entries
         assert again.loans == matrix.loans
+
+
+# One label for each character that a CSV writer must quote or keep: a
+# delimiter, a quote, LF, CR, a Unicode line separator and a leading space.
+_AWKWARD = ("a,b", 'say "x"', "co\nn", "co\rn", "a\u2028b", " lead")
+
+
+def _writer_cases(labels: tuple[str, ...]) -> list[tuple[str, tuple, list[tuple]]]:
+    """(text, header, rows) of write_cognates, feature_table_to_csv and
+    ranking_to_csv on tables whose names are ``labels``."""
+    entries = {(lang, con): frozenset({f"{con}|{lang}"}) for lang in labels for con in labels}
+    loans = frozenset({(labels[0], labels[-1], f"{labels[-1]}|{labels[0]}")})
+    matrix = CognateMatrix(labels, labels, entries, loans)
+    cognate_rows = sorted(
+        (lang, con, cls, int((lang, con, cls) in loans))
+        for (lang, con), classes in entries.items() for cls in classes
+    )
+    values = np.arange(len(labels) * 6, dtype=float).reshape(-1, 6) / 7
+    ranking = SuitabilityRanking(tuple(
+        RankedConcept(label, 0.5 * i, -1.0 / (i + 3), 0.5 * i + 1.0 / (i + 3), i + 1, "SE", i % 2)
+        for i, label in enumerate(labels)
+    ))
+    return [
+        (write_cognates(matrix), ("language", "concept", "cognate_id", "loan"), cognate_rows),
+        (feature_table_to_csv(FeatureTable(labels, FEATURE_COLUMNS, values)),
+         ("concept", *FEATURE_COLUMNS),
+         [(label, *map(repr, row)) for label, row in zip(labels, values.tolist())]),
+        (ranking_to_csv(ranking), ("concept", "pc1", "pc2", "score", "rank", "quadrant", "cluster"),
+         [astuple(row) for row in ranking.rows]),
+    ]
+
+
+def test_cognates_features_and_ranking_share_one_csv_dialect():
+    """Each writer's text reads back through csv.reader to the fields written,
+    and is csv.writer's with LF line ends; a CR, which that writer leaves
+    unquoted on Python 3.11 (so a reader splits the row there), is quoted
+    like an LF. This pins features.csv, which no golden digest covers."""
+    for text, header, rows in _writer_cases(_AWKWARD):
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert read == [list(header), *([str(field) for field in row] for row in rows)]
+        assert '"co\rn' in text and "\r\n" not in text
+    for text, header, rows in _writer_cases(tuple(s for s in _AWKWARD if "\r" not in s)):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        assert text == buf.getvalue()
 
 
 _NAMES = ("L1", "L2", "Lx", "eye", "hand", "co\nn", "a,b", 'say "x"', "a\u2028b", "f\x0cg", "K1", "K2")

@@ -432,6 +432,22 @@ class TestThreshold:
         with pytest.raises(ValueError, match="m out of range"):
             threshold_at_prevalence([1.0, 2.0], 2, seed=0)
 
+    @pytest.mark.parametrize("values, shape", [
+        ([math.nan, 1.0, 2.0, 3.0], "(4,)"),
+        ([1.0, 2.0, -math.inf], "(3,)"),
+        ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
+        (1.0, "()"),
+    ])
+    def test_values_it_cannot_rank_are_refused(self, values, shape):
+        """NaN used to rank below every value ([0 0 0 1]), and a 2-D input
+        failed inside numpy's broadcasting."""
+        message = f"values must be a 1-D array of finite values, got shape {shape}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                threshold_at_prevalence(values, 1, seed=0)
+        assert str(caught.value) == message
+
 
 class TestDStatistic:
     def test_clumped_clade_golden(self, balanced64):
@@ -502,6 +518,25 @@ class TestDStatistic:
             seed = 1 if stack.ndim == 1 else [1, 2]
             with pytest.raises(ValueError, match="^presence must be coded 0/1$"):
                 d_statistic(tree, stack, np.ones(5, dtype=int), 20, seed=seed)
+
+    @pytest.mark.parametrize("mask", [[2, 1, 1, 1, 1], [math.nan, 1, 1, 1, 1], [0.5, 1, 1, 1, 1]])
+    def test_mask_must_be_coded_zero_one(self, mask):
+        """Each of these read as all ones (D = 3.16) through the bool cast."""
+        tree = parse_newick("(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;")
+        presence = np.array([1, 0, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stack, seed in ((presence, 1), (presence[None, :], [1])):
+                with pytest.raises(ValueError, match="^mask must be coded 0/1$"):
+                    d_statistic(tree, stack, np.array(mask), 20, seed=seed)
+
+    def test_a_bool_mask_is_a_zero_one_mask(self, balanced64):
+        presence = np.array([1] * 16 + [0] * 48)
+        mask = np.ones(64, dtype=np.int8)
+        mask[-8:] = 0
+        presence[-8:] = 0
+        coded = d_statistic(balanced64, presence, mask, n_reps=50, seed=3)
+        assert d_statistic(balanced64, presence, mask.astype(bool), n_reps=50, seed=3) == coded
 
 
 def _presence_mask_cases(tree):

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexiphylo.cli import main
 from lexiphylo.report import report_schema
+from lexiphylo.tree import Tree, parse_newick, write_newick
 
 SEED, REPS, K = "1", "5", "3"
 ARTIFACTS = ("pca.json", "clusters.json", "report.json", "ranking.csv", "scatter.svg")
@@ -156,3 +157,62 @@ def test_two_workers_write_the_bytes_of_one(tmp_path_factory, corpus):
     if codes[0][0] == 0:
         for name in ARTIFACTS:
             assert (work / "2" / name).read_bytes() == (work / "1" / name).read_bytes(), name
+
+
+def _rank_outputs(work: Path, newick: str, header: tuple, rows: list[tuple]) -> dict | None:
+    """rank's artifacts on one corpus, as {name: bytes}, with ``report.json``
+    parsed and its input digests dropped; None when rank refuses the corpus."""
+    work.mkdir()
+    (work / "tree.nwk").write_text(newick + "\n", "utf-8")
+    with open(work / "cognates.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    code, _, err = _run(["rank", "--tree", str(work / "tree.nwk"), "--cognates",
+                         str(work / "cognates.csv"), "--seed", SEED, "--reps", REPS,
+                         "--k", K, "--out", str(work / "out")])
+    if code:
+        _assert_error_line(code, err)
+        return None
+    outputs = {name: (work / "out" / name).read_bytes()
+               for name in ("ranking.csv", "scatter.svg", "features.csv")}
+    outputs["report.json"] = json.loads((work / "out" / "report.json").read_text("utf-8"))
+    del outputs["report.json"]["run"]["inputs"]
+    return outputs
+
+
+@settings(GATE, max_examples=8)
+@given(corpus=corpora())
+def test_rewrites_that_keep_the_analysis_keep_its_bytes(tmp_path_factory, corpus):
+    """Exact length scalings (every inverse weight, square root and epsilon
+    scales by a power of two), languages renamed in reverse sort order, and
+    the table's columns reordered write the bytes of the corpus itself."""
+    newick, _, rows = corpus
+    tree = parse_newick(newick)
+    work = tmp_path_factory.mktemp("rewrites")
+    header = ("language", "concept", "cognate_id", "loan")
+    base = _rank_outputs(work / "base", write_newick(tree), header, rows)
+
+    languages = sorted({row[0] for row in rows} | set(tree.tip_labels))
+    rename = {lang: f"L{len(languages) - i:03d}" for i, lang in enumerate(languages)}
+    renamed = Tree(tree.parents, tree.lengths, tuple(rename.get(lab, lab) for lab in tree.labels))
+    order = (2, 3, 1, 0)
+    rewrites = {
+        **{f"lengths x {factor!r}": (
+            write_newick(Tree(tree.parents, tree.lengths * factor, tree.labels)), header, rows)
+           for factor in (4.0, 0.25, 4.0**-200, 4.0**100)},
+        "languages renamed": (write_newick(renamed), header,
+                              [(rename[row[0]], *row[1:]) for row in rows]),
+        "columns reordered": (write_newick(tree), tuple(header[i] for i in order),
+                              [tuple(row[i] for i in order) for row in rows]),
+    }
+    for n, (name, rewrite) in enumerate(rewrites.items()):
+        assert _rank_outputs(work / str(n), *rewrite) == base, name
+
+    # Negative control: a concept's name derives its classes' seeds, so
+    # renaming one that has a D statistic moves its class results.
+    analysed = [c for c in base["report.json"]["concepts"] if c["classes"]] if base else []
+    if analysed:
+        concept = analysed[0]["concept"]
+        moved = [(row[0], f"{concept}!", *row[2:]) if row[1] == concept else row for row in rows]
+        other = _rank_outputs(work / "control", write_newick(tree), header, moved)
+        results = {c["concept"]: c["classes"] for c in other["report.json"]["concepts"]}
+        assert results[f"{concept}!"] != analysed[0]["classes"]

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, strategies as st
 from lexiphylo.cognates import load_cognates
 from lexiphylo.metrics import DStatConfig, build_feature_table, compute_metrics, plan
 from lexiphylo.multivariate import kmeans, pca, standardize
-from lexiphylo.ranking import orient_axes, select_wordlist, suitability_rank
-from lexiphylo.report import emit_report, emit_scatter, escape, report_schema
+from lexiphylo.ranking import SuitabilityRanking, orient_axes, select_wordlist, suitability_rank
+from lexiphylo.report import _hull, emit_report, emit_scatter, escape, report_schema
 from lexiphylo.tree import parse_newick
 from util import balanced_newick
 
@@ -74,8 +75,6 @@ class TestEmitReport:
         assert len(doc["ranking"]) == len(doc["concepts"])
 
     def test_mean_d_status_read_from_record(self, pipeline):
-        from dataclasses import replace
-
         metrics, oriented, clusters, ranking, selection, meta = pipeline
         # A record whose every class was skipped has no mean D: its cell is imputed.
         skipped = replace(metrics[1], mean_d=None, class_results={})
@@ -99,6 +98,27 @@ class TestEmitReport:
                 selection,
                 meta,
             )
+
+
+    def test_each_row_set_mismatch_names_its_first_concept_in_check_order(self, pipeline):
+        metrics, oriented, clusters, ranking, selection, meta = pipeline
+        extra = [replace(metrics[0], concept=name) for name in ("zzz", "yyy")]
+        no_dog = [m for m in metrics if m.concept != "dog"]
+        top = ranking.rows[0]
+        short = SuitabilityRanking(ranking.rows[1:])
+        swapped = SuitabilityRanking((*short.rows, replace(top, concept="aaa")))
+        padded = SuitabilityRanking((*ranking.rows, replace(top, concept="aaa")))
+        # Each case after the first also fails the check before the one it names.
+        cases = [
+            ([*metrics, *extra], ranking, "'yyy' missing from PCA scores"),
+            ([*no_dog, *extra], ranking, "'yyy' missing from PCA scores"),
+            (no_dog, short, "'dog' missing from metrics"),
+            (metrics, swapped, f"{top.concept!r} missing from ranking"),
+            (metrics, padded, "'aaa' missing from PCA scores"),
+        ]
+        for records, rows, message in cases:
+            with pytest.raises(ValueError, match=f"^concept {message}"):
+                emit_report(records, oriented, clusters, rows, selection, meta)
 
 
 class TestEmitScatter:
@@ -137,8 +157,6 @@ class TestEmitScatter:
 
     def test_too_few_points(self, pipeline):
         _, oriented, clusters, ranking, _, _ = pipeline
-        from dataclasses import replace
-
         tiny = replace(
             oriented,
             scores=oriented.scores[:2],
@@ -148,10 +166,6 @@ class TestEmitScatter:
             emit_scatter(tiny, clusters, ranking)
 
     def test_concept_names_needing_xml_escapes(self, pipeline):
-        from dataclasses import replace
-
-        from lexiphylo.ranking import SuitabilityRanking
-
         _, oriented, clusters, ranking, _, _ = pipeline
         renamed = replace(
             oriented, row_labels=tuple(f"{c}&<x>" for c in oriented.row_labels)
@@ -173,3 +187,41 @@ def test_escape_matches_saxutils_property(text):
     from xml.sax.saxutils import escape as sax_escape
 
     assert escape(text) == sax_escape(text)
+
+
+def _oracle_hull(points):
+    """The hull's corners counter-clockwise from the smallest point, found by
+    trying every ordered pair of points as an edge: p -> q is one when no
+    point lies right of it and every point on its line lies between them."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def edge(p, q):
+        return all(
+            cross(p, q, r) > 0 or cross(p, q, r) == 0 and min(p, q) <= r <= max(p, q)
+            for r in pts
+        )
+
+    hull = [pts[0]]
+    while True:
+        corner = next(q for q in pts if q != hull[-1] and edge(hull[-1], q))
+        if corner == hull[0]:
+            return hull
+        hull.append(corner)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=14))
+def test_hull_matches_an_edge_by_edge_oracle(points):
+    """Small integer points, so every cross product is exact; they hold
+    duplicates and collinear runs, whose middle points are no corners."""
+    points = [(float(x), float(y)) for x, y in points]
+    assert _hull(points) == _oracle_hull(points)
+
+
+def test_a_cluster_without_three_corners_gets_no_outline():
+    assert _hull([(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]) == [(0.0, 0.0), (1.0, 1.0)]
+    assert _hull([(2.0, 2.0), (0.0, 0.0), (1.0, 1.0)]) == [(0.0, 0.0), (2.0, 2.0)]

@@ -1,3 +1,4 @@
+import pickle
 import random
 import warnings
 
@@ -522,6 +523,21 @@ class TestInvariants:
         tree = parse_newick("(A:1,B:2);")
         with pytest.raises(Exception):
             tree.lengths = np.zeros(3)
+
+    def test_arrays_are_read_only_copies_also_after_pickling(self):
+        """A write used to go through, and left ``height`` stale at 3.0."""
+        source = parse_newick("(((A:1,B:1):1,C:1):1,(D:1,E:1):1):0;")
+        parents, lengths = source.parents.copy(), source.lengths.copy()
+        tree = Tree(parents, lengths, source.labels)
+        for held in (tree, pickle.loads(pickle.dumps(tree))):
+            assert held.structurally_equal(source) and held.height == 3.0
+            for array, value in ((held.parents, 0), (held.lengths, 5.0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = value
+        parents[0], lengths[0] = 0, 5.0  # the caller's arrays stay the caller's
+        assert tree.structurally_equal(source) and tree.height == 3.0
 
 
 # Random tree strategy: nested tuples of labels, converted to Newick. Its

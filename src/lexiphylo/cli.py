@@ -136,6 +136,7 @@ class _Mistyped(TypeError):
         return f"{where + ': ' if where else ''}expected {expected}, got {got}"
 
 
+_SCHEMA_VERSION = 1  # of every stage cache; a cache of another version is refused
 _InputDigest = typing.TypedDict("_InputDigest", {"path": str, "sha256": str})
 
 
@@ -302,7 +303,7 @@ def _malformed(path: Path, stage: str, problem: object) -> CliError:
 
 def _write_cache(out: Path, name: str, record) -> tuple[typing.Any, str]:
     """Write ``record`` as the cache ``name`` in ``out``; returns it and the bytes' SHA-256."""
-    data = to_json({"schema_version": 1, **dataclasses.asdict(record)}).encode("utf-8")
+    data = to_json({"schema_version": _SCHEMA_VERSION, **dataclasses.asdict(record)}).encode()
     (out / name).write_bytes(data)
     return record, hashlib.sha256(data).hexdigest()
 
@@ -324,6 +325,10 @@ def _read_cache(out: Path, name: str, stage: str, record: type) -> tuple[typing.
     except ValueError as exc:  # not UTF-8 or not JSON
         raise _malformed(path, stage, f"not JSON: {exc}") from exc
     try:
+        if type(document) is dict:  # first, as another version's cache may have other fields
+            version = document.get("schema_version", _Mistyped.MISSING)
+            if (type(version), version) != (int, _SCHEMA_VERSION):  # neither True nor 1.0
+                raise _Mistyped(str(_SCHEMA_VERSION), version, "schema_version")
         value = _decoder(record)[1](document)
     except (_Mistyped, ValueError) as exc:  # a ValueError is a record's own check
         raise _malformed(path, stage, exc) from None

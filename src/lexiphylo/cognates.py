@@ -112,6 +112,15 @@ class ConceptSummary:
 
 
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # ended as a newline="" stream ends it
+# What XML 1.0 cannot hold, not even as a character reference: a C0 control
+# other than tab, LF and CR, a surrogate, U+FFFE or U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def non_xml_concept(concept: str) -> str | None:
+    """Why scatter.svg cannot label a point ``concept``, or None when it can."""
+    bad = _NOT_XML.search(concept)
+    return bad and f"concept {concept!r} holds U+{ord(bad[0]):04X}, which XML cannot hold"
 
 
 def _physical_lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -143,7 +152,8 @@ def load_cognates(source: str | Path | IO[str]) -> tuple[CognateMatrix, list[Val
     text stream, which is read line by line and closed, or the raw table text
     as a str; only LF, CR and CRLF end its lines. Returns the matrix plus a list
     of warnings (errors raise CognateFormatError with the offending line
-    number).
+    number). A concept name, which labels a point of scatter.svg, must be
+    XML characters: the row where one that is not first appears is an error.
 
     The matrix holds each language, concept and cognate-class name once,
     and one frozenset per distinct set of classes: every (language, concept)
@@ -214,6 +224,8 @@ def _load_lines(lines: Iterator[str]) -> tuple[CognateMatrix, list[ValidationIss
             if not all(row):
                 raise CognateFormatError(f"empty {REQUIRED_COLUMNS[row.index('')]}", lineno)
             language = languages.setdefault(row[0], row[0])
+            if row[1] not in concepts and (problem := non_xml_concept(row[1])):
+                raise CognateFormatError(problem, lineno)
             concept = concepts.setdefault(row[1], row[1])
             cognate_id = class_ids.setdefault(row[2], row[2])
 

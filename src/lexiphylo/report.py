@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 
 from ._version import __version__
+from .cognates import non_xml_concept
 from .metrics import MeaningClassMetrics
 from .multivariate import ClusterAssignment, PcaResult
 from .ranking import SuitabilityRanking, WordlistSelection
@@ -82,37 +83,28 @@ def emit_report(
     ``metadata`` is the caller's run block (seeds, n_reps, thresholds,
     input digests); it is embedded verbatim under ``"run"``. Each concept's
     ``mean_D_status`` is ``"imputed"`` when its record has no mean D (every
-    class was skipped) and ``"computed"`` otherwise. Class entries, ranking
-    rows, the selection and the cluster assignment are their records'
-    fields as stored (``vars``), not deep copies.
+    class was skipped) and ``"computed"`` otherwise. Concept blocks, class
+    entries, ranking rows, the selection and the cluster assignment are
+    their records' fields as stored (``vars``), not deep copies; a concept
+    block writes ``mean_d`` as ``mean_D``, and ``class_results`` and
+    ``class_skips`` as the ``classes`` and ``skipped_classes`` lists.
     """
     _check_row_sets(metrics, pca, clusters, ranking)
 
     concept_blocks = []
     for m in sorted(metrics, key=lambda m: m.concept):
-        classes = [
+        block = vars(m).copy()
+        block["mean_D"] = block.pop("mean_d")
+        block["mean_D_status"] = "imputed" if m.mean_d is None else "computed"
+        block["classes"] = [
             {"cognate_class": cls, **vars(res)}
-            for cls, res in sorted(m.class_results.items())
+            for cls, res in sorted(block.pop("class_results").items())
         ]
-        skipped = [
+        block["skipped_classes"] = [
             {"cognate_class": cls, "reason": reason}
-            for cls, reason in sorted(m.class_skips.items())
+            for cls, reason in sorted(block.pop("class_skips").items())
         ]
-        concept_blocks.append(
-            {
-                "concept": m.concept,
-                "n_loans": m.n_loans,
-                "mean_D": m.mean_d,
-                "mean_D_status": "imputed" if m.mean_d is None else "computed",
-                "n_singletons": m.n_singletons,
-                "missing_fraction": m.missing_fraction,
-                "mean_class_size": m.mean_class_size,
-                "max_class_size": m.max_class_size,
-                "n_classes": m.n_classes,
-                "classes": classes,
-                "skipped_classes": skipped,
-            }
-        )
+        concept_blocks.append(block)
 
     document = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -185,6 +177,16 @@ def _hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return half(pts) + half(reversed(pts))
 
 
+def _element(tag: str, content: str | None = None, /, **attributes: object) -> str:
+    """The SVG element ``tag``: its attributes in the order given, each name's
+    ``_`` written as ``-`` and a trailing one dropped (``class_`` is ``class``),
+    then ``content``, which is markup, and a closing tag, or ``/>`` without it."""
+    head = "".join(
+        f' {name.rstrip("_").replace("_", "-")}="{value}"' for name, value in attributes.items()
+    )
+    return f"<{tag}{head}/>" if content is None else f"<{tag}{head}>{content}</{tag}>"
+
+
 def emit_scatter(
     pca: PcaResult,
     clusters: ClusterAssignment,
@@ -195,13 +197,17 @@ def emit_scatter(
     Points are labeled by concept and colored by cluster; clusters with at
     least three members get a convex-hull outline; the six variables are
     drawn as loading arrows from the origin; axis captions report explained
-    variance. Identical inputs yield identical bytes.
+    variance. Identical inputs yield identical bytes, and ``_element`` writes
+    every element. A concept that XML cannot hold is a ValueError.
     """
     n = len(pca.row_labels)
     if n < 3:
         raise ValueError(f"need >= 3 points for a scatter, got {n}")
     if len(clusters.labels) != n:
         raise ValueError("cluster labels do not match the PCA rows")
+    for concept in pca.row_labels:
+        if problem := non_xml_concept(concept):
+            raise ValueError(problem)
 
     xs = pca.scores[:, 0].astype(float)
     ys = pca.scores[:, 1].astype(float)
@@ -228,27 +234,16 @@ def emit_scatter(
     def fmt(v: float) -> str:
         return f"{v:.2f}"
 
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    parts.append(
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>'
-    )
-    parts.append(
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#444444" stroke-width="1"/>'
-    )
-    # Zero lines.
-    parts.append(
-        f'<line x1="{fmt(px(0.0))}" y1="{_MARGIN}" x2="{fmt(px(0.0))}" '
-        f'y2="{_HEIGHT - _MARGIN}" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN}" y1="{fmt(py(0.0))}" x2="{_WIDTH - _MARGIN}" '
-        f'y2="{fmt(py(0.0))}" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
-    )
+    parts = [
+        _element("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="white"),
+        _element("rect", x=_MARGIN, y=_MARGIN, width=plot_w, height=plot_h, fill="none",
+                 stroke="#444444", stroke_width=1),
+        # Zero lines.
+        _element("line", x1=fmt(px(0.0)), y1=_MARGIN, x2=fmt(px(0.0)), y2=_HEIGHT - _MARGIN,
+                 stroke="#bbbbbb", stroke_dasharray="4,4"),
+        _element("line", x1=_MARGIN, y1=fmt(py(0.0)), x2=_WIDTH - _MARGIN, y2=fmt(py(0.0)),
+                 stroke="#bbbbbb", stroke_dasharray="4,4"),
+    ]
 
     # Cluster hulls first so points draw on top.
     for cluster_id in sorted(set(int(c) for c in clusters.labels)):
@@ -258,10 +253,8 @@ def emit_scatter(
             continue
         color = _PALETTE[cluster_id % len(_PALETTE)]
         path = " ".join(f"{fmt(px(x))},{fmt(py(y))}" for x, y in hull)
-        parts.append(
-            f'<polygon points="{path}" fill="{color}" fill-opacity="0.12" '
-            f'stroke="{color}" stroke-width="1"/>'
-        )
+        parts.append(_element("polygon", points=path, fill=color, fill_opacity=0.12,
+                              stroke=color, stroke_width=1))
 
     # Loading arrows for the variables.
     arrow_scale = 0.85 * min(
@@ -272,10 +265,8 @@ def emit_scatter(
         ly = float(pca.loadings[v, 1]) * arrow_scale
         x1, y1 = px(0.0), py(0.0)
         x2, y2 = px(lx), py(ly)
-        parts.append(
-            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-            'stroke="#884400" stroke-width="1.5" class="loading-arrow"/>'
-        )
+        parts.append(_element("line", x1=fmt(x1), y1=fmt(y1), x2=fmt(x2), y2=fmt(y2),
+                              stroke="#884400", stroke_width=1.5, class_="loading-arrow"))
         # Arrowhead: two short strokes back from the tip.
         dx, dy = x2 - x1, y2 - y1
         norm = max((dx * dx + dy * dy) ** 0.5, 1e-9)
@@ -284,15 +275,11 @@ def emit_scatter(
             cos_r, sin_r = np.cos(np.pi - rot), np.sin(np.pi - rot)
             hx = ux * cos_r - uy * sin_r
             hy = ux * sin_r + uy * cos_r
-            parts.append(
-                f'<line x1="{fmt(x2)}" y1="{fmt(y2)}" x2="{fmt(x2 + 8 * hx)}" '
-                f'y2="{fmt(y2 + 8 * hy)}" stroke="#884400" stroke-width="1.5"/>'
-            )
-        anchor = "start" if lx >= 0 else "end"
-        parts.append(
-            f'<text x="{fmt(x2 + (4 if lx >= 0 else -4))}" y="{fmt(y2 - 4)}" '
-            f'font-size="11" fill="#884400" text-anchor="{anchor}">{escape(name)}</text>'
-        )
+            parts.append(_element("line", x1=fmt(x2), y1=fmt(y2), x2=fmt(x2 + 8 * hx),
+                                  y2=fmt(y2 + 8 * hy), stroke="#884400", stroke_width=1.5))
+        parts.append(_element("text", escape(name), x=fmt(x2 + (4 if lx >= 0 else -4)),
+                              y=fmt(y2 - 4), font_size=11, fill="#884400",
+                              text_anchor="start" if lx >= 0 else "end"))
 
     # Points with concept labels.
     for i, concept in enumerate(pca.row_labels):
@@ -302,25 +289,17 @@ def emit_scatter(
         title = (
             f"{concept}: rank {row.rank}, {row.quadrant}" if row is not None else concept
         )
-        parts.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="{color}" '
-            f'class="concept-point"><title>{escape(title)}</title></circle>'
-        )
-        parts.append(
-            f'<text x="{fmt(cx + 5)}" y="{fmt(cy - 5)}" font-size="10" '
-            f'fill="#222222">{escape(concept)}</text>'
-        )
+        parts.append(_element("circle", _element("title", escape(title)), cx=fmt(cx),
+                              cy=fmt(cy), r=3.5, fill=color, class_="concept-point"))
+        parts.append(_element("text", escape(concept), x=fmt(cx + 5), y=fmt(cy - 5),
+                              font_size=10, fill="#222222"))
 
     pc1_pct = float(pca.explained_variance[0]) * 100.0
     pc2_pct = float(pca.explained_variance[1]) * 100.0
-    parts.append(
-        f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 20}" font-size="14" '
-        f'text-anchor="middle">PC1 ({pc1_pct:.1f}% explained)</text>'
-    )
-    parts.append(
-        f'<text x="22" y="{_HEIGHT / 2:.1f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 22 {_HEIGHT / 2:.1f})">PC2 ({pc2_pct:.1f}% '
-        "explained)</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(_element("text", f"PC1 ({pc1_pct:.1f}% explained)", x=f"{_WIDTH / 2:.1f}",
+                          y=_HEIGHT - 20, font_size=14, text_anchor="middle"))
+    parts.append(_element("text", f"PC2 ({pc2_pct:.1f}% explained)", x=22,
+                          y=f"{_HEIGHT / 2:.1f}", font_size=14, text_anchor="middle",
+                          transform=f"rotate(-90 22 {_HEIGHT / 2:.1f})"))
+    return _element("svg", "\n".join(["", *parts, ""]), xmlns="http://www.w3.org/2000/svg",
+                    width=_WIDTH, height=_HEIGHT, viewBox=f"0 0 {_WIDTH} {_HEIGHT}") + "\n"

@@ -676,6 +676,8 @@ _BAD_INPUTS = [
      "duplicate column 'concept' in header at line 1"),
     ("tree.nwk", b"((L000:1e308,L001:1):1e308,L002:1);",
      "a root-to-tip path length overflows a double"),
+    ("cognates.csv", b"language,concept,cognate_id\nL000,eye,K1\nL001,wa\x01ter,K1\n",
+     "concept 'wa\\x01ter' holds U+0001, which XML cannot hold at line 3"),
 ]
 
 
@@ -787,6 +789,17 @@ RECLUSTER = ["cluster", "--seed", "7"]
          "concepts[0].n_loans: expected an integer, got nothing"),
         ("metrics.json", lambda text: "[1, 2]\n", "metrics", ["pca"],
          "expected an object, got [1, 2]"),
+        # A cache of another schema version, or of none, is refused before its fields.
+        ("metrics.json", _chain(_set("schema_version", 99), _drop_first_n_loans), "metrics",
+         ["pca"], "schema_version: expected 1, got 99"),
+        ("metrics.json", _set("schema_version", "1"), "metrics", ["report", "--k", "3"],
+         "schema_version: expected 1, got '1'"),
+        ("pca.json", _set("schema_version", True), "pca", ["cluster", "--seed", "7"],
+         "schema_version: expected 1, got True"),
+        ("clusters.json", _set("schema_version", 1.0), "cluster", ["report", "--k", "3"],
+         "schema_version: expected 1, got 1.0"),
+        ("clusters.json", lambda text: text.replace('  "schema_version": 1,\n', ""), "cluster",
+         ["report", "--k", "3"], "schema_version: expected 1, got nothing"),
         ("clusters.json", _drop_first_label, "cluster", ["report", "--k", "3"],
          "labels['dog']: expected an integer, got nothing"),
         ("pca.json", lambda text: text[: len(text) // 2], "pca", ["cluster", "--seed", "7"],
@@ -902,6 +915,27 @@ def test_malformed_cache_is_a_located_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is malformed ({problem}"), err
     assert err.endswith(f"); re-run the {stage} stage\n"), err
+
+
+def test_report_refuses_a_concept_that_scatter_svg_cannot_hold(ranked, tmp_path, capsys):
+    # A metrics.json edited by hand passes the loader's check on concept names.
+    _, _, _, out = ranked
+    work = tmp_path / "work"
+    shutil.copytree(out, work)
+    artifacts = [work / name for name in ("report.json", "ranking.csv", "scatter.svg")]
+    for path in artifacts:
+        path.unlink()
+    doc = json.loads((work / "metrics.json").read_text("utf-8"))
+    concept = doc["concepts"][0]["concept"] = doc["concepts"][0]["concept"] + "\x01"
+    (work / "metrics.json").write_text(to_json(doc), "utf-8")
+    assert main(["pca", "--out", str(work)]) == 0
+    assert main(["cluster", "--seed", "7", "--out", str(work)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--k", "3", "--out", str(work)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: concept {concept!r} holds U+0001, which XML cannot hold\n"
+    )
+    assert not any(path.exists() for path in artifacts)
 
 
 @pytest.mark.parametrize("argv, name, stage", [
@@ -1099,7 +1133,7 @@ class TestClusterDistinctRows:
         doc = {"scores": scores, "row_labels": [f"c{i:02d}" for i in range(len(scores))],
                "variables": ["a", "b", "c"], "eigenvalues": [1.0] * 3,
                "explained_variance": [1 / 3] * 3, "loadings": unit, "contributions": unit,
-               "upstream_sha256": "", "warnings": []}
+               "upstream_sha256": "", "warnings": [], "schema_version": 1}
         (tmp_path / "pca.json").write_text(json.dumps(doc), "utf-8")
         return tmp_path
 

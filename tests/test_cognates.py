@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -118,8 +119,23 @@ class TestLoad:
 
     def test_unicode_line_separators_stay_in_their_cell(self):
         for separator in ("\u2028", "\u0085", "\x0c"):
-            matrix, _ = load_cognates(BASIC + f"L1,a{separator}b,K1,0\n")
-            assert matrix.concepts == ("eye", f"a{separator}b")
+            matrix, _ = load_cognates(BASIC + f"L1,eye,a{separator}b,0\n")
+            assert matrix.classes_for("eye")[f"a{separator}b"] == frozenset({"L1"})
+            if separator != "\x0c":  # which XML cannot hold, so no concept may
+                matrix, _ = load_cognates(BASIC + f"L1,a{separator}b,K1,0\n")
+                assert matrix.concepts == ("eye", f"a{separator}b")
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+                                      "\ufffe", "\uffff"])
+    def test_concept_that_xml_cannot_hold_is_refused_where_first_seen(self, char):
+        # Language and class names may hold it: scatter.svg writes only concepts.
+        text = BASIC + f'L{char}3,eye,K{char}1,0\nL1,"two\nlines",K1,0\nL1,wa{char}ter,K1,0\n'
+        message = f"concept {'wa' + char + 'ter'!r} holds U+{ord(char):04X}, which XML cannot hold"
+        with pytest.raises(CognateFormatError, match=f"^{re.escape(message)} at line 8$"):
+            load_cognates(text + f"L2,wa{char}ter,K1,0\n")
+        assert load_cognates(text.replace(f"wa{char}ter", "water"))[0].concepts[-1] == "water"
+        # Each of XML's three control characters may be in a concept.
+        assert load_cognates(BASIC + 'L1,"a\tb\r\nc",K1,0\n')[0].concepts[-1] == "a\tb\r\nc"
 
     def test_errors_keep_physical_line_numbers_after_a_multiline_row(self):
         text = BASIC + 'L3,"two\nlines",K1,0\n\nL3,eye,K1,0,junk\n'

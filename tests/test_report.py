@@ -1,19 +1,22 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexiphylo.cognates import load_cognates
 from lexiphylo.metrics import DStatConfig, build_feature_table, compute_metrics, plan
-from lexiphylo.multivariate import kmeans, pca, standardize
-from lexiphylo.ranking import SuitabilityRanking, orient_axes, select_wordlist, suitability_rank
+from lexiphylo.multivariate import ClusterAssignment, PcaResult, kmeans, pca, standardize
+from lexiphylo.ranking import (
+    RankedConcept, SuitabilityRanking, orient_axes, select_wordlist, suitability_rank,
+)
 from lexiphylo.report import _hull, emit_report, emit_scatter, escape, report_schema
 from lexiphylo.tree import parse_newick
-from util import balanced_newick
+from util import balanced_newick, oracle_emit_scatter
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +228,76 @@ def test_hull_matches_an_edge_by_edge_oracle(points):
 def test_a_cluster_without_three_corners_gets_no_outline():
     assert _hull([(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]) == [(0.0, 0.0), (1.0, 1.0)]
     assert _hull([(2.0, 2.0), (0.0, 0.0), (1.0, 1.0)]) == [(0.0, 0.0), (2.0, 2.0)]
+
+
+# Concept and variable names: XML's escapes, a line separator, a CR and non-ASCII text.
+_NAME = st.text(alphabet="ab &<>\u2028\r\u00e9\u4e2d", min_size=1, max_size=6)
+_COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-5, 5, allow_subnormal=False))
+
+
+@st.composite
+def _scatter_inputs(draw):
+    """A PCA, clusters and ranking for emit_scatter: 3 to 40 points, now and
+    then all on the zero line of an axis (its span is 0, so it is padded),
+    clusters of one and two members (no hull) among bigger ones, and concepts
+    that the ranking leaves out (their title is the bare concept)."""
+    n = draw(st.integers(3, 40), label="n")
+    concepts = draw(st.lists(_NAME, min_size=n, max_size=n, unique=True), label="concepts")
+    scores = np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)))
+    flat = draw(st.sampled_from([None, 0, 1]), label="flat axis")
+    if flat is not None:
+        scores[:, flat] = 0.0
+    k = draw(st.integers(1, 12), label="k")
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    p = draw(st.integers(2, 6), label="p")
+    variables = tuple(draw(st.lists(_NAME, min_size=p, max_size=p, unique=True)))
+    loadings = np.array(draw(st.lists(st.floats(-1, 1), min_size=p * p, max_size=p * p)))
+    explained = np.array(draw(st.lists(st.floats(0, 1), min_size=p, max_size=p)))
+    pca_result = PcaResult(
+        eigenvalues=explained * p, loadings=loadings.reshape(p, p), scores=scores,
+        contributions=np.zeros((p, p)), explained_variance=explained, variables=variables,
+        row_labels=tuple(concepts),
+    )
+    clusters = ClusterAssignment(labels=labels, centroids=np.zeros((k, 2)), wcss=0.0, k=k,
+                                 seed=0, n_restarts=1)
+    ranked = draw(st.lists(st.booleans(), min_size=n, max_size=n), label="ranked")
+    quadrants = st.sampled_from(["NE", "NW", "SE", "SW", "axis"])
+    rows = tuple(
+        RankedConcept(concept, float(x), float(y), float(x - y), rank, draw(quadrants), int(c))
+        for rank, (concept, (x, y), c, keep) in enumerate(
+            zip(concepts, scores, labels, ranked), start=1)
+        if keep
+    )
+    return pca_result, clusters, SuitabilityRanking(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scatter_inputs())
+def test_scatter_matches_the_hand_written_elements(inputs):
+    # Line lists, whose first difference pytest shows at once.
+    assert emit_scatter(*inputs).split("\n") == oracle_emit_scatter(*inputs).split("\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scatter_inputs())
+def test_scatter_parses_and_its_labels_read_back(inputs):
+    pca_result, _, ranking = inputs
+    root = ET.fromstring(emit_scatter(*inputs))
+    svg = "{http://www.w3.org/2000/svg}"
+    labels = [t.text for t in root.iter(f"{svg}text") if t.get("font-size") == "10"]
+    titles = [t.text for t in root.iter(f"{svg}title")]
+    ranked = {row.concept for row in ranking.rows}
+    # An XML parser reads a CR, and a CR LF, as an LF.
+    for concept, label, title in zip(pca_result.row_labels, labels, titles, strict=True):
+        normalised = concept.replace("\r\n", "\n").replace("\r", "\n")
+        assert label == normalised
+        assert title == normalised or concept in ranked and title.startswith(normalised + ": ")
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x0c", "\x1f", "\ufffe", "\uffff"])
+def test_scatter_refuses_a_concept_that_xml_cannot_hold(pipeline, char):
+    _, oriented, clusters, ranking, _, _ = pipeline
+    renamed = replace(oriented, row_labels=(f"a{char}b", *oriented.row_labels[1:]))
+    message = f"concept {'a' + char + 'b'!r} holds U+{ord(char):04X}, which XML cannot hold"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_scatter(renamed, clusters, ranking)

@@ -23,6 +23,7 @@ from lexiphylo.cognates import CognateFormatError, ValidationIssue, binary_trait
 from lexiphylo.comparative import DStatResult
 from lexiphylo.metrics import compute_metrics, plan
 from lexiphylo.multivariate import MAX_LLOYD_ITERATIONS, ClusterAssignment
+from lexiphylo.report import _HEIGHT, _MARGIN, _PALETTE, _WIDTH, _hull, escape
 from lexiphylo.tree import NewickError, Tree, TreeError
 
 
@@ -73,12 +74,19 @@ def benchmark_corpus_newick() -> str:
     return benchmark_corpus()[0]
 
 
+def _xml_char(ch: str) -> bool:
+    """Whether XML 1.0's Char production holds ``ch``."""
+    code = ord(ch)
+    return (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD
+            or 0x10000 <= code <= 0x10FFFF)
+
+
 def oracle_load_cognates(text: str):
     """``load_cognates`` of a table text, done naively: the whole text split
     into lines at once, each row's lines sliced from that list, entries
     collected as sets and frozen at the end. Returns (languages, concepts,
     entries, loans, warnings), or raises CognateFormatError as the package
-    documents it."""
+    documents it, a concept that XML cannot hold included."""
     lines = io.StringIO(text, newline="").readlines()
     if not lines or not lines[0].strip():
         raise CognateFormatError("empty input (no header)", 1)
@@ -116,6 +124,10 @@ def oracle_load_cognates(text: str):
             if record[name] == "":
                 raise CognateFormatError(f"empty {name}", lineno)
         language, concept, cls = record["language"], record["concept"], record["cognate_id"]
+        unheld = [ch for ch in concept if not _xml_char(ch)]
+        if unheld:  # at its first row, which is where it first appears
+            raise CognateFormatError(f"concept {concept!r} holds U+{ord(unheld[0]):04X}, "
+                                     "which XML cannot hold", lineno)
         if cls in entries.get((language, concept), ()):
             raise CognateFormatError(f"duplicate row ({language}, {concept}, {cls})", lineno)
         flag = record.get("loan", "")
@@ -576,3 +588,135 @@ def sample_binary_traits(n: int, count: int, seed: int):
         if 0 < trait.sum() < n:
             produced += 1
             yield trait
+
+
+def oracle_emit_scatter(pca, clusters, ranking) -> str:
+    """``emit_scatter`` as first written, each element's syntax in an f-string
+    of its own; the package's writer must match its bytes."""
+    n = len(pca.row_labels)
+    if n < 3:
+        raise ValueError(f"need >= 3 points for a scatter, got {n}")
+    if len(clusters.labels) != n:
+        raise ValueError("cluster labels do not match the PCA rows")
+
+    xs = pca.scores[:, 0].astype(float)
+    ys = pca.scores[:, 1].astype(float)
+    rank_by_concept = {row.concept: row for row in ranking.rows}
+
+    def padded(lo: float, hi: float) -> tuple[float, float]:
+        if hi - lo < 1e-9:
+            lo, hi = lo - 1.0, hi + 1.0
+        pad = 0.08 * (hi - lo)
+        return lo - pad, hi + pad
+
+    # Keep the origin inside the frame: loading arrows start there.
+    xmin, xmax = padded(min(xs.min(), 0.0), max(xs.max(), 0.0))
+    ymin, ymax = padded(min(ys.min(), 0.0), max(ys.max(), 0.0))
+    plot_w = _WIDTH - 2 * _MARGIN
+    plot_h = _HEIGHT - 2 * _MARGIN
+
+    def px(x: float) -> float:
+        return _MARGIN + (x - xmin) / (xmax - xmin) * plot_w
+
+    def py(y: float) -> float:
+        return _HEIGHT - _MARGIN - (y - ymin) / (ymax - ymin) * plot_h
+
+    def fmt(v: float) -> str:
+        return f"{v:.2f}"
+
+    parts: list[str] = []
+    parts.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+    )
+    parts.append(
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>'
+    )
+    parts.append(
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="#444444" stroke-width="1"/>'
+    )
+    # Zero lines.
+    parts.append(
+        f'<line x1="{fmt(px(0.0))}" y1="{_MARGIN}" x2="{fmt(px(0.0))}" '
+        f'y2="{_HEIGHT - _MARGIN}" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
+    )
+    parts.append(
+        f'<line x1="{_MARGIN}" y1="{fmt(py(0.0))}" x2="{_WIDTH - _MARGIN}" '
+        f'y2="{fmt(py(0.0))}" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
+    )
+
+    # Cluster hulls first so points draw on top.
+    for cluster_id in sorted(set(int(c) for c in clusters.labels)):
+        member_idx = [i for i in range(n) if int(clusters.labels[i]) == cluster_id]
+        hull = _hull([(float(xs[i]), float(ys[i])) for i in member_idx])
+        if len(hull) < 3:
+            continue
+        color = _PALETTE[cluster_id % len(_PALETTE)]
+        path = " ".join(f"{fmt(px(x))},{fmt(py(y))}" for x, y in hull)
+        parts.append(
+            f'<polygon points="{path}" fill="{color}" fill-opacity="0.12" '
+            f'stroke="{color}" stroke-width="1"/>'
+        )
+
+    # Loading arrows for the variables.
+    arrow_scale = 0.85 * min(
+        max(abs(xmin), abs(xmax)), max(abs(ymin), abs(ymax))
+    ) / max(np.max(np.abs(pca.loadings[:, :2])), 1e-12)
+    for v, name in enumerate(pca.variables):
+        lx = float(pca.loadings[v, 0]) * arrow_scale
+        ly = float(pca.loadings[v, 1]) * arrow_scale
+        x1, y1 = px(0.0), py(0.0)
+        x2, y2 = px(lx), py(ly)
+        parts.append(
+            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+            'stroke="#884400" stroke-width="1.5" class="loading-arrow"/>'
+        )
+        # Arrowhead: two short strokes back from the tip.
+        dx, dy = x2 - x1, y2 - y1
+        norm = max((dx * dx + dy * dy) ** 0.5, 1e-9)
+        ux, uy = dx / norm, dy / norm
+        for rot in (0.35, -0.35):
+            cos_r, sin_r = np.cos(np.pi - rot), np.sin(np.pi - rot)
+            hx = ux * cos_r - uy * sin_r
+            hy = ux * sin_r + uy * cos_r
+            parts.append(
+                f'<line x1="{fmt(x2)}" y1="{fmt(y2)}" x2="{fmt(x2 + 8 * hx)}" '
+                f'y2="{fmt(y2 + 8 * hy)}" stroke="#884400" stroke-width="1.5"/>'
+            )
+        anchor = "start" if lx >= 0 else "end"
+        parts.append(
+            f'<text x="{fmt(x2 + (4 if lx >= 0 else -4))}" y="{fmt(y2 - 4)}" '
+            f'font-size="11" fill="#884400" text-anchor="{anchor}">{escape(name)}</text>'
+        )
+
+    # Points with concept labels.
+    for i, concept in enumerate(pca.row_labels):
+        color = _PALETTE[int(clusters.labels[i]) % len(_PALETTE)]
+        cx, cy = px(float(xs[i])), py(float(ys[i]))
+        row = rank_by_concept.get(concept)
+        title = (
+            f"{concept}: rank {row.rank}, {row.quadrant}" if row is not None else concept
+        )
+        parts.append(
+            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="{color}" '
+            f'class="concept-point"><title>{escape(title)}</title></circle>'
+        )
+        parts.append(
+            f'<text x="{fmt(cx + 5)}" y="{fmt(cy - 5)}" font-size="10" '
+            f'fill="#222222">{escape(concept)}</text>'
+        )
+
+    pc1_pct = float(pca.explained_variance[0]) * 100.0
+    pc2_pct = float(pca.explained_variance[1]) * 100.0
+    parts.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 20}" font-size="14" '
+        f'text-anchor="middle">PC1 ({pc1_pct:.1f}% explained)</text>'
+    )
+    parts.append(
+        f'<text x="22" y="{_HEIGHT / 2:.1f}" font-size="14" text-anchor="middle" '
+        f'transform="rotate(-90 22 {_HEIGHT / 2:.1f})">PC2 ({pc2_pct:.1f}% '
+        "explained)</text>"
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .cognates import ValidationIssue, load_cognates
+from .cognates import ValidationIssue, load_cognates, non_xml_concept
 from .comparative import (
     DEFAULT_N_REPS,
     BmParams,
@@ -61,6 +61,7 @@ from .multivariate import (
     DEFAULT_RESTARTS,
     ClusterAssignment,
     PcaResult,
+    _sq_distances,
     choose_k,
     kmeans,
     pca as run_pca,
@@ -151,6 +152,8 @@ class _MetricsCache:
 
     def __post_init__(self) -> None:
         for i, m in enumerate(self.concepts):
+            if non_xml_concept(m.concept):  # scatter.svg labels a point with it
+                raise _Mistyped("a concept that XML can hold", m.concept, f".concepts[{i}].concept")
             # mean_D averages the class results, so it is null exactly when there are none.
             if (m.mean_d is None) != (not m.class_results):
                 expected = "null exactly when there are no class results"
@@ -436,8 +439,8 @@ def _cluster_stage(
     scores2 = record.scores[:, :2]
     # k-means and the silhouette tell rows apart by their squared distance, so
     # distinct rows must be at a nonzero one for the count below to hold.
-    diffs = scores2[:, None] - scores2[None]
-    close = (np.sum(diffs**2, axis=2) == 0) & np.any(diffs != 0, axis=2)
+    rows, others = scores2[:, None], scores2[None]
+    close = (_sq_distances(rows, others) == 0) & np.any(rows != others, axis=2)
     if close.any():
         i, j = np.argwhere(close)[0].tolist()
         problem = (f"scores[{i}] and scores[{j}]: distinct PC1/PC2 rows whose squared "

@@ -18,6 +18,12 @@ arithmetic of one restart at a time. The best (lowest-WCSS) restart wins,
 ties going to the lowest restart index, so the result is independent of
 execution order. The silhouette sums each point's distances to each
 cluster in one pass, with the bits of a point-by-point loop.
+
+Squared distances, in the seeding, the Lloyd iterations and the
+silhouette alike, add whole coordinate slices in coordinate order: below
+8 coordinates that is the order in which ``np.sum`` adds a row, so the
+bits are ``np.sum``'s, without its reduction loop over each short row;
+from 8 coordinates on they are ``np.sum``'s own.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ LOW_STRUCTURE_SILHOUETTE = 0.5
 # What numpy's column sums start from: +0.0 where a reduction begins at the
 # identity (numpy 2), -0.0 (a no-op) where it begins at the first row.
 _COLUMN_SUM_START = float(np.add.reduce(np.full((1, 2), -0.0), axis=0)[0])
+# The most terms that numpy's row sums add one after another: 7 (from 8 on
+# it sums pairwise), unless a row sum adds the sum of the other terms to the
+# first, which (1 + 2**-53) + 2**-53 == 1 against 1 + 2**-52 tells apart.
+_SEQUENTIAL_ROW_TERMS = 7 if np.sum(np.array([[1.0, 2.0**-53, 2.0**-53]]), axis=-1)[0] == 1.0 else 2
 
 
 class ZeroVarianceWarning(UserWarning):
@@ -208,7 +218,7 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, seed: int, n_restarts: int) -> np.nda
         rng.random(out=uniforms[restart])
     centers = np.empty((n_restarts, k, x.shape[1]))
     centers[:, 0] = x[first]
-    d2 = np.sum((x - centers[:, :1]) ** 2, axis=2)
+    d2 = _sq_distances(x, centers[:, :1])
     for j in range(1, k):
         total = d2.sum(axis=1)
         if not np.all((0.0 < total) & (total < np.inf)):
@@ -221,7 +231,7 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, seed: int, n_restarts: int) -> np.nda
         cdf /= cdf[:, -1:]
         idx = np.count_nonzero(cdf <= uniforms[:, j - 1, None], axis=1)
         centers[:, j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[:, j, None]) ** 2, axis=2))
+        d2 = np.minimum(d2, _sq_distances(x, centers[:, j, None]))
     return centers
 
 
@@ -241,9 +251,21 @@ def _update_one(x: np.ndarray, d2: np.ndarray, labels: np.ndarray, centers: np.n
         centers[j] = x[labels == j].mean(axis=0)
 
 
-def _sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance of every point to every centroid of every restart: (R, n, k)."""
-    return np.sum((x[None, :, None, :] - centers[:, None, :, :]) ** 2, axis=3)
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the broadcast rows of ``a`` and ``b``, whose last
+    axes hold the same coordinates, with the bits of ``np.sum((a - b) ** 2, axis=-1)``.
+
+    numpy adds up to ``_SEQUENTIAL_ROW_TERMS`` terms one after another, so
+    adding the squared differences of whole coordinate slices in order
+    gives its bits; beyond that, and for no coordinates, this is ``np.sum``.
+    """
+    d = a.shape[-1]
+    if not 0 < d <= _SEQUENTIAL_ROW_TERMS:
+        return np.sum((a - b) ** 2, axis=-1)
+    total = (a[..., 0] - b[..., 0]) ** 2
+    for j in range(1, d):
+        total = total + (a[..., j] - b[..., j]) ** 2
+    return total
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,10 +289,10 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(MAX_LLOYD_ITERATIONS):
         rows = np.arange(len(active))[:, None]
         current = centers[active]
-        d2 = _sq_distances(x, current)
+        d2 = _sq_distances(x[None, :, None], current[:, None])  # (R, n, k)
         new_labels = np.argmin(d2, axis=2)  # ties go to the lowest index
-        counts = np.zeros((len(active), k), dtype=np.intp)
-        np.add.at(counts, (rows, new_labels), 1)
+        counts = np.bincount((new_labels + k * rows).ravel(), minlength=len(active) * k)
+        counts = counts.reshape(len(active), k)
         one_by_one = np.any(counts == 0, axis=1) | (x.shape[1] == 1)
         for i in np.flatnonzero(one_by_one):
             _update_one(x, d2[i], new_labels[i], current[i])
@@ -279,7 +301,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(sums, (rows[: len(regular)], new_labels[regular]), x)
         current[regular] = sums / counts[regular, :, None]
         centers[active] = current
-        wcss = np.sum((x - current[rows, new_labels]) ** 2, axis=(1, 2))
+        wcss = _sq_distances(x, current[rows, new_labels]).sum(axis=1)
         previous = previous_wcss[active]
         if np.any(wcss > previous + 1e-9 * np.maximum(1.0, previous)):
             raise AssertionError("k-means WCSS increased across an iteration")
@@ -290,7 +312,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not len(active):
             break
     # Final assignments against the updated centroids.
-    d2 = _sq_distances(x, centers)
+    d2 = _sq_distances(x[None, :, None], centers[:, None])
     labels = np.argmin(d2, axis=2)
     return labels, np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
 
@@ -350,7 +372,7 @@ def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
     )
     if len(clusters) < 2:
         raise ValueError("silhouette needs >= 2 clusters")
-    dist = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+    dist = np.sqrt(_sq_distances(x[:, None], x[None]))
     sums = np.empty((len(x), len(clusters)))
     for c in range(len(clusters)):
         sums[:, c] = np.ascontiguousarray(dist[:, member_of == c]).sum(axis=1)

@@ -1,14 +1,17 @@
 """Run reports (versioned JSON) and the PC1/PC2 scatter (standalone SVG).
 
-Both artifacts are byte-deterministic for fixed inputs: the JSON is dumped
-with sorted keys and carries no wall-clock fields, and the SVG formats
-every coordinate with fixed precision. Run metadata (seeds, replicate
+Both artifacts are byte-deterministic for fixed inputs: the JSON is
+``json.dumps``' indent-2 text with sorted keys, written through json's C
+encoder, and carries no wall-clock fields, and the SVG formats every
+coordinate with fixed precision. Run metadata (seeds, replicate
 counts, thresholds, input digests) is embedded so a report is sufficient
 to reproduce itself.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from importlib import resources
 
@@ -62,12 +65,60 @@ def _check_row_sets(
 
 
 def to_json(document: dict) -> str:
-    """The one JSON format of the report and the stage caches.
+    """The one JSON format of the report and the stage caches: the text of
+    ``json.dumps(document, indent=2, sort_keys=True, default=np.ndarray.tolist)``
+    and a newline.
 
     Sorted keys and a fixed indent make the text byte-deterministic; numpy
-    arrays are written as (nested) lists.
+    arrays are written as (nested) lists. ``indent`` would put the whole
+    document through json's pure-Python encoder, so only the containers that
+    hold containers are walked here; each other container, and each run of
+    scalars, goes to the stdlib's C encoder, with the item separator of its
+    depth, which writes the same text.
     """
-    return json.dumps(document, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    return _to_json(document, 0) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder of items at indent level ``depth``, which puts each on a line of its own."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "),
+                            default=np.ndarray.tolist)
+
+
+def _to_json(value: object, depth: int) -> str:
+    """``value``'s indent-2 text, for a value at indent level ``depth``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    encoder = _encoder(depth + 1)
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return encoder.encode(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    items = value.values() if is_dict else value
+    # Most containers hold only the plain scalar types, which map(type) tells at once.
+    if _SCALARS.issuperset(map(type, items)) or not any(isinstance(v, _CONTAINERS) for v in items):
+        text = encoder.encode(value)[1:-1]
+    else:
+        parts = []
+        pairs = sorted(value.items()) if is_dict else [(None, v) for v in value]
+        for nested, run in itertools.groupby(pairs, lambda pair: isinstance(pair[1], _CONTAINERS)):
+            run = list(run)
+            if not nested:  # a run of scalars, in one call
+                parts.append(encoder.encode(dict(run) if is_dict else [v for _, v in run])[1:-1])
+            elif is_dict:  # a key that is no string is written as json writes {key: 0}'s
+                parts += (f"{encoder.encode(k) if isinstance(k, str) else encoder.encode({k: 0})[1:-4]}"
+                          f": {_to_json(v, depth + 1)}" for k, v in run)
+            else:
+                parts += (_to_json(v, depth + 1) for _, v in run)
+        text = encoder.item_separator.join(parts)
+    open_, close = "{}" if is_dict else "[]"
+    return f"{open_}\n{'  ' * (depth + 1)}{text}\n{'  ' * depth}{close}"
 
 
 def emit_report(

@@ -918,24 +918,25 @@ def test_malformed_cache_is_a_located_error(
 
 
 def test_report_refuses_a_concept_that_scatter_svg_cannot_hold(ranked, tmp_path, capsys):
-    # A metrics.json edited by hand passes the loader's check on concept names.
+    # A metrics.json edited by hand passes the loader's check on concept names,
+    # so decoding it refuses the concept, before pca writes a cache.
     _, _, _, out = ranked
     work = tmp_path / "work"
     shutil.copytree(out, work)
-    artifacts = [work / name for name in ("report.json", "ranking.csv", "scatter.svg")]
-    for path in artifacts:
+    written = [work / name for name in ("pca.json", "clusters.json", "report.json",
+                                        "ranking.csv", "scatter.svg")]
+    for path in written:
         path.unlink()
     doc = json.loads((work / "metrics.json").read_text("utf-8"))
     concept = doc["concepts"][0]["concept"] = doc["concepts"][0]["concept"] + "\x01"
     (work / "metrics.json").write_text(to_json(doc), "utf-8")
-    assert main(["pca", "--out", str(work)]) == 0
-    assert main(["cluster", "--seed", "7", "--out", str(work)]) == 0
-    capsys.readouterr()
-    assert main(["report", "--k", "3", "--out", str(work)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: concept {concept!r} holds U+0001, which XML cannot hold\n"
-    )
-    assert not any(path.exists() for path in artifacts)
+    for argv in (["pca"], ["report", "--k", "3"]):
+        assert main([*argv, "--out", str(work)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {work / 'metrics.json'} is malformed (concepts[0].concept: expected a "
+            f"concept that XML can hold, got {concept!r}); re-run the metrics stage\n"
+        )
+    assert not any(path.exists() for path in written)
 
 
 @pytest.mark.parametrize("argv, name, stage", [

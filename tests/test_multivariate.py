@@ -246,7 +246,32 @@ def _kmeans_point_sets():
         "signed zeros": signed_zeros,
         "one column": rng.normal(size=(24, 1)),
         "three columns": rng.normal(size=(9, 3)),
+        "eight columns": rng.normal(size=(9, 8)),
+        "ten columns": rng.normal(size=(9, 10)),
     }
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sq_distances_match_np_sum_bitwise(d):
+    # Below 8 coordinates the slices are added in np.sum's order; from 8 on,
+    # where np.sum adds pairwise, a slice loop would differ in the last bit.
+    rng = np.random.default_rng(d)
+    scales = [1.0, 1e200, 1e-200]  # rows whose squared distances overflow or underflow
+    a = rng.normal(size=(30, d)) * rng.choice(scales, size=(30, 1))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    centers = rng.normal(size=(4, 1, 3, d)) * rng.choice(scales, size=d)
+    overflowed = underflowed = False
+    # The shapes of the seeding, the silhouette and the Lloyd iterations.
+    for lhs, rhs in ((a, a[:1]), (a[:, None], a[None]), (a[None, :, None], centers)):
+        with np.errstate(over="ignore"):
+            got = multivariate._sq_distances(lhs, rhs)
+            expected = np.sum((lhs - rhs) ** 2, axis=-1)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (lhs.shape, rhs.shape)
+        overflowed |= bool(np.isinf(expected).any())
+        underflowed |= bool(((expected == 0.0) & np.any(lhs != rhs, axis=-1)).any())
+    assert overflowed and underflowed
 
 
 def _n_distinct(x):
@@ -350,7 +375,7 @@ def test_silhouette_matches_point_by_point_oracle_bitwise():
     kinds = {"singleton": 0, "duplicates": 0}
     for case in range(300):
         n = int(rng.integers(3, 40))
-        x = rng.normal(size=(n, int(rng.integers(1, 4))))
+        x = rng.normal(size=(n, int(rng.integers(1, 11))))
         if case % 3 == 1:
             x = x[rng.integers(0, max(1, n // 3), size=n)]
             kinds["duplicates"] += 1

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -6,7 +7,7 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexiphylo.cognates import load_cognates
 from lexiphylo.metrics import DStatConfig, build_feature_table, compute_metrics, plan
@@ -14,9 +15,9 @@ from lexiphylo.multivariate import ClusterAssignment, PcaResult, kmeans, pca, st
 from lexiphylo.ranking import (
     RankedConcept, SuitabilityRanking, orient_axes, select_wordlist, suitability_rank,
 )
-from lexiphylo.report import _hull, emit_report, emit_scatter, escape, report_schema
+from lexiphylo.report import _hull, emit_report, emit_scatter, escape, report_schema, to_json
 from lexiphylo.tree import parse_newick
-from util import balanced_newick, oracle_emit_scatter
+from util import balanced_newick, oracle_emit_scatter, oracle_to_json
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +302,39 @@ def test_scatter_refuses_a_concept_that_xml_cannot_hold(pipeline, char):
     message = f"concept {'a' + char + 'b'!r} holds U+{ord(char):04X}, which XML cannot hold"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         emit_scatter(renamed, clusters, ranking)
+
+
+# Keys and strings holding the writer's separators, quotes, backslashes, line
+# breaks and brackets, and non-ASCII text.
+_JSON_TEXT = st.text(alphabet=', :"\\\n\u2028[]{}a\u00e9\u4e2d', max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**80), st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]), _JSON_TEXT,
+)
+_ARRAYS = st.one_of(
+    st.lists(st.floats(), max_size=4).map(lambda row: np.array(row, dtype=float)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: st.lists(st.floats(), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda cells: np.array(cells, dtype=float).reshape(shape))),
+)
+
+
+def _json_documents(depth: int):
+    """Scalars, arrays, and lists, tuples and objects of them nested up to ``depth`` deep."""
+    if depth == 0:
+        return _JSON_SCALARS | _ARRAYS
+    inner = _json_documents(depth - 1)
+    return _JSON_SCALARS | _ARRAYS | st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_documents(4))
+@example({1.5: [0], 2: {"x": []}, True: (None, [{}])})
+@example({"a": ", ", "b": {"c": ": "}, "d": np.zeros((2, 0)), "e": np.array(2.5)})
+def test_to_json_matches_json_indent_encoder(document):
+    # Line lists, whose first difference pytest shows at once.
+    assert to_json(document).split("\n") == oracle_to_json(document).split("\n")

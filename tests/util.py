@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import io
+import json
 import math
 from pathlib import Path
 
@@ -588,6 +589,11 @@ def sample_binary_traits(n: int, count: int, seed: int):
         if 0 < trait.sum() < n:
             produced += 1
             yield trait
+
+
+def oracle_to_json(document) -> str:
+    """``to_json`` as first written: json's own indent-2 encoder, in pure Python."""
+    return json.dumps(document, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def oracle_emit_scatter(pca, clusters, ranking) -> str:
